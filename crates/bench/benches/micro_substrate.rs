@@ -60,14 +60,6 @@ fn bench_classification(c: &mut Criterion) {
         .collect();
     let mut g = c.benchmark_group("filter");
     g.throughput(Throughput::Elements(probes.len() as u64));
-    // The pre-PR baseline: string-keyed lookups, per-message ln recompute.
-    g.bench_function("classify_50_fresh_ham_strings", |b| {
-        b.iter(|| {
-            for p in &probes {
-                black_box(filter.classify_tokens_uncached(p));
-            }
-        })
-    });
     // Interning per call (what `classify_tokens` now does).
     g.bench_function("classify_50_fresh_ham", |b| {
         b.iter(|| {

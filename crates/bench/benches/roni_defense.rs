@@ -5,83 +5,9 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use sb_bench::bench_corpus;
 use sb_core::{DictionaryAttack, DictionaryKind, RoniConfig, RoniDefense};
-use sb_email::Label;
-use sb_filter::{FilterOptions, SpamBayes, Verdict};
+use sb_filter::FilterOptions;
 use sb_stats::rng::Xoshiro256pp;
 use sb_tokenizer::Tokenizer;
-
-/// The pre-substrate RONI measurement loop, reconstructed for baseline
-/// comparison: string token sets, string-keyed training, per-message
-/// uncached scoring — exactly what `RoniDefense::measure` did before the
-/// interned refactor.
-struct LegacyRoni {
-    trials: Vec<LegacyTrial>,
-}
-
-struct LegacyTrial {
-    filter: SpamBayes,
-    val: Vec<(Vec<String>, Label)>,
-    baseline_ham: usize,
-}
-
-impl LegacyRoni {
-    fn build(pool: &sb_email::Dataset, cfg: &RoniConfig, rng: &mut Xoshiro256pp) -> Self {
-        let tokenizer = Tokenizer::new();
-        let tokenized: Vec<(Vec<String>, Label)> = pool
-            .emails()
-            .iter()
-            .map(|m| (tokenizer.token_set(&m.email), m.label))
-            .collect();
-        let trials = (0..cfg.trials)
-            .map(|_| {
-                let picks =
-                    sb_corpus::sample_indices(pool.len(), cfg.train_size + cfg.val_size, rng);
-                let (train_idx, val_idx) = picks.split_at(cfg.train_size);
-                let mut filter = SpamBayes::new();
-                for &i in train_idx {
-                    let (set, label) = &tokenized[i];
-                    filter.train_tokens(set, *label, 1);
-                }
-                let val: Vec<(Vec<String>, Label)> =
-                    val_idx.iter().map(|&i| tokenized[i].clone()).collect();
-                let baseline_ham = Self::ham_correct(&filter, &val);
-                LegacyTrial {
-                    filter,
-                    val,
-                    baseline_ham,
-                }
-            })
-            .collect();
-        Self { trials }
-    }
-
-    /// As the seed's `correct_counts`: classify every validation message,
-    /// return the ham-correct count.
-    fn ham_correct(filter: &SpamBayes, val: &[(Vec<String>, Label)]) -> usize {
-        let mut ham_ok = 0;
-        for (set, label) in val {
-            let v = filter.classify_tokens_uncached(set).verdict;
-            if *label == Label::Ham && v == Verdict::Ham {
-                ham_ok += 1;
-            }
-        }
-        ham_ok
-    }
-
-    fn measure(&mut self, candidate: &[String]) -> f64 {
-        let mut sum = 0.0;
-        for trial in &mut self.trials {
-            trial.filter.train_tokens(candidate, Label::Spam, 1);
-            let after = Self::ham_correct(&trial.filter, &trial.val);
-            trial
-                .filter
-                .untrain_tokens(candidate, Label::Spam, 1)
-                .expect("exact untrain");
-            sum += trial.baseline_ham as f64 - after as f64;
-        }
-        sum / self.trials.len() as f64
-    }
-}
 
 fn bench_roni(c: &mut Criterion) {
     let corpus = bench_corpus(200);
@@ -107,42 +33,18 @@ fn bench_roni(c: &mut Criterion) {
         )
     });
 
-    let mut roni = RoniDefense::new(
+    let roni = RoniDefense::new(
         RoniConfig::default(),
         corpus.dataset(),
         FilterOptions::default(),
         &mut Xoshiro256pp::new(2),
     );
     g.throughput(Throughput::Elements(1));
-    // Pre-substrate baseline: the measurement loop exactly as shipped
-    // before the interned refactor.
-    let mut legacy = LegacyRoni::build(
-        corpus.dataset(),
-        &RoniConfig::default(),
-        &mut Xoshiro256pp::new(2),
-    );
-    g.bench_function("measure_attack_email_10k_lexicon_strings", |b| {
-        b.iter(|| legacy.measure(&attack_tokens))
-    });
-    g.bench_function("measure_ordinary_spam_strings", |b| {
-        b.iter(|| legacy.measure(&normal_tokens))
-    });
-    // The interned train → sweep → untrain path (what `measure` did
-    // between the substrate PR and the overlay PR): every candidate bumps
-    // each trial's generation twice and rebuilds its score cache. Kept
-    // in-tree behind the `train-untrain` feature as the reference path.
     let interner = sb_filter::Interner::global();
     let attack_ids = interner.intern_set(&attack_tokens);
     let normal_ids = interner.intern_set(&normal_tokens);
-    g.bench_function("measure_attack_email_10k_lexicon_train_untrain", |b| {
-        b.iter(|| roni.measure_ids_train_untrain(&attack_ids).expect("exact untrain"))
-    });
-    g.bench_function("measure_ordinary_spam_train_untrain", |b| {
-        b.iter(|| roni.measure_ids_train_untrain(&normal_ids).expect("exact untrain"))
-    });
-    // The overlay path (what `measure` does today): invalidation-free,
-    // allocation-free in steady state, `&self`. Pre-interned ids, same
-    // as the train/untrain rows above.
+    // The overlay path: invalidation-free, allocation-free in steady
+    // state, `&self`, on pre-interned ids.
     g.bench_function("measure_attack_email_10k_lexicon", |b| {
         b.iter(|| roni.measure_ids(&attack_ids))
     });
@@ -152,33 +54,20 @@ fn bench_roni(c: &mut Criterion) {
     // Fresh-vocabulary candidate (focused-attack / foreign-language
     // shape): no validation message δ-intersects it, so the overlay
     // reuses every cached pure-shift verdict and the measurement reduces
-    // to a membership scan. Train/untrain must re-sweep everything.
+    // to a membership scan.
     let fresh_ids: Vec<sb_filter::TokenId> = (0..200)
         .map(|i| interner.intern(&format!("zz-fresh-vocab-{i}")))
         .collect();
-    g.bench_function("measure_fresh_vocab_spam_train_untrain", |b| {
-        b.iter(|| roni.measure_ids_train_untrain(&fresh_ids).expect("exact untrain"))
-    });
     g.bench_function("measure_fresh_vocab_spam", |b| {
         b.iter(|| roni.measure_ids(&fresh_ids))
     });
-    // Batch screening: 32 distinct candidates. The train/untrain row is
-    // what the pre-overlay batch did per candidate (plus, on multi-core
-    // hosts, a full per-worker clone of every trial database that the
-    // overlay row never pays); the overlay row shares the trial filters
-    // read-only and reuses per-trial scratch state across the batch.
+    // Batch screening: 32 distinct candidates. The trial filters are
+    // shared read-only and per-trial scratch state is reused across the
+    // batch.
     let candidates: Vec<Vec<sb_filter::TokenId>> = (0..32)
         .map(|k| interner.intern_set(&Tokenizer::new().token_set(&corpus.fresh_spam(k))))
         .collect();
     g.throughput(Throughput::Elements(candidates.len() as u64));
-    g.bench_function("measure_batch_32_candidates_train_untrain", |b| {
-        b.iter(|| {
-            candidates
-                .iter()
-                .map(|c| roni.measure_ids_train_untrain(c).expect("exact untrain"))
-                .collect::<Vec<_>>()
-        })
-    });
     g.bench_function("measure_batch_32_candidates", |b| {
         b.iter(|| roni.measure_ids_batch(&candidates))
     });

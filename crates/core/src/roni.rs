@@ -38,10 +38,9 @@
 //!   on scoped threads and [`RoniDefense::measure_ids_batch`]
 //!   parallelizes across candidates **without cloning any trial
 //!   database** (the old path cloned every trial's counts per worker);
-//! * is bit-identical to the train/untrain path — property-tested below
-//!   against [`RoniDefense::measure_ids_train_untrain`], which is kept
-//!   (behind `cfg(test)` / the `train-untrain` feature) as the
-//!   reference implementation and benchmark baseline.
+//! * is bit-identical to actually training the candidate — property-tested
+//!   below against a reference that clones each trial filter, trains the
+//!   candidate and sweeps the validation set.
 //!
 //! The substrate layers underneath still apply: the pool is tokenized and
 //! interned **once** at construction, trials and candidates move
@@ -50,7 +49,9 @@
 //! evaluator.
 
 use sb_email::{Dataset, Label};
-use sb_filter::{CandidateDelta, FilterOptions, OverlayScratch, ScoreDb, SpamBayes, Verdict};
+use sb_filter::{
+    CandidateDelta, FilterOptions, OverlayDb, OverlayScratch, ScoreDb, SpamBayes, Verdict,
+};
 use sb_intern::{par, AsIdSlice, TokenId};
 use std::cell::RefCell;
 use sb_stats::rng::Xoshiro256pp;
@@ -99,12 +100,12 @@ pub struct RoniMeasurement {
     pub rejected: bool,
 }
 
-/// Error from the train/untrain measurement path: the exact untrain of a
-/// just-trained candidate failed, which means the candidate id slice was
-/// mutated mid-measurement or the trial database was corrupted. Propagated
-/// (rather than panicking) so a malformed candidate cannot take down a
-/// screening worker thread. The overlay path cannot fail: it never
-/// mutates, so there is nothing to undo.
+/// Error from a fallible screening surface ([`RoniDefense::try_screen_ids`]):
+/// an exact untrain of a candidate failed, which would mean a trial
+/// database was corrupted. The overlay measurement never mutates a trial,
+/// so today's screening cannot produce it; retrain loops still match on
+/// the `Result` so a screening failure degrades a week instead of
+/// aborting the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RoniError {
     /// Untraining the candidate underflowed a count; the offending trial
@@ -200,7 +201,8 @@ impl Trial {
     /// allocation-free and skips classification entirely for validation
     /// messages the candidate does not intersect.
     fn measure(&self, delta: &CandidateDelta, state: &MeasureState) -> (f64, f64) {
-        let overlay = delta.over_with(self.filter.db(), &state.scratch);
+        let mut scratch = state.scratch.borrow_mut();
+        let overlay = OverlayDb::new(self.filter.db(), delta, &mut scratch);
         let opts = self.filter.options();
         let db = self.filter.db();
         let (d_spam, d_ham) = delta.class_shift();
@@ -252,24 +254,6 @@ impl Trial {
             self.baseline_ham_correct as f64 - ham_ok as f64,
             self.baseline_spam_correct as f64 - spam_ok as f64,
         )
-    }
-
-    /// The legacy measurement: train, sweep (score cache warm within the
-    /// post-train generation), untrain exactly. Kept as the reference the
-    /// overlay path is property-tested bit-identical against, and as the
-    /// benchmark baseline (`crates/bench/benches/roni_defense.rs`).
-    #[cfg(any(test, feature = "train-untrain"))]
-    fn measure_train_untrain(&mut self, candidate: &[TokenId]) -> Result<(f64, f64), RoniError> {
-        self.filter.train_ids(candidate, Label::Spam, 1);
-        let (ham_after, spam_after) =
-            correct_counts(self.filter.db(), self.filter.options(), &self.val);
-        self.filter
-            .untrain_ids(candidate, Label::Spam, 1)
-            .map_err(RoniError::Untrain)?;
-        Ok((
-            self.baseline_ham_correct as f64 - ham_after as f64,
-            self.baseline_spam_correct as f64 - spam_after as f64,
-        ))
     }
 }
 
@@ -404,23 +388,6 @@ impl RoniDefense {
         measurement_from_deltas(deltas, self.cfg.reject_threshold)
     }
 
-    /// Measure one pre-interned candidate through the legacy train →
-    /// sweep → untrain loop. The overlay path is property-tested
-    /// bit-identical to this; it exists for that test and for the
-    /// overlay-vs-train/untrain benchmark comparison.
-    #[cfg(any(test, feature = "train-untrain"))]
-    pub fn measure_ids_train_untrain(
-        &mut self,
-        candidate: &[TokenId],
-    ) -> Result<RoniMeasurement, RoniError> {
-        let deltas: Result<Vec<(f64, f64)>, RoniError> = self
-            .trials
-            .iter_mut()
-            .map(|t| t.measure_train_untrain(candidate))
-            .collect();
-        Ok(measurement_from_deltas(deltas?, self.cfg.reject_threshold))
-    }
-
     /// Measure a candidate given as an email.
     pub fn measure_email(&self, email: &sb_email::Email) -> RoniMeasurement {
         let set = Tokenizer::new().token_set(email);
@@ -490,33 +457,15 @@ impl RoniDefense {
         split_verdicts(&measurements)
     }
 
-    /// [`Self::screen_ids`] behind the shared fallible surface. The overlay
-    /// sweep is read-only and cannot fail, but callers that must also run
-    /// the legacy train-untrain path (where an inexact untrain surfaces as
-    /// [`RoniError`]) get one `Result` shape for both — retrain loops match
-    /// on it instead of `expect`ing, so a screening failure degrades the
-    /// run instead of aborting it.
+    /// [`Self::screen_ids`] behind a fallible surface. The overlay sweep is
+    /// read-only and cannot fail today; retrain loops match on the
+    /// [`RoniError`] instead of `expect`ing, so a screening failure would
+    /// degrade the run instead of aborting it.
     pub fn try_screen_ids(
         &self,
         candidates: &[impl AsIdSlice + Sync],
     ) -> Result<(Vec<usize>, Vec<usize>), RoniError> {
         Ok(self.screen_ids(candidates))
-    }
-
-    /// Screen through the legacy train → sweep → untrain loop, surfacing
-    /// any untrain failure as [`RoniError`] — the same `Result` shape as
-    /// [`Self::try_screen_ids`], so the two measurement paths are
-    /// interchangeable at the retrain call site.
-    #[cfg(any(test, feature = "train-untrain"))]
-    pub fn try_screen_ids_train_untrain(
-        &mut self,
-        candidates: &[impl AsIdSlice + Sync],
-    ) -> Result<(Vec<usize>, Vec<usize>), RoniError> {
-        let measurements: Result<Vec<RoniMeasurement>, RoniError> = candidates
-            .iter()
-            .map(|c| self.measure_ids_train_untrain(c.ids()))
-            .collect();
-        Ok(split_verdicts(&measurements?))
     }
 }
 
@@ -577,6 +526,26 @@ mod tests {
         TrecCorpus::generate(&CorpusConfig::with_size(200, 0.5), 77)
             .dataset()
             .clone()
+    }
+
+    /// The reference measurement the overlay path must equal bit for bit:
+    /// per trial, clone the trained filter, train the candidate as spam
+    /// and sweep the validation set.
+    fn reference_measure(roni: &RoniDefense, candidate: &[TokenId]) -> RoniMeasurement {
+        let deltas = roni
+            .trials
+            .iter()
+            .map(|t| {
+                let mut filter = t.filter.clone();
+                filter.train_ids(candidate, Label::Spam, 1);
+                let (ham_ok, spam_ok) = correct_counts(filter.db(), filter.options(), &t.val);
+                (
+                    t.baseline_ham_correct as f64 - ham_ok as f64,
+                    t.baseline_spam_correct as f64 - spam_ok as f64,
+                )
+            })
+            .collect();
+        measurement_from_deltas(deltas, roni.cfg.reject_threshold)
     }
 
     #[test]
@@ -698,7 +667,7 @@ mod tests {
     fn train_untrain_path_matches_overlay_on_attack_email() {
         let pool = pool();
         let mut rng = Xoshiro256pp::new(10);
-        let mut roni =
+        let roni =
             RoniDefense::new(RoniConfig::default(), &pool, FilterOptions::default(), &mut rng);
         let attack = crate::dictionary::DictionaryAttack::new(
             crate::dictionary::DictionaryKind::UsenetTop(10_000),
@@ -706,7 +675,7 @@ mod tests {
         let ids = sb_intern::Interner::global()
             .intern_set(&Tokenizer::new().token_set(attack.prototype()));
         let via_overlay = roni.measure_ids(&ids);
-        let via_tu = roni.measure_ids_train_untrain(&ids).unwrap();
+        let via_tu = reference_measure(&roni, &ids);
         assert_eq!(via_overlay, via_tu);
     }
 
@@ -714,7 +683,7 @@ mod tests {
     fn try_screen_surfaces_agree_across_paths() {
         let pool = pool();
         let mut rng = Xoshiro256pp::new(12);
-        let mut roni =
+        let roni =
             RoniDefense::new(RoniConfig::default(), &pool, FilterOptions::default(), &mut rng);
         let attack = crate::dictionary::DictionaryAttack::new(
             crate::dictionary::DictionaryKind::UsenetTop(10_000),
@@ -730,9 +699,9 @@ mod tests {
             .push(interner.intern_set(&Tokenizer::new().token_set(attack.prototype())));
 
         let overlay = roni.try_screen_ids(&candidates).expect("overlay path is infallible");
-        let legacy = roni
-            .try_screen_ids_train_untrain(&candidates)
-            .expect("exact untrain on fresh candidates");
+        let reference: Vec<RoniMeasurement> =
+            candidates.iter().map(|c| reference_measure(&roni, c)).collect();
+        let legacy = split_verdicts(&reference);
         assert_eq!(overlay, legacy, "the two screening surfaces must partition identically");
         assert_eq!(overlay, roni.screen_ids(&candidates));
     }
@@ -741,7 +710,7 @@ mod tests {
         /// The tentpole equivalence: for arbitrary candidate token sets
         /// (fresh vocabulary, pool vocabulary, or a mix), overlay
         /// measurement is bit-identical — per trial, per statistic — to
-        /// the train → sweep → untrain reference path.
+        /// training the candidate into a clone of each trial filter.
         #[test]
         fn overlay_measure_is_bit_identical_to_train_untrain(
             words in proptest::collection::btree_set("[a-h]{2,6}", 0..40),
@@ -757,8 +726,7 @@ mod tests {
             let corpus = TrecCorpus::generate(&CorpusConfig::with_size(60, 0.5), 31);
             let pool = corpus.dataset().clone();
             let mut rng = Xoshiro256pp::new(seed);
-            let mut roni =
-                RoniDefense::new(cfg, &pool, FilterOptions::default(), &mut rng);
+            let roni = RoniDefense::new(cfg, &pool, FilterOptions::default(), &mut rng);
             // Candidates mix fresh vocabulary with real pool vocabulary,
             // so the equivalence is exercised across the verdict-cache
             // skip rule's whole range: untouched messages, messages
@@ -776,7 +744,7 @@ mod tests {
             let ids = sb_intern::Interner::global().intern_set(&candidate);
 
             let via_overlay = roni.measure_ids(&ids);
-            let via_tu = roni.measure_ids_train_untrain(&ids).unwrap();
+            let via_tu = reference_measure(&roni, &ids);
 
             prop_assert_eq!(
                 via_overlay.mean_ham_impact.to_bits(),

@@ -1,11 +1,10 @@
 //! The user-facing filter: tokenizer + token database + options.
 
 use crate::classify::{
-    score_token_ids, score_token_ids_with_clues, score_token_set, Clue, Scored, Verdict,
+    lookup_ids, score_token_ids, score_token_ids_with_clues, Clue, Scored, Verdict,
 };
 use crate::db::{TokenDb, UntrainError};
 use crate::options::FilterOptions;
-use crate::overlay::{CandidateDelta, OverlayDb};
 use sb_email::{Email, Label};
 use sb_intern::{par, AsIdSlice, Interner, TokenId};
 use sb_tokenizer::{Tokenizer, TokenizerOptions};
@@ -110,30 +109,6 @@ impl SpamBayes {
         self.db.interner().intern_set(&set)
     }
 
-    /// Resolve a token set to ids for *classification*: read-only against
-    /// the interner whenever dropping never-interned tokens cannot change
-    /// the result (they score the prior `x`, which the δ(E) strength
-    /// filter excludes for every sane configuration). Classifying a
-    /// stream of unseen vocabulary — the dictionary-attack shape — must
-    /// not permanently grow the append-only interner.
-    fn lookup_ids(&self, token_set: &[String]) -> Vec<TokenId> {
-        let unknown_is_never_selected =
-            (self.opts.unknown_word_prob - 0.5).abs() < self.opts.minimum_prob_strength;
-        let interner = self.db.interner();
-        if unknown_is_never_selected {
-            let mut ids: Vec<TokenId> =
-                token_set.iter().filter_map(|t| interner.get(t)).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            ids
-        } else {
-            // Unusual options (e.g. a biased prior with a zero-width
-            // exclusion band): unknown tokens would enter δ(E), so they
-            // must be representable — intern them.
-            interner.intern_set(token_set)
-        }
-    }
-
     /// Train on one labelled message.
     pub fn train(&mut self, email: &Email, label: Label) {
         let ids = self.token_ids(email);
@@ -182,46 +157,22 @@ impl SpamBayes {
     /// ID fast path; probe-only vocabulary never grows the interner).
     pub fn classify(&self, email: &Email) -> Scored {
         let set = self.tokenizer.token_set(email);
-        let ids = self.lookup_ids(&set);
+        let ids = lookup_ids(self.db.interner(), &set, &self.opts);
         score_token_ids(&ids, &self.db, &self.opts)
     }
 
-    /// Classify a pre-tokenized set. Interns and takes the ID fast path —
-    /// property-tested bit-identical to the legacy string scoring
-    /// (`classify::score_token_set`), which remains available for
-    /// comparison benchmarks.
+    /// Classify a pre-tokenized set (read-only id lookup → ID path;
+    /// property-tested bit-identical to a string-keyed reference scorer
+    /// in `tests/prop_intern.rs`).
     pub fn classify_tokens(&self, token_set: &[String]) -> Scored {
-        let ids = self.lookup_ids(token_set);
+        let ids = lookup_ids(self.db.interner(), token_set, &self.opts);
         score_token_ids(&ids, &self.db, &self.opts)
-    }
-
-    /// Classify a pre-tokenized set through the legacy string path (no
-    /// interning, no score cache). Kept as the baseline the benchmarks
-    /// and equivalence property tests compare against.
-    pub fn classify_tokens_uncached(&self, token_set: &[String]) -> Scored {
-        score_token_set(token_set, &self.db, &self.opts)
     }
 
     /// Classify a pre-interned id set — the hot path for the experiment
     /// harness, RONI validation sweeps, and epoch probes.
     pub fn classify_ids(&self, ids: &[TokenId]) -> Scored {
         score_token_ids(ids, &self.db, &self.opts)
-    }
-
-    /// A read-only overlay view of this filter's database with `delta`
-    /// applied — score "as if trained" without mutating anything (no
-    /// generation bump, no cache invalidation). Build the overlay once
-    /// and sweep many probes through [`SpamBayes::classify_ids_under`];
-    /// its memo shares each distinct token's score across the sweep.
-    pub fn overlay<'a>(&'a self, delta: &'a CandidateDelta) -> OverlayDb<'a> {
-        delta.over(&self.db)
-    }
-
-    /// Classify a pre-interned id set under a candidate overlay (see
-    /// [`SpamBayes::overlay`]): bit-identical to training the overlay's
-    /// candidate, classifying, and exactly untraining.
-    pub fn classify_ids_under(&self, ids: &[TokenId], overlay: &OverlayDb<'_>) -> Scored {
-        score_token_ids(ids, overlay, &self.opts)
     }
 
     /// Classify a batch of pre-interned id sets in parallel (scoped
@@ -251,7 +202,7 @@ impl SpamBayes {
     /// Classify with the δ(E) clue list (diagnostics / Figure 4).
     pub fn classify_with_clues(&self, email: &Email) -> (Scored, Vec<Clue>) {
         let set = self.tokenizer.token_set(email);
-        let ids = self.lookup_ids(&set);
+        let ids = lookup_ids(self.db.interner(), &set, &self.opts);
         score_token_ids_with_clues(&ids, &self.db, &self.opts)
     }
 

@@ -21,24 +21,13 @@
 //! Classification needs `f(w)` (Eq. 2) plus `ln f(w)` / `ln(1 − f(w))`
 //! (Eq. 3–4) per probe token. All of these depend on the *global* counts
 //! `NS`/`NH`, so **any** train/untrain invalidates **every** cached
-//! score. Instead of clearing a table on each mutation (O(vocabulary),
-//! ruinous for RONI's train → validate → untrain inner loop), the
-//! database keeps a monotonically increasing `generation` counter,
-//! bumped by every mutation, and each cache slot carries the generation
-//! it was computed at:
-//!
-//! * read path (`&self`, lock-free): a slot whose stamp equals the
-//!   current generation is valid; otherwise the score is recomputed and
-//!   published with `Release` ordering (stamp written last), so
-//!   concurrent readers either see a complete entry or compute their own
-//!   identical copy — scores are pure functions of (counts, options), so
-//!   racing writers are benign;
-//! * write path (`&mut self`): bump `generation`; O(1) regardless of
-//!   vocabulary size. Stale slots die by stamp mismatch, not by erasure.
-//!
-//! Within one generation (e.g. RONI scoring 50 validation messages
-//! between a train and an untrain) every distinct token's score is
-//! computed once and shared by all messages and all threads.
+//! score. The database keeps a generation counter, bumped by every
+//! mutation, and memoizes scores in a [`ScoreMemo`] stamped with it: a
+//! mutation costs O(1) regardless of vocabulary size, and within one
+//! generation (e.g. RONI scoring 50 validation messages) every distinct
+//! token's score is computed once and shared by all messages and all
+//! threads. The stamp rules of every score cache are described once, in
+//! [`crate::memo`].
 //!
 //! Two non-obvious requirements from the paper shape the API:
 //!
@@ -52,6 +41,7 @@
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::memo::ScoreMemo;
 use crate::options::FilterOptions;
 use sb_email::Label;
 use sb_intern::{Interner, TokenId};
@@ -100,13 +90,15 @@ impl std::error::Error for UntrainError {}
 /// [`crate::classify::score_token_ids`] (and therefore
 /// `SpamBayes::classify_ids`) is generic over.
 ///
-/// Two implementations exist:
+/// Four implementations exist, all memoizing through a
+/// [`ScoreMemo`] (stamp rules in [`crate::memo`]):
 ///
-/// * [`TokenDb`] — the trained counts, backed by the generation-stamped
-///   score cache;
+/// * [`TokenDb`] — the trained counts;
 /// * [`crate::overlay::OverlayDb`] — a borrowed base plus a candidate
 ///   delta (`counts + candidate, NS + 1`), used by the RONI defense to
-///   measure candidates without mutating (or invalidating) the base.
+///   measure candidates without mutating (or invalidating) the base;
+/// * `sb_serve::MmapDb` — a packed model image served in place;
+/// * `sb_serve::StackView` — tenant overlay layers over a served base.
 ///
 /// Implementations must be pure in their underlying counts: repeated
 /// lookups of the same id under the same options return bit-identical
@@ -122,21 +114,6 @@ pub trait ScoreDb {
     /// The `(ln f, ln(1 − f))` pair for a token whose `f` is already
     /// known from [`ScoreDb::score_f`]. Called only for δ(E) survivors.
     fn score_lns(&self, id: TokenId, f: f64) -> (f64, f64);
-}
-
-/// One cache slot: a generation stamp for `f(w)` and a separate stamp for
-/// the `ln` pair. The split matters: δ(E) selection needs `f` for *every*
-/// probe token, but Fisher combining needs `ln f` / `ln(1 − f)` only for
-/// the ≤ `max_discriminators` tokens that survive selection — most tokens
-/// sit in the excluded band and must never pay the two `ln` calls.
-/// Stamp 0 means "never filled"; generations start at 1.
-#[derive(Debug, Default)]
-struct ScoreSlot {
-    stamp_f: AtomicU64,
-    f: AtomicU64,
-    stamp_ln: AtomicU64,
-    ln_f: AtomicU64,
-    ln_1mf: AtomicU64,
 }
 
 /// A token's cached score triple.
@@ -169,7 +146,7 @@ pub struct TokenDb {
     generation: u64,
     /// Process-unique instance identity (see [`TokenDb::uid`]).
     uid: u64,
-    cache: Vec<ScoreSlot>,
+    cache: ScoreMemo,
 }
 
 /// Next value for [`TokenDb::uid`]; starts at 1 so 0 can mean "unbound".
@@ -193,8 +170,8 @@ impl Clone for TokenDb {
             // A clone is a distinct instance: same (uid, generation) must
             // never describe two databases whose counts can diverge.
             uid: NEXT_DB_UID.fetch_add(1, Ordering::Relaxed),
-            // Fresh, unfilled cache: stamps of 0 never match a generation.
-            cache: (0..self.counts.len()).map(|_| ScoreSlot::default()).collect(),
+            // Fresh, unfilled cache.
+            cache: ScoreMemo::with_capacity(self.counts.len()),
         }
     }
 }
@@ -216,7 +193,7 @@ impl TokenDb {
             distinct: 0,
             generation: 1,
             uid: NEXT_DB_UID.fetch_add(1, Ordering::Relaxed),
-            cache: Vec::new(),
+            cache: ScoreMemo::new(),
         }
     }
 
@@ -303,6 +280,12 @@ impl TokenDb {
         entry.ham += counts.ham;
     }
 
+    /// Ids below this bound may carry counts; every id at or past it is
+    /// unseen. The score memo covers exactly these ids.
+    pub(crate) fn id_bound(&self) -> usize {
+        self.counts.len()
+    }
+
     /// Counts for a token id (zero if unseen).
     #[inline]
     pub fn counts_by_id(&self, id: TokenId) -> TokenCounts {
@@ -351,7 +334,7 @@ impl TokenDb {
         let need = max_id.index() + 1;
         if self.counts.len() < need {
             self.counts.resize(need, TokenCounts::default());
-            self.cache.resize_with(need, ScoreSlot::default);
+            self.cache.ensure_capacity(need);
         }
     }
 
@@ -484,7 +467,7 @@ impl TokenDb {
         if self.interner.same_table(&other.interner) {
             if other.counts.len() > self.counts.len() {
                 self.counts.resize(other.counts.len(), TokenCounts::default());
-                self.cache.resize_with(other.counts.len(), ScoreSlot::default);
+                self.cache.ensure_capacity(other.counts.len());
             }
             for (i, c) in other.counts.iter().enumerate() {
                 if c.is_zero() {
@@ -512,29 +495,18 @@ impl TokenDb {
     }
 
     /// The cached `f(w)` of a token under `opts`, computing and publishing
-    /// it if this generation has not seen the token yet.
-    ///
-    /// Lock-free: concurrent readers may redundantly compute the same
-    /// value (scores are pure in the counts), never a wrong one. Unseen
-    /// tokens (no slot, or zero counts) short-circuit to the prior `x`.
+    /// it if this generation has not seen the token yet. Lock-free (see
+    /// [`ScoreMemo`]); ids past the counts are unseen and score the prior.
     #[inline]
     pub fn cached_f(&self, id: TokenId, opts: &FilterOptions) -> f64 {
-        let Some(slot) = self.cache.get(id.index()) else {
-            // Unseen token: prior score, no slot to publish to.
-            return opts.unknown_word_prob;
-        };
-        if slot.stamp_f.load(Ordering::Acquire) == self.generation {
-            return f64::from_bits(slot.f.load(Ordering::Relaxed));
-        }
-        let f = crate::score::token_score_from_counts(
-            self.n_spam,
-            self.n_ham,
-            self.counts_by_id(id),
-            opts,
-        );
-        slot.f.store(f.to_bits(), Ordering::Relaxed);
-        slot.stamp_f.store(self.generation, Ordering::Release);
-        f
+        self.cache.f(id, self.generation, || {
+            crate::score::token_score_from_counts(
+                self.n_spam,
+                self.n_ham,
+                self.counts_by_id(id),
+                opts,
+            )
+        })
     }
 
     /// The cached `(ln f, ln(1 − f))` pair for a token whose `f` is
@@ -543,20 +515,7 @@ impl TokenDb {
     /// token per generation, not per probe token.
     #[inline]
     pub fn cached_lns(&self, id: TokenId, f: f64) -> (f64, f64) {
-        let Some(slot) = self.cache.get(id.index()) else {
-            return ln_pair(f);
-        };
-        if slot.stamp_ln.load(Ordering::Acquire) == self.generation {
-            return (
-                f64::from_bits(slot.ln_f.load(Ordering::Relaxed)),
-                f64::from_bits(slot.ln_1mf.load(Ordering::Relaxed)),
-            );
-        }
-        let (ln_f, ln_1mf) = ln_pair(f);
-        slot.ln_f.store(ln_f.to_bits(), Ordering::Relaxed);
-        slot.ln_1mf.store(ln_1mf.to_bits(), Ordering::Relaxed);
-        slot.stamp_ln.store(self.generation, Ordering::Release);
-        (ln_f, ln_1mf)
+        self.cache.lns(id, self.generation, f)
     }
 
     /// The full cached score triple (f + ln pair) — convenience for
@@ -583,13 +542,12 @@ impl ScoreDb for TokenDb {
     }
 }
 
-/// The `ln` pair of a token score, applying the same clamp Fisher
-/// combining uses so cached values are bit-identical to the legacy
-/// `fisher_score` path (and to the overlay path, which shares this
-/// function). Public because every external [`ScoreDb`] implementation
-/// (e.g. `sb-serve`'s mmap-backed base and tenant overlay stacks) must
-/// use this exact clamp to keep its verdicts bit-identical to a
-/// [`TokenDb`] trained with the same mail.
+/// The `ln` pair of a token score, clamped away from exact 0/1 (Eq. 2's
+/// shrinkage keeps scores interior, but dynamic-threshold experiments
+/// may feed extreme synthetic values). Every score source's `ln` pairs
+/// come from this one function through [`ScoreMemo::lns`], which keeps
+/// their verdicts bit-identical to a [`TokenDb`] trained with the same
+/// mail.
 #[inline]
 pub fn ln_pair(f: f64) -> (f64, f64) {
     let fc = f.clamp(1e-12, 1.0 - 1e-12);
@@ -772,12 +730,8 @@ mod tests {
         let after = db.cached_score(id, &opts);
         assert_ne!(before.f, after.f);
         // And matches a fresh computation.
-        let expect = crate::score::token_score_from_counts(
-            db.n_spam(),
-            db.n_ham(),
-            db.counts("win"),
-            &opts,
-        );
+        let expect =
+            crate::score::token_score_from_counts(db.n_spam(), db.n_ham(), db.counts("win"), &opts);
         assert_eq!(after.f, expect);
     }
 

@@ -8,8 +8,8 @@
 //! |---|---|
 //! | Eq. 1 `PS(w)` | [`score::raw_spam_prob`] |
 //! | Eq. 2 `f(w)` (s = 0.45, x = 0.5) | [`score::token_score`] |
-//! | δ(E) (≤150 tokens, outside \[0.4, 0.6\]) | [`classify::select_delta`] |
-//! | Eq. 3–4 `I(E)` via χ²₂ₙ | [`classify::fisher_score`] |
+//! | δ(E) (≤150 tokens, outside \[0.4, 0.6\]) | [`classify::select_delta_ids`] |
+//! | Eq. 3–4 `I(E)` via χ²₂ₙ | [`classify::fisher_combine`] |
 //! | θ0 = 0.15, θ1 = 0.9 | [`FilterOptions`] / [`classify::verdict_for`] |
 //!
 //! Design notes:
@@ -27,9 +27,10 @@
 //!   iteration order *or interning order*.
 //! * **Interned substrate** — [`TokenDb`] is keyed by `sb_intern::TokenId`
 //!   (dense `Vec<TokenCounts>`) with a generation-stamped `f(w)`/`ln`
-//!   score cache; the string APIs are thin interning wrappers, and the
-//!   ID paths ([`SpamBayes::classify_ids`], [`SpamBayes::classify_ids_batch`])
-//!   are property-tested bit-identical to the legacy string scoring.
+//!   score cache ([`memo`]); the string APIs are thin interning wrappers,
+//!   and the ID paths ([`SpamBayes::classify_ids`],
+//!   [`SpamBayes::classify_ids_batch`]) are property-tested bit-identical
+//!   to a string-keyed reference scorer.
 //! * **Overlay scoring** — ID scoring is generic over [`ScoreDb`]; an
 //!   [`OverlayDb`] lays a candidate's [`CandidateDelta`] over a borrowed
 //!   database to score "as if trained" without mutating it, which is what
@@ -42,18 +43,20 @@ pub mod classify;
 pub mod classifier;
 pub mod db;
 pub mod image;
+pub mod memo;
 pub mod options;
 pub mod overlay;
 pub mod persist;
 pub mod score;
 
 pub use classify::{
-    fisher_score, score_token_ids, score_token_ids_with_clues, select_delta, select_delta_ids,
-    verdict_for, Clue, Scored, Verdict,
+    fisher_combine, score_token_ids, score_token_ids_with_clues, select_delta_ids, verdict_for,
+    Clue, Scored, Verdict,
 };
 pub use classifier::SpamBayes;
 pub use db::{ln_pair, CachedScore, ScoreDb, TokenCounts, TokenDb, UntrainError};
 pub use image::{ImageError, ImageView};
+pub use memo::ScoreMemo;
 pub use options::FilterOptions;
 pub use overlay::{CandidateDelta, OverlayDb, OverlayScratch};
 pub use persist::{load_db, load_db_into, save_db, PersistError};

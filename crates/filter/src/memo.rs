@@ -1,0 +1,197 @@
+//! [`ScoreMemo`]: the one score cache every [`crate::ScoreDb`] uses.
+//!
+//! Classification needs `f(w)` (Eq. 2) for every probe token and the
+//! `(ln f, ln(1 − f))` pair (Eq. 3–4) for the δ(E) survivors. Both are
+//! pure functions of the counts a scoring source sees and of the
+//! `FilterOptions`, so each source memoizes them in a dense `Vec` of
+//! slots indexed by `TokenId`.
+//!
+//! ## Stamps
+//!
+//! A slot is valid for one **stamp**, a `u64` the caller passes with
+//! every lookup. The stamp names the counts state the slot was filled
+//! under: when those counts change, the owner moves to a new stamp and
+//! every old slot dies by mismatch — O(1), no table is cleared. Stamp 0
+//! means "never filled", so callers use stamps ≥ 1. `f` and the `ln` pair
+//! carry separate stamps, because most probed tokens sit in the excluded
+//! band and must never pay the two `ln` calls.
+//!
+//! The stamp rules, one per owner:
+//!
+//! * **`TokenDb`** stamps with its generation (starts at 1, bumped by
+//!   every train/untrain/merge/clear and by `invalidate_cache`, which
+//!   `SpamBayes::set_options` calls).
+//! * **`MmapDb`** (sb-serve) stamps with the constant 1: a packed image
+//!   never changes and its options are fixed at open.
+//! * **`StackView`** (sb-serve) stamps with 1 + Σ layer generations.
+//!   Every layer mutation bumps its layer's generation, so the sum only
+//!   grows; the registry gives each tenant its own memo.
+//! * **`OverlayScratch`** holds two memos. The *stable* memo covers
+//!   tokens outside the candidate; its epoch moves only when the
+//!   binding — base uid, base generation and class shift — changes, so
+//!   RONI candidates with one binding share it (this is what
+//!   `OverlayDb::shift_f` reads too). The *member* memo covers candidate
+//!   tokens, whose scores differ per candidate; its epoch moves on every
+//!   claim. Both grow at claim to the ids the base has counts for.
+//!
+//! A memo bakes one `FilterOptions` in per stamp; owners whose options
+//! can change must move to a new stamp when they do.
+//!
+//! ## Concurrency and capacity
+//!
+//! Lookups take `&self` and are lock-free: a filled value is published
+//! `Release` after it is written, so a reader that sees the stamp sees
+//! the value. Two threads may both miss and compute the same value; the
+//! function is pure, so the duplicate is harmless. Capacity grows only
+//! through `&mut self` ([`ScoreMemo::ensure_capacity`]). An id past
+//! capacity is computed and never cached, so capacity changes speed,
+//! never a result.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::db::ln_pair;
+use sb_intern::TokenId;
+
+/// One memo slot: a stamp for `f`, and a separate stamp for the `ln`
+/// pair (see the module docs). Values are stored as `f64` bits.
+#[derive(Debug, Default)]
+struct Slot {
+    stamp_f: AtomicU64,
+    f: AtomicU64,
+    stamp_ln: AtomicU64,
+    ln_f: AtomicU64,
+    ln_1mf: AtomicU64,
+}
+
+/// A dense, stamp-keyed, lock-free score memo (see the module docs).
+#[derive(Default)]
+pub struct ScoreMemo {
+    slots: Vec<Slot>,
+}
+
+impl std::fmt::Debug for ScoreMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "ScoreMemo({} slots)", self.slots.len())
+    }
+}
+
+impl ScoreMemo {
+    /// An empty memo: every lookup computes until capacity is added.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A memo with `capacity` empty slots.
+    pub fn with_capacity(capacity: usize) -> Self {
+        let mut memo = Self::new();
+        memo.ensure_capacity(capacity);
+        memo
+    }
+
+    /// Number of slots (ids `0..capacity` are cached).
+    pub fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Grow to at least `capacity` slots; never shrinks. Filled slots
+    /// keep their stamps and values.
+    pub fn ensure_capacity(&mut self, capacity: usize) {
+        if self.slots.len() < capacity {
+            self.slots.resize_with(capacity, Slot::default);
+        }
+    }
+
+    /// `f(w)` for `id` under `stamp`: the memoized value when the slot
+    /// was filled under `stamp`, otherwise `compute()`, stored if `id`
+    /// is within capacity.
+    #[inline]
+    pub fn f(&self, id: TokenId, stamp: u64, compute: impl FnOnce() -> f64) -> f64 {
+        debug_assert!(stamp != 0, "stamp 0 marks an empty slot");
+        let Some(slot) = self.slots.get(id.index()) else {
+            return compute();
+        };
+        if slot.stamp_f.load(Ordering::Acquire) == stamp {
+            return f64::from_bits(slot.f.load(Ordering::Relaxed));
+        }
+        let f = compute();
+        slot.f.store(f.to_bits(), Ordering::Relaxed);
+        slot.stamp_f.store(stamp, Ordering::Release);
+        f
+    }
+
+    /// The [`ln_pair`] of `f` for `id` under `stamp`, memoized like
+    /// [`ScoreMemo::f`]. `f` must be the value [`ScoreMemo::f`] returns
+    /// for the same id and stamp.
+    #[inline]
+    pub fn lns(&self, id: TokenId, stamp: u64, f: f64) -> (f64, f64) {
+        debug_assert!(stamp != 0, "stamp 0 marks an empty slot");
+        let Some(slot) = self.slots.get(id.index()) else {
+            return ln_pair(f);
+        };
+        if slot.stamp_ln.load(Ordering::Acquire) == stamp {
+            return (
+                f64::from_bits(slot.ln_f.load(Ordering::Relaxed)),
+                f64::from_bits(slot.ln_1mf.load(Ordering::Relaxed)),
+            );
+        }
+        let (ln_f, ln_1mf) = ln_pair(f);
+        slot.ln_f.store(ln_f.to_bits(), Ordering::Relaxed);
+        slot.ln_1mf.store(ln_1mf.to_bits(), Ordering::Relaxed);
+        slot.stamp_ln.store(stamp, Ordering::Release);
+        (ln_f, ln_1mf)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::Cell;
+
+    #[test]
+    fn same_stamp_hits_and_new_stamp_recomputes() {
+        let memo = ScoreMemo::with_capacity(4);
+        let calls = Cell::new(0);
+        let f = |v: f64| {
+            calls.set(calls.get() + 1);
+            v
+        };
+        let id = TokenId(2);
+        assert_eq!(memo.f(id, 1, || f(0.25)), 0.25);
+        // Same stamp: the stored value, not the new closure's.
+        assert_eq!(memo.f(id, 1, || f(0.75)), 0.25);
+        assert_eq!(calls.get(), 1);
+        // Stamp mismatch: recomputed and re-stored.
+        assert_eq!(memo.f(id, 2, || f(0.75)), 0.75);
+        assert_eq!(memo.f(id, 2, || f(0.5)), 0.75);
+        assert_eq!(calls.get(), 2);
+
+        assert_eq!(memo.lns(id, 2, 0.75), ln_pair(0.75));
+        // A filled ln pair is served for its stamp only.
+        assert_eq!(memo.lns(id, 2, 0.25), ln_pair(0.75));
+        assert_eq!(memo.lns(id, 3, 0.25), ln_pair(0.25));
+    }
+
+    #[test]
+    fn ids_past_capacity_are_computed_not_stored() {
+        let mut memo = ScoreMemo::with_capacity(1);
+        let calls = Cell::new(0);
+        let f = |v: f64| {
+            calls.set(calls.get() + 1);
+            v
+        };
+        let past = TokenId(5);
+        assert_eq!(memo.f(past, 1, || f(0.9)), 0.9);
+        assert_eq!(memo.f(past, 1, || f(0.8)), 0.8);
+        assert_eq!(calls.get(), 2, "an id past capacity was cached");
+        assert_eq!(memo.lns(past, 1, 0.9), ln_pair(0.9));
+        assert_eq!(memo.lns(past, 1, 0.8), ln_pair(0.8));
+
+        // Growing keeps filled slots and starts caching the new ids.
+        assert_eq!(memo.f(TokenId(0), 1, || 0.3), 0.3);
+        memo.ensure_capacity(6);
+        assert_eq!(memo.capacity(), 6);
+        assert_eq!(memo.f(TokenId(0), 1, || 0.4), 0.3);
+        assert_eq!(memo.f(past, 1, || 0.9), 0.9);
+        assert_eq!(memo.f(past, 1, || 0.8), 0.9);
+    }
+}

@@ -15,10 +15,10 @@
 //! measures). Count lookups consult the delta first and fall through to the
 //! base counts; the base's generation-stamped score cache is never touched,
 //! so the base filter stays warm across an arbitrarily long screening
-//! sweep. Scores are memoized per overlay (validation messages share
-//! vocabulary heavily): standalone overlays carry a small hash-map memo,
-//! and screening loops pass a reusable dense [`OverlayScratch`] so
-//! steady-state measurement performs no allocation at all.
+//! sweep. Scores are memoized in a caller-owned, reusable
+//! [`OverlayScratch`] (validation messages share vocabulary heavily), so
+//! steady-state measurement performs no allocation at all; its stamp
+//! rules are described in [`crate::memo`].
 //!
 //! ## Exactness
 //!
@@ -38,16 +38,15 @@
 //!
 //! A [`CandidateDelta`] is immutable and `Sync`: build it once per
 //! candidate and lend it to every parallel RONI trial, each of which lays
-//! its own [`OverlayDb`] (one memo per trial — trials have different
+//! its own [`OverlayDb`] (one scratch per trial — trials have different
 //! training sets, hence different scores) over its own base.
 
-use std::cell::RefCell;
-
-use crate::db::{ln_pair, ScoreDb, TokenCounts, TokenDb};
+use crate::db::{ScoreDb, TokenCounts, TokenDb};
+use crate::memo::ScoreMemo;
 use crate::options::FilterOptions;
 use crate::score::token_score_from_counts;
 use sb_email::Label;
-use sb_intern::{FxHashMap, Interner, TokenId};
+use sb_intern::{Interner, TokenId};
 
 /// The training-set delta a candidate message would contribute: its token
 /// set plus the per-class message-count shift. Immutable and `Sync` —
@@ -159,44 +158,6 @@ impl CandidateDelta {
             None
         }
     }
-
-    /// Lay this delta over a base database, producing a read-only scoring
-    /// view (see [`OverlayDb`]) with a self-contained hash-map memo.
-    pub fn over<'a>(&'a self, base: &'a TokenDb) -> OverlayDb<'a> {
-        OverlayDb::new(base, self)
-    }
-
-    /// Like [`CandidateDelta::over`], but memoizing non-candidate
-    /// tokens into a reusable dense [`OverlayScratch`] — the
-    /// screening-loop fast path; see [`OverlayDb::with_scratch`] for the
-    /// cross-candidate reuse this enables.
-    pub fn over_with<'a>(
-        &'a self,
-        base: &'a TokenDb,
-        scratch: &'a RefCell<OverlayScratch>,
-    ) -> OverlayDb<'a> {
-        OverlayDb::with_scratch(base, self, scratch)
-    }
-}
-
-/// One memoized score: `f` always, the `ln` pair lazily (most probed
-/// tokens never survive δ(E) selection and must not pay the two `ln`s).
-#[derive(Debug, Clone, Copy)]
-struct OverlaySlot {
-    f: f64,
-    lns: Option<(f64, f64)>,
-}
-
-/// One dense scratch slot (see [`OverlayScratch`]): stamps play the role
-/// the base cache's generation stamps play, with the scratch epoch as the
-/// generation. Stamp 0 is "never filled"; epochs start at 1.
-#[derive(Debug, Clone, Copy, Default)]
-struct ScratchSlot {
-    stamp_f: u64,
-    f: f64,
-    stamp_ln: u64,
-    ln_f: f64,
-    ln_1mf: f64,
 }
 
 /// What an [`OverlayScratch`]'s slots are valid for: an exact base counts
@@ -212,108 +173,75 @@ struct ScratchBinding {
     d_ham: u32,
 }
 
-/// A reusable dense score memo for overlay sweeps.
+/// The reusable score memo behind every [`OverlayDb`].
 ///
-/// The hash-map memo inside a standalone [`OverlayDb`] is fine for one
-/// candidate, but a screening loop probes the same validation vocabulary
-/// for every candidate, and a hash lookup per probe token is measurably
-/// slower than the base cache's indexed `Vec`. An `OverlayScratch` is the
-/// dense equivalent: slots indexed by `TokenId`, stamped with an epoch.
+/// A screening loop probes the same validation vocabulary for every
+/// candidate. The scratch holds two dense [`ScoreMemo`]s indexed by
+/// `TokenId`, each stamped with its own epoch:
 ///
-/// The decisive property is **cross-candidate reuse**: a non-candidate
-/// token's overlay score depends only on the base counts and the
-/// per-class total shift — not on *which* candidate is measured — so
-/// when consecutive overlays share a [`ScratchBinding`] the epoch is kept
-/// and their sweeps hit the already-filled slots. (Candidate-member
-/// tokens never enter the scratch; see [`OverlayDb`].) Train/untrain
-/// measurement structurally cannot do this: every candidate bumps the
-/// base generation and recomputes the whole validation vocabulary.
-/// A binding mismatch (different base, a mutated base, a different
-/// shift) invalidates every slot in O(1) by bumping the epoch.
+/// * the **stable** memo, for tokens outside the candidate. A
+///   non-candidate token's overlay score depends only on the base counts
+///   and the per-class total shift — not on *which* candidate is
+///   measured — so when consecutive overlays share a [`ScratchBinding`]
+///   the epoch is kept and their sweeps hit the already-filled slots. A
+///   binding mismatch (different base, a mutated base, a different
+///   shift) invalidates every slot in O(1) by bumping the epoch.
+/// * the **member** memo, for candidate tokens, whose scores vary per
+///   candidate: its epoch moves on every claim, but its allocation is
+///   reused across the whole screening loop.
 ///
-/// Like the base cache, scratch slots assume one `FilterOptions` per
-/// (base, generation) — the classification APIs guarantee that, and
-/// `SpamBayes::set_options` bumps the generation.
+/// Both memos grow at claim time to cover the ids the base has counts
+/// for, as the base's own memo does, so a sweep never allocates. Tokens
+/// past that bound score from the delta alone and are computed, not
+/// cached; the global interner is far longer than any trial's
+/// vocabulary, and memos that long would multiply a screening worker's
+/// memory. Like the base cache, the slots assume one
+/// `FilterOptions` per (base, generation) — the classification APIs
+/// guarantee that, and `SpamBayes::set_options` bumps the generation.
 #[derive(Debug, Default)]
 pub struct OverlayScratch {
-    /// Epoch of the binding-stable slots (non-candidate tokens).
-    epoch: u64,
     binding: Option<ScratchBinding>,
-    slots: Vec<ScratchSlot>,
-    /// Epoch of the per-overlay member slots: candidate-member scores
-    /// vary per candidate, so these are invalidated on every claim —
-    /// but they stay *dense* (no hashing), and their allocation is
-    /// reused across the whole screening loop.
+    /// Epoch of the binding-stable memo (starts at 1 on first claim).
+    epoch: u64,
+    stable: ScoreMemo,
+    /// Epoch of the per-overlay member memo.
     member_epoch: u64,
-    member_slots: Vec<ScratchSlot>,
+    members: ScoreMemo,
 }
 
 impl OverlayScratch {
-    /// A fresh scratch (slots grow lazily to the highest probed id).
+    /// A fresh scratch (memos grow on claim).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Claim the scratch for an overlay with `binding`: keep the stable
-    /// epoch (and every filled slot) when the binding is unchanged,
-    /// otherwise invalidate the stable slots in O(1). Member slots are
-    /// always invalidated. Returns `(stable_epoch, member_epoch)`.
-    fn claim(&mut self, binding: ScratchBinding) -> (u64, u64) {
+    /// Claim the scratch for an overlay over `base` with `binding`: keep
+    /// the stable epoch (and every filled slot) when the binding is
+    /// unchanged, otherwise invalidate the stable slots in O(1). Member
+    /// slots are always invalidated.
+    fn claim(&mut self, base: &TokenDb, binding: ScratchBinding) {
         if self.binding != Some(binding) {
             self.binding = Some(binding);
             self.epoch += 1;
         }
         self.member_epoch += 1;
-        (self.epoch, self.member_epoch)
+        self.stable.ensure_capacity(base.id_bound());
+        self.members.ensure_capacity(base.id_bound());
     }
-
-    #[inline]
-    fn slot_mut(&mut self, id: TokenId) -> &mut ScratchSlot {
-        let need = id.index() + 1;
-        if self.slots.len() < need {
-            self.slots.resize(need, ScratchSlot::default());
-        }
-        &mut self.slots[id.index()]
-    }
-
-    #[inline]
-    fn member_slot_mut(&mut self, id: TokenId) -> &mut ScratchSlot {
-        let need = id.index() + 1;
-        if self.member_slots.len() < need {
-            self.member_slots.resize(need, ScratchSlot::default());
-        }
-        &mut self.member_slots[id.index()]
-    }
-}
-
-/// The memo backing an overlay: a self-contained hash map for one-off
-/// overlays, or a caller-owned dense [`OverlayScratch`] for screening
-/// loops. In scratch mode, candidate-member tokens — whose scores *do*
-/// vary per candidate — live in the scratch's separate per-overlay
-/// member slots, so they can never leak into the cross-candidate stable
-/// slots.
-#[derive(Debug)]
-enum Memo<'a> {
-    Map(RefCell<FxHashMap<TokenId, OverlaySlot>>),
-    Scratch {
-        scratch: &'a RefCell<OverlayScratch>,
-        epoch: u64,
-        member_epoch: u64,
-    },
 }
 
 /// A read-only scoring view: a borrowed base [`TokenDb`] with a
-/// [`CandidateDelta`] applied on top (see module docs).
+/// [`CandidateDelta`] applied on top, memoized in a claimed
+/// [`OverlayScratch`] (see module docs).
 ///
 /// Implements [`ScoreDb`], so it plugs directly into
-/// [`crate::classify::score_token_ids`] and friends. Not `Sync` (the memo
-/// uses a `RefCell`); parallel trials each build their own overlay over a
-/// shared delta, which is cheap — the memo starts empty (or
-/// epoch-invalidated, for the scratch form).
+/// [`crate::classify::score_token_ids`] and friends. Parallel trials each
+/// build their own overlay, with their own scratch, over a shared delta.
 #[derive(Debug)]
 pub struct OverlayDb<'a> {
     base: &'a TokenDb,
     delta: &'a CandidateDelta,
+    scratch: &'a OverlayScratch,
     /// Effective per-class totals (base + delta), entering Eq. 1 for
     /// every token.
     n_spam: u32,
@@ -322,50 +250,35 @@ pub struct OverlayDb<'a> {
     /// tokens score exactly as in the base and lookups fall through to
     /// (and warm) the base's generation-stamped cache.
     totals_unchanged: bool,
-    memo: Memo<'a>,
 }
 
 impl<'a> OverlayDb<'a> {
-    /// Lay `delta` over `base` with a self-contained hash-map memo.
-    pub fn new(base: &'a TokenDb, delta: &'a CandidateDelta) -> Self {
-        Self::build(base, delta, Memo::Map(RefCell::new(FxHashMap::default())))
-    }
-
-    /// Lay `delta` over `base`, memoizing non-candidate tokens into
-    /// `scratch`. The scratch is claimed under this overlay's
-    /// [`ScratchBinding`]: if the previous overlay had the same base
-    /// (same counts state) and the same per-class shift, its filled
-    /// slots stay valid and this overlay's sweep hits them.
-    pub fn with_scratch(
+    /// Lay `delta` over `base`, memoizing into `scratch`. The scratch is
+    /// claimed under this overlay's [`ScratchBinding`]: if the previous
+    /// overlay had the same base (same counts state) and the same
+    /// per-class shift, its filled stable slots stay valid and this
+    /// overlay's sweep hits them.
+    pub fn new(
         base: &'a TokenDb,
         delta: &'a CandidateDelta,
-        scratch: &'a RefCell<OverlayScratch>,
+        scratch: &'a mut OverlayScratch,
     ) -> Self {
-        let (epoch, member_epoch) = scratch.borrow_mut().claim(ScratchBinding {
-            db_uid: base.uid(),
-            generation: base.generation(),
-            d_spam: delta.d_spam,
-            d_ham: delta.d_ham,
-        });
-        Self::build(
+        scratch.claim(
             base,
-            delta,
-            Memo::Scratch {
-                scratch,
-                epoch,
-                member_epoch,
+            ScratchBinding {
+                db_uid: base.uid(),
+                generation: base.generation(),
+                d_spam: delta.d_spam,
+                d_ham: delta.d_ham,
             },
-        )
-    }
-
-    fn build(base: &'a TokenDb, delta: &'a CandidateDelta, memo: Memo<'a>) -> Self {
+        );
         Self {
             base,
             delta,
+            scratch,
             n_spam: base.n_spam() + delta.d_spam,
             n_ham: base.n_ham() + delta.d_ham,
             totals_unchanged: delta.d_spam == 0 && delta.d_ham == 0,
-            memo,
         }
     }
 
@@ -403,65 +316,28 @@ impl ScoreDb for OverlayDb<'_> {
     }
 
     fn score_f(&self, id: TokenId, opts: &FilterOptions) -> f64 {
-        if self.totals_unchanged && !self.delta.contains(id) {
-            // Totals unshifted and no count delta: the base's cached score
-            // is exactly this overlay's score — fall through (and publish
-            // into the untouched base cache).
-            return self.base.cached_f(id, opts);
-        }
-        match &self.memo {
-            Memo::Scratch {
-                scratch,
-                epoch,
-                member_epoch,
-            } => {
-                let mut scratch = scratch.borrow_mut();
-                // Candidate-dependent scores live in their own dense
-                // slots (invalidated per overlay) so they can never leak
-                // into the cross-candidate stable slots.
-                let (slot, stamp) = if self.delta.contains(id) {
-                    (scratch.member_slot_mut(id), *member_epoch)
-                } else {
-                    (scratch.slot_mut(id), *epoch)
-                };
-                if slot.stamp_f == stamp {
-                    return slot.f;
-                }
-                let f = self.compute_f(id, opts);
-                slot.f = f;
-                slot.stamp_f = stamp;
-                f
-            }
-            Memo::Map(map) => map_f(map, id, || self.compute_f(id, opts)),
+        let s = self.scratch;
+        if self.delta.contains(id) {
+            // Candidate-dependent scores live in their own memo so they
+            // can never leak into the cross-candidate stable slots.
+            s.members.f(id, s.member_epoch, || self.compute_f(id, opts))
+        } else if self.totals_unchanged {
+            // Totals unshifted and no count delta: the base's cached
+            // score is exactly this overlay's score.
+            self.base.cached_f(id, opts)
+        } else {
+            s.stable.f(id, s.epoch, || self.compute_f(id, opts))
         }
     }
 
     fn score_lns(&self, id: TokenId, f: f64) -> (f64, f64) {
-        if self.totals_unchanged && !self.delta.contains(id) {
-            return self.base.cached_lns(id, f);
-        }
-        match &self.memo {
-            Memo::Scratch {
-                scratch,
-                epoch,
-                member_epoch,
-            } => {
-                let mut scratch = scratch.borrow_mut();
-                let (slot, stamp) = if self.delta.contains(id) {
-                    (scratch.member_slot_mut(id), *member_epoch)
-                } else {
-                    (scratch.slot_mut(id), *epoch)
-                };
-                if slot.stamp_ln == stamp {
-                    return (slot.ln_f, slot.ln_1mf);
-                }
-                let (ln_f, ln_1mf) = ln_pair(f);
-                slot.ln_f = ln_f;
-                slot.ln_1mf = ln_1mf;
-                slot.stamp_ln = stamp;
-                (ln_f, ln_1mf)
-            }
-            Memo::Map(map) => map_lns(map, id, f),
+        let s = self.scratch;
+        if self.delta.contains(id) {
+            s.members.lns(id, s.member_epoch, f)
+        } else if self.totals_unchanged {
+            self.base.cached_lns(id, f)
+        } else {
+            s.stable.lns(id, s.epoch, f)
         }
     }
 }
@@ -482,62 +358,11 @@ impl OverlayDb<'_> {
     /// candidate score and this pure-shift score selects exactly the
     /// same δ(E) as a candidate-free (shift-only) classification, so its
     /// cached verdict can be reused. Candidate-independent, hence
-    /// memoized in the cross-candidate stable slots when a scratch backs
-    /// this overlay.
+    /// memoized in the cross-candidate stable slots.
     pub fn shift_f(&self, id: TokenId, opts: &FilterOptions) -> f64 {
-        let compute = || {
+        self.scratch.stable.f(id, self.scratch.epoch, || {
             token_score_from_counts(self.n_spam, self.n_ham, self.base.counts_by_id(id), opts)
-        };
-        match &self.memo {
-            Memo::Scratch { scratch, epoch, .. } => {
-                let mut scratch = scratch.borrow_mut();
-                let slot = scratch.slot_mut(id);
-                if slot.stamp_f == *epoch {
-                    return slot.f;
-                }
-                let f = compute();
-                slot.f = f;
-                slot.stamp_f = *epoch;
-                f
-            }
-            // Map-backed overlays have no candidate-independent store;
-            // this is an off-hot-path query there, so compute directly.
-            Memo::Map(_) => compute(),
-        }
-    }
-}
-
-/// Memoized `f` lookup in a hash-map memo.
-fn map_f(
-    map: &RefCell<FxHashMap<TokenId, OverlaySlot>>,
-    id: TokenId,
-    compute: impl FnOnce() -> f64,
-) -> f64 {
-    if let Some(slot) = map.borrow().get(&id) {
-        return slot.f;
-    }
-    let f = compute();
-    map.borrow_mut().insert(id, OverlaySlot { f, lns: None });
-    f
-}
-
-/// Memoized `ln` pair lookup in a hash-map memo.
-fn map_lns(map: &RefCell<FxHashMap<TokenId, OverlaySlot>>, id: TokenId, f: f64) -> (f64, f64) {
-    let mut memo = map.borrow_mut();
-    match memo.get_mut(&id) {
-        Some(slot) => match slot.lns {
-            Some(lns) => lns,
-            None => {
-                let lns = ln_pair(f);
-                slot.lns = Some(lns);
-                lns
-            }
-        },
-        None => {
-            let lns = ln_pair(f);
-            memo.insert(id, OverlaySlot { f, lns: Some(lns) });
-            lns
-        }
+        })
     }
 }
 
@@ -572,13 +397,13 @@ mod tests {
         ]));
 
         let delta = CandidateDelta::spam_candidate(&candidate);
-        let overlay = delta.over(&db);
+        let mut scratch = OverlayScratch::new();
+        let overlay = OverlayDb::new(&db, &delta, &mut scratch);
         let via_overlay = score_token_ids(&probe, &overlay, &opts);
         let overlay_f: Vec<u64> = probe
             .iter()
             .map(|&id| overlay.score_f(id, &opts).to_bits())
             .collect();
-        drop(overlay);
 
         db.train_ids(&candidate, Label::Spam);
         let via_train = score_token_ids(&probe, &db, &opts);
@@ -605,8 +430,9 @@ mod tests {
 
         let candidate = interner.intern_set(&toks(&["cheap", "xyz"]));
         let delta = CandidateDelta::spam_candidate(&candidate);
+        let mut scratch = OverlayScratch::new();
         for _ in 0..3 {
-            let overlay = delta.over(&db);
+            let overlay = OverlayDb::new(&db, &delta, &mut scratch);
             let _ = score_token_ids(&probe, &overlay, &opts);
         }
         assert_eq!(db.generation(), gen_before, "overlay mutated the base");
@@ -621,7 +447,8 @@ mod tests {
         let id = interner.get("cheap").unwrap();
         let delta = CandidateDelta::new(&[], Label::Spam, 0);
         assert!(delta.is_empty());
-        let overlay = delta.over(&db);
+        let mut scratch = OverlayScratch::new();
+        let overlay = OverlayDb::new(&db, &delta, &mut scratch);
         assert_eq!(
             overlay.score_f(id, &opts).to_bits(),
             db.cached_f(id, &opts).to_bits()
@@ -636,7 +463,8 @@ mod tests {
         let db = trained_db(&interner);
         let ids = interner.intern_set(&toks(&["cheap"]));
         let delta = CandidateDelta::new(&ids, Label::Ham, 7);
-        let overlay = delta.over(&db);
+        let mut scratch = OverlayScratch::new();
+        let overlay = OverlayDb::new(&db, &delta, &mut scratch);
         let base = db.counts_by_id(ids[0]);
         let eff = overlay.counts_by_id(ids[0]);
         assert_eq!(eff.spam, base.spam);
@@ -655,11 +483,68 @@ mod tests {
         let db = trained_db(&interner);
         let fresh = interner.intern("zzz-overlay-only");
         let delta = CandidateDelta::spam_candidate(&[fresh]);
-        let overlay = delta.over(&db);
+        let mut scratch = OverlayScratch::new();
+        let overlay = OverlayDb::new(&db, &delta, &mut scratch);
         let f = overlay.score_f(fresh, &opts);
         // One spam sighting out of NS+1 spam: leans spam, shrunk by Eq. 2.
         assert!(f > 0.5, "fresh candidate token must lean spam: {f}");
-        // Memoized: identical on re-read.
+        // Past the base's ids: computed each time, identically.
         assert_eq!(f.to_bits(), overlay.score_f(fresh, &opts).to_bits());
+    }
+
+    /// One scratch claimed over db A, then over db B at the same
+    /// generation and shift, then under a different shift, then over A
+    /// again: every sweep must equal an unmemoized overlay bit for bit.
+    /// If the binding ignored the base's identity, B's sweep would be
+    /// served A's stale slots.
+    #[test]
+    fn scratch_rebinds_across_bases_and_shifts() {
+        let opts = FilterOptions::default();
+        let interner = Interner::new();
+        let db_a = trained_db(&interner);
+        let mut db_b = TokenDb::with_interner(interner.clone());
+        for i in 0..10 {
+            db_b.train(&toks(&["cheap", "agenda", &format!("b{i}")]), Label::Ham);
+            db_b.train(&toks(&["meeting", "pills", &format!("c{i}")]), Label::Spam);
+        }
+        assert_eq!(db_a.generation(), db_b.generation());
+        let probe = interner.intern_set(&toks(&[
+            "cheap", "pills", "meeting", "agenda", "novel", "s1", "h2", "b3", "unseen",
+        ]));
+        let candidate = interner.intern_set(&toks(&["novel", "agenda"]));
+        let spam = CandidateDelta::spam_candidate(&candidate);
+        let ham = CandidateDelta::new(&candidate, Label::Ham, 2);
+
+        let mut scratch = OverlayScratch::new();
+        for (db, delta) in [
+            (&db_a, &spam),
+            (&db_b, &spam),
+            (&db_b, &ham),
+            (&db_a, &spam),
+        ] {
+            let overlay = OverlayDb::new(db, delta, &mut scratch);
+            for &id in &probe {
+                let want = token_score_from_counts(
+                    overlay.n_spam(),
+                    overlay.n_ham(),
+                    overlay.counts_by_id(id),
+                    &opts,
+                );
+                assert_eq!(overlay.score_f(id, &opts).to_bits(), want.to_bits());
+                let shift = token_score_from_counts(
+                    overlay.n_spam(),
+                    overlay.n_ham(),
+                    db.counts_by_id(id),
+                    &opts,
+                );
+                assert_eq!(overlay.shift_f(id, &opts).to_bits(), shift.to_bits());
+                assert_eq!(overlay.score_lns(id, want), crate::db::ln_pair(want));
+            }
+            let got = score_token_ids(&probe, &overlay, &opts);
+            let mut fresh = OverlayScratch::new();
+            let cold = score_token_ids(&probe, &OverlayDb::new(db, delta, &mut fresh), &opts);
+            assert_eq!(got.score.to_bits(), cold.score.to_bits());
+            assert_eq!(got, cold);
+        }
     }
 }

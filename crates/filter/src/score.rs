@@ -55,6 +55,11 @@ pub fn token_score_from_counts(
 ) -> f64 {
     let s = opts.unknown_word_strength;
     let x = opts.unknown_word_prob;
+    // An unseen token carries no evidence: Eq. 2 is the prior, exactly
+    // as the `None` arm below gives, without Eq. 1's two divisions.
+    if counts.spam == 0 && counts.ham == 0 {
+        return x;
+    }
     match raw_spam_prob(n_spam, n_ham, counts) {
         None => x,
         Some(ps) => {

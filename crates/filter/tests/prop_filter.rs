@@ -2,7 +2,12 @@
 
 use proptest::prelude::*;
 use sb_email::Label;
-use sb_filter::{fisher_score, score, FilterOptions, SpamBayes, TokenCounts, TokenDb};
+use sb_filter::{fisher_combine, ln_pair, score, FilterOptions, SpamBayes, TokenCounts, TokenDb};
+
+/// `I(E)` of bare clue scores through the production Fisher combine.
+fn fisher_score(scores: &[f64]) -> f64 {
+    fisher_combine(scores.iter().map(|&f| ln_pair(f)))
+}
 
 /// Small token alphabets keep collisions (shared tokens) likely.
 fn token() -> impl Strategy<Value = String> {

@@ -1,14 +1,115 @@
-//! Property tests pinning the interned-token substrate to the legacy
-//! string path: ID-based classification must be **bit-identical** — same
-//! scores (not approximately; the same f64 bits), same verdicts, same
+//! Property tests pinning the interned-token substrate to a string-keyed
+//! reference scorer: ID-based classification must be **bit-identical** —
+//! same scores (not approximately; the same f64 bits), same verdicts, same
 //! clue lists — and the ID-keyed database must keep the exact
 //! untrain-inverse property the RONI defense depends on.
 
 use proptest::prelude::*;
 use sb_email::Label;
 use sb_filter::{
-    classify, CandidateDelta, FilterOptions, Interner, SpamBayes, TokenDb, TokenId,
+    classify, CandidateDelta, Clue, FilterOptions, Interner, OverlayDb, OverlayScratch, Scored,
+    SpamBayes, TokenDb, TokenId,
 };
+
+/// The string-keyed reference scorer: δ(E) selection over string token
+/// scores with a string tie-break, then Fisher's method written out from
+/// Equation 3 — no interning, no memo.
+mod oracle {
+    use sb_filter::classify::verdict_for;
+    use sb_filter::score::token_score;
+    use sb_filter::{Clue, FilterOptions, Scored, TokenDb};
+    use sb_stats::chi2::chi2q_even;
+
+    fn select_delta<'a>(
+        token_set: &'a [String],
+        db: &TokenDb,
+        opts: &FilterOptions,
+    ) -> Vec<(&'a str, f64)> {
+        let mut candidates: Vec<(&str, f64)> = token_set
+            .iter()
+            .map(|t| (t.as_str(), token_score(db, t, opts)))
+            .filter(|(_, f)| (f - 0.5).abs() >= opts.minimum_prob_strength)
+            .collect();
+        candidates.sort_unstable_by(|a, b| {
+            let da = (a.1 - 0.5).abs();
+            let db_ = (b.1 - 0.5).abs();
+            db_.partial_cmp(&da)
+                .expect("scores are finite")
+                .then_with(|| a.0.cmp(b.0))
+        });
+        candidates.truncate(opts.max_discriminators);
+        candidates
+    }
+
+    fn fisher_score(clue_scores: &[f64]) -> f64 {
+        let n = clue_scores.len();
+        if n == 0 {
+            return 0.5;
+        }
+        let mut sum_ln_f = 0.0f64;
+        let mut sum_ln_1mf = 0.0f64;
+        for &f in clue_scores {
+            let f = f.clamp(1e-12, 1.0 - 1e-12);
+            sum_ln_f += f.ln();
+            sum_ln_1mf += (1.0 - f).ln();
+        }
+        let h = chi2q_even(-2.0 * sum_ln_f, n as u32);
+        let s = chi2q_even(-2.0 * sum_ln_1mf, n as u32);
+        (1.0 + h - s) / 2.0
+    }
+
+    /// Score a deduplicated token set, returning the clues too.
+    pub fn score_token_set(
+        token_set: &[String],
+        db: &TokenDb,
+        opts: &FilterOptions,
+    ) -> (Scored, Vec<Clue>) {
+        let delta = select_delta(token_set, db, opts);
+        let scores: Vec<f64> = delta.iter().map(|&(_, f)| f).collect();
+        let score = fisher_score(&scores);
+        let clues = delta
+            .into_iter()
+            .map(|(t, f)| Clue {
+                token: t.to_owned(),
+                score: f,
+            })
+            .collect();
+        (
+            Scored {
+                score,
+                verdict: verdict_for(score, opts),
+                n_clues: scores.len(),
+            },
+            clues,
+        )
+    }
+}
+
+/// The option sets every filter in the zoo runs the shared engine with:
+/// SpamBayes' defaults, BogoFilter's (`robx` 0.52, `robs` 0.0178, no clue
+/// cap, cutoffs 0.45 / 0.99) and SpamAssassin Bayes' (`x` 0.538, `s` 0.1,
+/// 150 clues, cutoffs 0.05 / 0.95).
+fn engine_options() -> impl Strategy<Value = FilterOptions> {
+    (0usize..3).prop_map(|k| match k {
+        0 => FilterOptions::default(),
+        1 => FilterOptions {
+            unknown_word_strength: 0.0178,
+            unknown_word_prob: 0.52,
+            minimum_prob_strength: 0.1,
+            max_discriminators: usize::MAX,
+            ham_cutoff: 0.45,
+            spam_cutoff: 0.99,
+        },
+        _ => FilterOptions {
+            unknown_word_strength: 0.1,
+            unknown_word_prob: 0.538,
+            minimum_prob_strength: 0.1,
+            max_discriminators: 150,
+            ham_cutoff: 0.05,
+            spam_cutoff: 0.95,
+        },
+    })
+}
 
 /// Small token alphabets keep collisions (shared tokens) likely.
 fn token() -> impl Strategy<Value = String> {
@@ -36,28 +137,29 @@ fn twin_dbs(
 }
 
 proptest! {
-    /// The headline equivalence: for any training history and any probe,
-    /// the ID fast path returns bit-identical scores and verdicts and an
-    /// identical clue list vs. the legacy string scoring.
+    /// The headline equivalence: for any training history, probe and
+    /// engine option set, the ID fast path returns bit-identical scores
+    /// and verdicts and an identical clue list vs. the string reference.
+    /// Probe ids come from the read-only classification lookup, as in
+    /// every production classify path.
     #[test]
     fn interned_classification_is_bit_identical(
         base in proptest::collection::vec((token_set(), any::<bool>()), 0..14),
         probe in token_set(),
+        opts in engine_options(),
     ) {
         let interner = Interner::new();
         let (by_str, by_id) = twin_dbs(&base, &interner);
-        let opts = FilterOptions::default();
-        let probe_ids = interner.intern_set(&probe);
+        let probe_ids = classify::lookup_ids(&interner, &probe, &opts);
 
         // Same counts in both databases first (sanity for the rest).
         prop_assert_eq!(by_str.n_spam(), by_id.n_spam());
         prop_assert_eq!(by_str.n_ham(), by_id.n_ham());
         prop_assert_eq!(by_str.n_tokens(), by_id.n_tokens());
 
-        // Legacy string scoring on the string-trained db…
-        let legacy = classify::score_token_set(&probe, &by_str, &opts);
-        let (legacy_scored, legacy_clues) =
-            classify::score_token_set_with_clues(&probe, &by_str, &opts);
+        // Reference string scoring on the string-trained db…
+        let (legacy, legacy_clues): (Scored, Vec<Clue>) =
+            oracle::score_token_set(&probe, &by_str, &opts);
         // …vs the cached ID path on the id-trained db.
         let fast = classify::score_token_ids(&probe_ids, &by_id, &opts);
         let (fast_scored, fast_clues) =
@@ -73,7 +175,7 @@ proptest! {
         );
         prop_assert_eq!(legacy.verdict, fast.verdict);
         prop_assert_eq!(legacy.n_clues, fast.n_clues);
-        prop_assert_eq!(legacy_scored.score.to_bits(), fast_scored.score.to_bits());
+        prop_assert_eq!(legacy.score.to_bits(), fast_scored.score.to_bits());
         prop_assert_eq!(legacy_clues.len(), fast_clues.len());
         for (a, b) in legacy_clues.iter().zip(fast_clues.iter()) {
             prop_assert_eq!(&a.token, &b.token, "clue order diverged");
@@ -94,7 +196,7 @@ proptest! {
             filter.train_tokens(set, if *is_spam { Label::Spam } else { Label::Ham }, 1);
         }
         let ids = interner.intern_set(&probe);
-        let via_strings = filter.classify_tokens_uncached(&probe);
+        let (via_strings, _) = oracle::score_token_set(&probe, filter.db(), filter.options());
         let via_ids_cold = filter.classify_ids(&ids);
         let via_ids_warm = filter.classify_ids(&ids);
         prop_assert_eq!(via_strings.score.to_bits(), via_ids_cold.score.to_bits());
@@ -186,9 +288,9 @@ proptest! {
 
         let delta = CandidateDelta::new(&cand_ids, label, multiplicity);
         let gen_before = filter.db().generation();
-        let overlay = filter.overlay(&delta);
-        let via_overlay = filter.classify_ids_under(&probe_ids, &overlay);
-        drop(overlay);
+        let mut scratch = OverlayScratch::new();
+        let overlay = OverlayDb::new(filter.db(), &delta, &mut scratch);
+        let via_overlay = classify::score_token_ids(&probe_ids, &overlay, filter.options());
         prop_assert_eq!(filter.db().generation(), gen_before, "overlay mutated the base");
 
         filter.train_ids(&cand_ids, label, multiplicity);

@@ -20,7 +20,7 @@
 //! valid (and optimally dense) token database. Determinism note: id
 //! *values* depend on interning order, so any observable ordering must be
 //! derived from the resolved strings, never from raw id order — see
-//! `sb_filter::classify::select_delta` for the pattern.
+//! `sb_filter::classify::select_delta_ids` for the pattern.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

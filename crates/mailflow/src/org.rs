@@ -53,10 +53,9 @@
 //! entries against a trusted bootstrap set (§5.1) through the fallible
 //! [`RoniDefense::try_screen_ids`] surface — a screening failure degrades
 //! the week (admitting nothing, recorded in
-//! [`WeekReport::screen_error`]) instead of aborting the simulation, and
-//! the `train-untrain` feature swaps the legacy reference loop in behind
-//! the same surface — the dynamic threshold recalibrates θ0/θ1 from a
-//! held-out split of the pool (§5.2), or both.
+//! [`WeekReport::screen_error`]) instead of aborting the simulation — the
+//! dynamic threshold recalibrates θ0/θ1 from a held-out split of the pool
+//! (§5.2), or both.
 //!
 //! The output is a week-by-week report of user-visible damage, which is the
 //! time-axis view of the paper's Figure 1: the attack lands in the pool
@@ -1565,26 +1564,18 @@ impl MailOrg {
         match self.cfg.defense {
             DefensePolicy::Roni | DefensePolicy::RoniPlusThreshold => {
                 let mut rng = week_seeds.child("roni").rng();
-                #[allow(unused_mut)] // the legacy path below measures by &mut
-                let mut roni = RoniDefense::new(
+                let roni = RoniDefense::new(
                     RoniConfig::default(),
                     &self.bootstrap,
                     FilterOptions::default(),
                     &mut rng,
                 );
-                // Both measurement paths share one Result surface, so the
-                // retrain loop is path-agnostic: a screening failure fails
-                // closed — the week's mail stays out of the pool and the
-                // error lands in the report. The default is the parallel
-                // overlay sweep over the merged week's arrivals (read-only;
-                // the shared trial filters are never mutated); the
-                // `train-untrain` feature swaps in the legacy reference
-                // loop, whose inexact untrain is the one real error source.
-                #[cfg(not(feature = "train-untrain"))]
-                let screened = roni.try_screen_ids(&fresh_ids);
-                #[cfg(feature = "train-untrain")]
-                let screened = roni.try_screen_ids_train_untrain(&fresh_ids);
-                match screened {
+                // The parallel overlay sweep over the merged week's
+                // arrivals (read-only; the shared trial filters are never
+                // mutated). A screening failure fails closed: the week's
+                // mail stays out of the pool and the error lands in the
+                // report.
+                match roni.try_screen_ids(&fresh_ids) {
                     Ok((kept, rejected)) => {
                         screened_out += rejected.len();
                         let mut admit = vec![false; fresh.len()];

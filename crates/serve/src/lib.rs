@@ -12,9 +12,9 @@
 //!   RONI code works against it unchanged.
 //! * [`tenant`] — overlay *stacks*: an ordered list of
 //!   [`OverlayLayer`] deltas (org patch over base, user delta over that)
-//!   combined read-only by [`StackView`], plus a [`SyncMemo`] of
-//!   generation-stamped score slots so one tenant's overlay serves many
-//!   concurrent probe threads.
+//!   combined read-only by [`StackView`], plus a shared
+//!   [`sb_filter::ScoreMemo`] of generation-stamped score slots so one
+//!   tenant's overlay serves many concurrent probe threads.
 //! * [`registry`] — [`TenantRegistry`]: `TenantId → overlay stack`
 //!   bookkeeping with per-tenant train/untrain (mutating only the top
 //!   delta) and batch classification.
@@ -57,7 +57,7 @@ pub use bench::{run_serve_bench, ServeBenchConfig, ServeBenchReport};
 pub use mmap::ImageBytes;
 pub use model::{BaseModel, MmapDb};
 pub use registry::{Tenant, TenantId, TenantRegistry};
-pub use tenant::{OverlayLayer, StackView, SyncMemo};
+pub use tenant::{OverlayLayer, StackView};
 
 use sb_filter::ImageError;
 

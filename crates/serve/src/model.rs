@@ -9,11 +9,9 @@
 //! **image row `i` ⇔ `TokenId(i)`** and ids can index the counts array
 //! directly — and a score cache.
 //!
-//! The cache is the immutable-base degenerate case of `TokenDb`'s
-//! generation-stamped slots: a base model never mutates, so a slot's
-//! stamp is simply *filled / not filled* (stamp 0 = empty, 1 = filled,
-//! `Release`-published after the value like the original). Scores are
-//! pure in (counts, options), so racing fills are benign duplicates.
+//! The cache is a [`ScoreMemo`] stamped with the constant 1: a base model
+//! never mutates, so a slot is simply filled or not (stamp rules in
+//! [`sb_filter::memo`]).
 //!
 //! `FilterOptions` are fixed at construction for the same reason
 //! `TokenDb` invalidates on `set_options`: cached `f(w)` values bake the
@@ -24,10 +22,9 @@ use crate::mmap::ImageBytes;
 use crate::ServeError;
 use sb_filter::image::{ImageView, HEADER_LEN};
 use sb_filter::score::token_score_from_counts;
-use sb_filter::{ln_pair, FilterOptions, ScoreDb, TokenCounts, TokenDb};
+use sb_filter::{FilterOptions, ScoreDb, ScoreMemo, TokenCounts, TokenDb};
 use sb_intern::{Interner, TokenId};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What a tenant overlay stacks on: any read-only source of per-id
 /// counts and class totals sharing an [`Interner`].
@@ -63,16 +60,6 @@ impl BaseModel for TokenDb {
     }
 }
 
-/// One score-cache slot (see module docs; stamp 1 = filled).
-#[derive(Default)]
-struct Slot {
-    stamp_f: AtomicU64,
-    f: AtomicU64,
-    stamp_ln: AtomicU64,
-    ln_f: AtomicU64,
-    ln_1mf: AtomicU64,
-}
-
 /// A packed model image served in place (see module docs).
 pub struct MmapDb {
     bytes: ImageBytes,
@@ -81,7 +68,7 @@ pub struct MmapDb {
     n_spam: u32,
     n_ham: u32,
     n_tokens: usize,
-    cache: Vec<Slot>,
+    cache: ScoreMemo,
 }
 
 impl std::fmt::Debug for MmapDb {
@@ -119,7 +106,7 @@ impl MmapDb {
         }
         let n_tokens = view.n_tokens();
         let (n_spam, n_ham) = (view.n_spam(), view.n_ham());
-        let cache = (0..n_tokens).map(|_| Slot::default()).collect();
+        let cache = ScoreMemo::with_capacity(n_tokens);
         Ok(Self {
             bytes,
             interner,
@@ -193,39 +180,19 @@ impl MmapDb {
 
     /// The cached `f(w)` (Eq. 2) of a token under the fixed options —
     /// lock-free, fill-once (the base is immutable; see module docs).
+    /// Ids past the image are unseen: zero counts make Eq. 2 collapse to
+    /// the prior `x`.
     #[inline]
     pub fn cached_f(&self, id: TokenId) -> f64 {
-        let Some(slot) = self.cache.get(id.index()) else {
-            // Unseen token: zero counts make Eq. 2 collapse to the prior
-            // x, exactly as `token_score_from_counts` would compute.
-            return self.opts.unknown_word_prob;
-        };
-        if slot.stamp_f.load(Ordering::Acquire) == 1 {
-            return f64::from_bits(slot.f.load(Ordering::Relaxed));
-        }
-        let f = token_score_from_counts(self.n_spam, self.n_ham, self.counts_by_id(id), &self.opts);
-        slot.f.store(f.to_bits(), Ordering::Relaxed);
-        slot.stamp_f.store(1, Ordering::Release);
-        f
+        self.cache.f(id, 1, || {
+            token_score_from_counts(self.n_spam, self.n_ham, self.counts_by_id(id), &self.opts)
+        })
     }
 
     /// The cached `(ln f, ln(1 − f))` pair (same fill-once discipline).
     #[inline]
     pub fn cached_lns(&self, id: TokenId, f: f64) -> (f64, f64) {
-        let Some(slot) = self.cache.get(id.index()) else {
-            return ln_pair(f);
-        };
-        if slot.stamp_ln.load(Ordering::Acquire) == 1 {
-            return (
-                f64::from_bits(slot.ln_f.load(Ordering::Relaxed)),
-                f64::from_bits(slot.ln_1mf.load(Ordering::Relaxed)),
-            );
-        }
-        let (ln_f, ln_1mf) = ln_pair(f);
-        slot.ln_f.store(ln_f.to_bits(), Ordering::Relaxed);
-        slot.ln_1mf.store(ln_1mf.to_bits(), Ordering::Relaxed);
-        slot.stamp_ln.store(1, Ordering::Release);
-        (ln_f, ln_1mf)
+        self.cache.lns(id, 1, f)
     }
 }
 

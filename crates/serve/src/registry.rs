@@ -19,18 +19,18 @@
 //! Tenants live behind a registry-level `RwLock` map (tenant add/remove
 //! is rare) of per-tenant `RwLock`s: classification takes the tenant lock
 //! in *read* mode — many probe threads classify the same tenant
-//! concurrently, sharing its [`SyncMemo`] lock-free — while train/untrain
+//! concurrently, sharing its [`ScoreMemo`] lock-free — while train/untrain
 //! takes it in write mode and is the only writer of the delta. All lock
 //! poisoning surfaces as [`ServeError::Poisoned`] (a panicking writer may
 //! have left half-applied counts; serving them would violate the
 //! bit-identity contract), never as a propagated panic.
 
 use crate::model::BaseModel;
-use crate::tenant::{OverlayLayer, StackView, SyncMemo};
+use crate::tenant::{OverlayLayer, StackView};
 use crate::ServeError;
 use sb_email::Label;
 use sb_filter::classify::score_token_ids;
-use sb_filter::{FilterOptions, Scored};
+use sb_filter::{FilterOptions, ScoreMemo, Scored};
 use sb_intern::{par, AsIdSlice, FxHashMap, Interner, TokenId};
 use std::sync::{Arc, RwLock};
 
@@ -44,7 +44,7 @@ pub struct TenantId(pub u32);
 #[derive(Debug)]
 pub struct Tenant {
     delta: OverlayLayer,
-    memo: SyncMemo,
+    memo: ScoreMemo,
 }
 
 impl Tenant {
@@ -122,7 +122,7 @@ impl<B: BaseModel> TenantRegistry<B> {
             id.0,
             Arc::new(RwLock::new(Tenant {
                 delta: OverlayLayer::new(),
-                memo: SyncMemo::new(self.base.interner().len()),
+                memo: ScoreMemo::with_capacity(self.base.interner().len()),
             })),
         );
         Ok(())
@@ -213,7 +213,7 @@ impl<B: BaseModel> TenantRegistry<B> {
 
     /// Classify a batch of pre-interned id sets through `id`'s stack, in
     /// parallel (scoped workers, results in input order, chunk sizing per
-    /// `SB_CHUNK`). The tenant's [`SyncMemo`] is shared lock-free across
+    /// `SB_CHUNK`). The tenant's [`ScoreMemo`] is shared lock-free across
     /// the workers, so each distinct token's score is computed once per
     /// stack generation for the whole batch.
     pub fn classify_ids_batch(

@@ -1,6 +1,6 @@
 //! Overlay stacks: persistent per-tenant deltas over a shared read-only
 //! base, combined read-only by [`StackView`] and served to concurrent
-//! probe threads through a [`SyncMemo`].
+//! probe threads through a shared [`ScoreMemo`].
 //!
 //! Where [`sb_filter::CandidateDelta`] is the *measurement* delta — one
 //! immutable candidate message, built per RONI probe and thrown away —
@@ -26,25 +26,23 @@
 //! ## Concurrency
 //!
 //! [`StackView`] is `Sync` when its base is: scoring is read-only, and
-//! the optional [`SyncMemo`] memoizes through the same lock-free
-//! generation-stamped atomic-slot discipline as the `TokenDb` cache —
-//! racing fills are benign duplicates of a pure function. Every layer
-//! mutation bumps that layer's generation, so a stack's *combined*
-//! generation stamps memo slots: a train/untrain anywhere in the stack
-//! silently invalidates every cached score in O(1).
+//! the optional [`ScoreMemo`] is lock-free. Every layer mutation bumps
+//! that layer's generation, so a stack's *combined* generation (1 + Σ
+//! layer generations) stamps memo slots: a train/untrain anywhere in the
+//! stack invalidates every cached score in O(1). The stamp rules of every
+//! score cache are described in [`sb_filter::memo`].
 
 use crate::model::BaseModel;
 use sb_email::Label;
 use sb_filter::score::token_score_from_counts;
-use sb_filter::{ln_pair, FilterOptions, ScoreDb, TokenCounts};
+use sb_filter::{ln_pair, FilterOptions, ScoreDb, ScoreMemo, TokenCounts};
 use sb_intern::{FxHashMap, Interner, TokenId};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A persistent training delta: the per-token counts and per-class
 /// message totals a tenant's own mail contributed on top of whatever it
 /// stacks on. Mutable only through [`OverlayLayer::train_ids`] /
 /// [`OverlayLayer::untrain_ids`]; every mutation bumps the generation
-/// that stamps downstream [`SyncMemo`] slots.
+/// that stamps downstream memo slots.
 #[derive(Debug, Clone, Default)]
 pub struct OverlayLayer {
     counts: FxHashMap<TokenId, TokenCounts>,
@@ -177,68 +175,6 @@ impl OverlayLayer {
     }
 }
 
-/// One lock-free memo slot, the [`SyncMemo`] unit: the stamp carries the
-/// stack's combined generation (0 = never filled; combined generations
-/// start at 1), published `Release` after the value like every other
-/// score cache in the workspace.
-#[derive(Default)]
-struct MemoSlot {
-    stamp_f: AtomicU64,
-    f: AtomicU64,
-    stamp_ln: AtomicU64,
-    ln_f: AtomicU64,
-    ln_1mf: AtomicU64,
-}
-
-/// A `Sync` score memo for one tenant's stack: dense slots indexed by
-/// `TokenId`, shared lock-free by every probe thread classifying through
-/// the same [`StackView`].
-///
-/// Invalidation is by *stamp*, not by clearing: slots are valid only for
-/// the combined stack generation that filled them, so any layer mutation
-/// (which bumps its generation, hence the combination) obsoletes the
-/// whole memo in O(1) without touching a byte. The memo must therefore be
-/// bound to **one** logical stack whose combined generation only grows —
-/// the registry owns exactly one per tenant.
-///
-/// Capacity is fixed between [`SyncMemo::ensure_capacity`] calls (growing
-/// a `Vec` is not lock-free); ids beyond capacity are computed directly,
-/// never cached, so capacity is purely a performance knob. The registry
-/// re-extends to the interner's length on every (write-locked) train.
-#[derive(Default)]
-pub struct SyncMemo {
-    slots: Vec<MemoSlot>,
-}
-
-impl std::fmt::Debug for SyncMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SyncMemo({} slots)", self.slots.len())
-    }
-}
-
-impl SyncMemo {
-    /// A memo with `capacity` dense slots.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            slots: (0..capacity).map(|_| MemoSlot::default()).collect(),
-        }
-    }
-
-    /// Current slot count.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Grow to at least `capacity` slots (never shrinks). Requires `&mut`
-    /// — callers serialize growth behind their tenant write lock; probe
-    /// threads only ever hold `&SyncMemo`.
-    pub fn ensure_capacity(&mut self, capacity: usize) {
-        while self.slots.len() < capacity {
-            self.slots.push(MemoSlot::default());
-        }
-    }
-}
-
 /// A read-only combined view over a base and an ordered overlay stack,
 /// implementing [`ScoreDb`] — every scoring, δ(E)-selection, and Fisher
 /// path works against it unchanged.
@@ -250,7 +186,7 @@ impl SyncMemo {
 pub struct StackView<'a, B: BaseModel + ?Sized> {
     base: &'a B,
     layers: &'a [&'a OverlayLayer],
-    memo: Option<&'a SyncMemo>,
+    memo: Option<&'a ScoreMemo>,
     /// Effective per-class totals (base + every layer), entering Eq. 1
     /// for every token.
     n_spam: u32,
@@ -281,9 +217,10 @@ impl<'a, B: BaseModel + ?Sized> StackView<'a, B> {
         }
     }
 
-    /// [`StackView::new`] with a shared score memo (see [`SyncMemo`] for
-    /// the binding contract).
-    pub fn with_memo(base: &'a B, layers: &'a [&'a OverlayLayer], memo: &'a SyncMemo) -> Self {
+    /// [`StackView::new`] with a shared score memo. The memo must be
+    /// bound to **one** logical stack whose combined generation only
+    /// grows — the registry owns exactly one per tenant.
+    pub fn with_memo(base: &'a B, layers: &'a [&'a OverlayLayer], memo: &'a ScoreMemo) -> Self {
         Self {
             memo: Some(memo),
             ..Self::new(base, layers)
@@ -335,33 +272,17 @@ impl<B: BaseModel + ?Sized> ScoreDb for StackView<'_, B> {
     }
 
     fn score_f(&self, id: TokenId, opts: &FilterOptions) -> f64 {
-        let Some(slot) = self.memo.and_then(|m| m.slots.get(id.index())) else {
-            return self.compute_f(id, opts);
-        };
-        if slot.stamp_f.load(Ordering::Acquire) == self.stamp {
-            return f64::from_bits(slot.f.load(Ordering::Relaxed));
+        match self.memo {
+            Some(memo) => memo.f(id, self.stamp, || self.compute_f(id, opts)),
+            None => self.compute_f(id, opts),
         }
-        let f = self.compute_f(id, opts);
-        slot.f.store(f.to_bits(), Ordering::Relaxed);
-        slot.stamp_f.store(self.stamp, Ordering::Release);
-        f
     }
 
     fn score_lns(&self, id: TokenId, f: f64) -> (f64, f64) {
-        let Some(slot) = self.memo.and_then(|m| m.slots.get(id.index())) else {
-            return ln_pair(f);
-        };
-        if slot.stamp_ln.load(Ordering::Acquire) == self.stamp {
-            return (
-                f64::from_bits(slot.ln_f.load(Ordering::Relaxed)),
-                f64::from_bits(slot.ln_1mf.load(Ordering::Relaxed)),
-            );
+        match self.memo {
+            Some(memo) => memo.lns(id, self.stamp, f),
+            None => ln_pair(f),
         }
-        let (ln_f, ln_1mf) = ln_pair(f);
-        slot.ln_f.store(ln_f.to_bits(), Ordering::Relaxed);
-        slot.ln_1mf.store(ln_1mf.to_bits(), Ordering::Relaxed);
-        slot.stamp_ln.store(self.stamp, Ordering::Release);
-        (ln_f, ln_1mf)
     }
 }
 
@@ -441,7 +362,7 @@ mod tests {
         user.train_ids(&mail, Label::Spam);
 
         let probe = interner.intern_set(&toks(&["cheap", "offer", "meeting"]));
-        let memo = SyncMemo::new(interner.len());
+        let memo = ScoreMemo::with_capacity(interner.len());
 
         {
             let layers = [&user];
@@ -508,7 +429,7 @@ mod tests {
         let base = base_db(&interner);
         let user = OverlayLayer::new();
         let layers = [&user];
-        let memo = SyncMemo::new(1);
+        let memo = ScoreMemo::with_capacity(1);
         let memoized = StackView::with_memo(&base, &layers, &memo);
         let plain = StackView::new(&base, &layers);
         for tok in ["cheap", "meeting", "brand-new"] {

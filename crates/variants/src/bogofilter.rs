@@ -27,7 +27,7 @@
 
 use crate::StatFilter;
 use sb_email::{Email, Label};
-use sb_filter::classify::score_token_set;
+use sb_filter::classify::{lookup_ids, score_token_ids};
 use sb_filter::{FilterOptions, Scored, TokenDb};
 use sb_tokenizer::{Tokenizer, TokenizerOptions};
 use serde::{Deserialize, Serialize};
@@ -143,7 +143,8 @@ impl StatFilter for BogoFilter {
 
     fn classify(&self, email: &Email) -> Scored {
         let set = self.token_set(email);
-        score_token_set(&set, &self.db, &self.filter_opts)
+        let ids = lookup_ids(self.db.interner(), &set, &self.filter_opts);
+        score_token_ids(&ids, &self.db, &self.filter_opts)
     }
 
     fn training_counts(&self) -> (u32, u32) {
