@@ -342,7 +342,8 @@ pub struct TargetOutput {
     /// targets surface their in-file `expect` lines here as claims).
     pub claims: Vec<ClaimResult>,
     /// Messages processed — exact for scenario targets (sum of weekly
-    /// `offered`), a documented coarse workload estimate for figures —
+    /// `offered` over every run, one per lite-tier shard count), a
+    /// documented coarse workload estimate for figures —
     /// used only for messages/sec telemetry trend lines.
     pub messages: u64,
 }
@@ -1021,13 +1022,15 @@ fn org_messages(report: &OrgReport) -> u64 {
 /// across every shard count in `shard_matrix` and the reports must be
 /// bit-identical; in-file `expect` lines are surfaced as claims. At the
 /// full tier a single run suffices (shard invariance is proven at lite on
-/// the same code path).
+/// the same code path). The output counts every message of every run;
+/// the report handed back is the (shared) report itself, for targets that
+/// derive further claims from it.
 fn run_scenario_spec(
     spec: &ScenarioSpec,
     tier: Tier,
     shard_matrix: &[usize],
-) -> Result<TargetOutput, String> {
-    let (digest, report) = match tier {
+) -> Result<(TargetOutput, OrgReport), String> {
+    let (digest, report, runs) = match tier {
         Tier::Lite => {
             let mut first: Option<(usize, String, OrgReport)> = None;
             for &shards in shard_matrix {
@@ -1050,11 +1053,11 @@ fn run_scenario_spec(
             }
             let (_, digest, report) =
                 first.ok_or_else(|| "empty shard matrix".to_string())?;
-            (digest, report)
+            (digest, report, shard_matrix.len() as u64)
         }
         Tier::Full => {
             let report = spec.run().map_err(|e| e.to_string())?;
-            (golden_digest(&spec.name, &report), report)
+            (golden_digest(&spec.name, &report), report, 1)
         }
     };
 
@@ -1089,18 +1092,18 @@ fn run_scenario_spec(
         ));
     }
 
-    Ok(TargetOutput {
+    let out = TargetOutput {
         digest,
         claims,
-        messages: org_messages(&report),
-    })
+        messages: org_messages(&report) * runs,
+    };
+    Ok((out, report))
 }
 
 fn run_org_scale(tier: Tier, shard_matrix: &[usize]) -> Result<TargetOutput, String> {
     let spec = ScenarioSpec::parse(&org_scale_source(tier)).map_err(|e| e.to_string())?;
-    let mut out = run_scenario_spec(&spec, tier, shard_matrix)?;
+    let (mut out, report) = run_scenario_spec(&spec, tier, shard_matrix)?;
     if tier == Tier::Full {
-        let report = spec.run().map_err(|e| e.to_string())?;
         let week = |i: usize| report.weeks.get(i);
         if let (Some(w1), Some(w2)) = (week(0), week(1)) {
             out.claims.push(claim(
@@ -1152,7 +1155,7 @@ fn run_target(t: &Target, opts: &RigOptions) -> Result<TargetOutput, String> {
                 Tier::Full => full_params(&spec),
             };
             let scaled = scale_spec(&spec, params);
-            run_scenario_spec(&scaled, tier, &opts.shard_matrix)
+            run_scenario_spec(&scaled, tier, &opts.shard_matrix).map(|(out, _)| out)
         }
         TargetKind::OrgScale => run_org_scale(tier, &opts.shard_matrix),
     }

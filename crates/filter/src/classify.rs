@@ -79,6 +79,13 @@ pub struct Scored {
 /// excludes for every sane configuration). Classifying a stream of unseen
 /// vocabulary — the dictionary-attack shape — must not permanently grow
 /// the append-only interner.
+///
+/// `sb_mailflow::MailOrg` does not use this path: it interns each
+/// delivered message's full token set at delivery (the same ids then
+/// train the weekly retrain) and classifies that set by id, which gives
+/// the same result. Its interner growth is unchanged by that, because the
+/// organization already interned every delivered message when it
+/// retrained on it.
 pub fn lookup_ids(interner: &Interner, token_set: &[String], opts: &FilterOptions) -> Vec<TokenId> {
     if (opts.unknown_word_prob - 0.5).abs() < opts.minimum_prob_strength {
         let mut ids: Vec<TokenId> = token_set.iter().filter_map(|t| interner.get(t)).collect();

@@ -141,7 +141,8 @@ proptest! {
     /// engine option set, the ID fast path returns bit-identical scores
     /// and verdicts and an identical clue list vs. the string reference.
     /// Probe ids come from the read-only classification lookup, as in
-    /// every production classify path.
+    /// `SpamBayes::classify`; interning the probe instead — unseen tokens
+    /// included, as organization delivery does — must give the same bits.
     #[test]
     fn interned_classification_is_bit_identical(
         base in proptest::collection::vec((token_set(), any::<bool>()), 0..14),
@@ -179,6 +180,28 @@ proptest! {
         prop_assert_eq!(legacy_clues.len(), fast_clues.len());
         for (a, b) in legacy_clues.iter().zip(fast_clues.iter()) {
             prop_assert_eq!(&a.token, &b.token, "clue order diverged");
+            prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
+        }
+
+        // The interned probe: never-trained tokens get ids too, score the
+        // prior, and fall outside the δ(E) strength band.
+        let interned_ids = interner.intern_set(&probe);
+        let interned = classify::score_token_ids(&interned_ids, &by_id, &opts);
+        let (interned_scored, interned_clues) =
+            classify::score_token_ids_with_clues(&interned_ids, &by_id, &opts);
+        prop_assert_eq!(
+            fast.score.to_bits(),
+            interned.score.to_bits(),
+            "interned-set score mismatch: {} vs {}",
+            fast.score,
+            interned.score
+        );
+        prop_assert_eq!(fast.verdict, interned.verdict);
+        prop_assert_eq!(fast.n_clues, interned.n_clues);
+        prop_assert_eq!(fast_scored.score.to_bits(), interned_scored.score.to_bits());
+        prop_assert_eq!(fast_clues.len(), interned_clues.len());
+        for (a, b) in fast_clues.iter().zip(interned_clues.iter()) {
+            prop_assert_eq!(&a.token, &b.token, "interned clue order diverged");
             prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
         }
     }

@@ -36,7 +36,7 @@ pub mod wire;
 
 pub use client::{BackoffSchedule, ClientError, DeliveryReport, Envelope, SmtpClient};
 pub use faultplan::{FaultEvent, FaultPlan, FaultPlanError};
-pub use mailbox::{Folder, Mailbox, StoredMessage, UserCosts, UserModel};
+pub use mailbox::{Folder, FolderCounts, Mailbox, StoredMessage, UserCosts, UserModel};
 pub use org::{
     AttackPlan, DefensePolicy, MailOrg, OrgCheckpoint, OrgConfig, OrgConfigError, OrgReport,
     TrafficMix, WeekReport,

@@ -4,8 +4,9 @@
 //! verdicts: spam to a "Spam-High" folder the user essentially never reads,
 //! unsure to a "Spam-Low" folder the user must grudgingly skim to avoid
 //! missing real mail, ham to the inbox. [`Mailbox`] performs the routing;
-//! [`UserModel`] turns folder contents into the costs the paper reasons
-//! about (missed ham, spam faced, time wasted in the unsure folder).
+//! [`UserModel`] turns folder contents — counted into a [`FolderCounts`]
+//! matrix — into the costs the paper reasons about (missed ham, spam
+//! faced, time wasted in the unsure folder).
 
 use sb_email::{Email, Label};
 use sb_filter::Verdict;
@@ -29,6 +30,56 @@ impl Folder {
             Verdict::Ham => Folder::Inbox,
             Verdict::Unsure => Folder::Unsure,
             Verdict::Spam => Folder::Spam,
+        }
+    }
+}
+
+/// Message counts by folder × ground truth: everything the §2.1 cost
+/// model reads. Counts add, so per-shard matrices merge by summation in
+/// any order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FolderCounts([[usize; 2]; 3]);
+
+impl FolderCounts {
+    fn cell(folder: Folder, truth: Label) -> (usize, usize) {
+        let f = match folder {
+            Folder::Inbox => 0,
+            Folder::Unsure => 1,
+            Folder::Spam => 2,
+        };
+        let t = match truth {
+            Label::Ham => 0,
+            Label::Spam => 1,
+        };
+        (f, t)
+    }
+
+    /// Count one message of ground truth `truth` routed to `folder`.
+    pub fn record(&mut self, folder: Folder, truth: Label) {
+        let (f, t) = Self::cell(folder, truth);
+        self.0[f][t] += 1;
+    }
+
+    /// Messages in `folder` whose ground truth is `truth`.
+    pub fn get(&self, folder: Folder, truth: Label) -> usize {
+        let (f, t) = Self::cell(folder, truth);
+        self.0[f][t]
+    }
+
+    /// Messages of ground truth `truth` across all three folders.
+    pub fn total(&self, truth: Label) -> usize {
+        [Folder::Inbox, Folder::Unsure, Folder::Spam]
+            .iter()
+            .map(|&f| self.get(f, truth))
+            .sum()
+    }
+
+    /// Add another matrix's counts into this one.
+    pub fn absorb(&mut self, other: FolderCounts) {
+        for (row, other_row) in self.0.iter_mut().zip(other.0) {
+            for (n, m) in row.iter_mut().zip(other_row) {
+                *n += m;
+            }
         }
     }
 }
@@ -106,14 +157,15 @@ impl Mailbox {
         self.spam.clear();
     }
 
-    /// Fold another mailbox's contents into this one. Folder membership is
-    /// preserved; [`UserModel`] costs are counts over folder contents, so
-    /// absorbing per-shard week boxes in any shard order yields the same
-    /// costs as one organization-wide box.
-    pub fn absorb(&mut self, other: Mailbox) {
-        self.inbox.extend(other.inbox);
-        self.unsure.extend(other.unsure);
-        self.spam.extend(other.spam);
+    /// The folder × truth count matrix of everything stored.
+    pub fn counts(&self) -> FolderCounts {
+        let mut counts = FolderCounts::default();
+        for folder in [Folder::Inbox, Folder::Unsure, Folder::Spam] {
+            for m in self.folder(folder) {
+                counts.record(folder, m.truth);
+            }
+        }
+        counts
     }
 }
 
@@ -137,7 +189,7 @@ impl Default for UserModel {
 }
 
 /// The user-visible costs of a mailbox state under a reading model. All
-/// counts are message counts over whatever window the mailbox holds.
+/// counts are message counts over whatever window the count matrix covers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UserCosts {
     /// Ham the user never sees (in spam always; in unsure too if unread).
@@ -151,13 +203,14 @@ pub struct UserCosts {
 }
 
 impl UserModel {
-    /// Evaluate the §2.1 costs for a mailbox.
-    pub fn costs(&self, mbox: &Mailbox) -> UserCosts {
-        let ham_in_spam = mbox.count(Folder::Spam, Label::Ham);
-        let ham_in_unsure = mbox.count(Folder::Unsure, Label::Ham);
-        let spam_in_inbox = mbox.count(Folder::Inbox, Label::Spam);
-        let spam_in_unsure = mbox.count(Folder::Unsure, Label::Spam);
-        let spam_in_spam = mbox.count(Folder::Spam, Label::Spam);
+    /// Evaluate the §2.1 costs over a folder × truth count matrix
+    /// ([`Mailbox::counts`] for one mailbox).
+    pub fn costs(&self, counts: &FolderCounts) -> UserCosts {
+        let ham_in_spam = counts.get(Folder::Spam, Label::Ham);
+        let ham_in_unsure = counts.get(Folder::Unsure, Label::Ham);
+        let spam_in_inbox = counts.get(Folder::Inbox, Label::Spam);
+        let spam_in_unsure = counts.get(Folder::Unsure, Label::Spam);
+        let spam_in_spam = counts.get(Folder::Spam, Label::Spam);
 
         let mut costs = UserCosts {
             ham_lost: ham_in_spam,
@@ -185,14 +238,12 @@ impl UserModel {
     /// time-saving when the share of incoming mail they still have to look
     /// at (inbox + unsure if read) approaches what no filter would give
     /// them, or when real mail is being lost.
-    pub fn filter_useless(&self, mbox: &Mailbox, loss_tolerance: f64) -> bool {
-        let total_ham = mbox.count(Folder::Inbox, Label::Ham)
-            + mbox.count(Folder::Unsure, Label::Ham)
-            + mbox.count(Folder::Spam, Label::Ham);
+    pub fn filter_useless(&self, counts: &FolderCounts, loss_tolerance: f64) -> bool {
+        let total_ham = counts.total(Label::Ham);
         if total_ham == 0 {
             return false;
         }
-        let costs = self.costs(mbox);
+        let costs = self.costs(counts);
         let misrouted = costs.ham_lost + costs.ham_delayed;
         misrouted as f64 / total_ham as f64 > loss_tolerance
     }
@@ -248,7 +299,7 @@ mod tests {
     #[test]
     fn default_user_costs() {
         let m = mixed_mailbox();
-        let costs = UserModel::default().costs(&m);
+        let costs = UserModel::default().costs(&m.counts());
         // Loses the 1 ham in spam; skims unsure so the 2 ham there are
         // delayed, not lost; faces 1 inbox spam + 3 unsure spam.
         assert_eq!(costs.ham_lost, 1);
@@ -264,7 +315,7 @@ mod tests {
             reads_unsure: false,
             reads_spam: false,
         };
-        let costs = user.costs(&m);
+        let costs = user.costs(&m.counts());
         assert_eq!(costs.ham_lost, 3); // spam-folder ham + unread unsure ham
         assert_eq!(costs.spam_faced, 1); // inbox spam only
         assert_eq!(costs.unsure_burden, 0);
@@ -277,7 +328,7 @@ mod tests {
             reads_unsure: true,
             reads_spam: true,
         };
-        let costs = user.costs(&m);
+        let costs = user.costs(&m.counts());
         assert_eq!(costs.ham_lost, 0);
         assert_eq!(costs.ham_delayed, 3);
         // Faces every spam in the store.
@@ -291,18 +342,18 @@ mod tests {
             m.deliver(email(i), Label::Ham, Verdict::Ham, 1);
         }
         let user = UserModel::default();
-        assert!(!user.filter_useless(&m, 0.2));
+        assert!(!user.filter_useless(&m.counts(), 0.2));
         // Push 8 more ham into unsure: 8/18 misrouted > 20%.
         for i in 10..18 {
             m.deliver(email(i), Label::Ham, Verdict::Unsure, 1);
         }
-        assert!(user.filter_useless(&m, 0.2));
+        assert!(user.filter_useless(&m.counts(), 0.2));
     }
 
     #[test]
     fn empty_mailbox_is_never_useless() {
         let m = Mailbox::new();
-        assert!(!UserModel::default().filter_useless(&m, 0.0));
+        assert!(!UserModel::default().filter_useless(&m.counts(), 0.0));
         assert!(m.is_empty());
     }
 
@@ -314,9 +365,9 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_folders_and_costs() {
+    fn counts_absorb_merges_costs() {
         let whole = mixed_mailbox();
-        // Split the same deliveries across two boxes, then absorb.
+        // Split the same deliveries across two boxes, then absorb counts.
         let mut a = Mailbox::new();
         let mut b = Mailbox::new();
         for folder in [Folder::Inbox, Folder::Unsure, Folder::Spam] {
@@ -325,9 +376,11 @@ mod tests {
                 target.deliver(msg.email.clone(), msg.truth, msg.verdict, msg.day);
             }
         }
-        a.absorb(b);
-        assert_eq!(a.len(), whole.len());
+        let mut merged = a.counts();
+        merged.absorb(b.counts());
+        assert_eq!(merged, whole.counts());
+        assert_eq!(merged.total(Label::Ham) + merged.total(Label::Spam), whole.len());
         let user = UserModel::default();
-        assert_eq!(user.costs(&a), user.costs(&whole));
+        assert_eq!(user.costs(&merged), user.costs(&whole.counts()));
     }
 }

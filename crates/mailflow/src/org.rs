@@ -43,11 +43,16 @@
 //! * corpus messages are pure in their global counter
 //!   ([`EmailGenerator::ham`]`(i)`), so any shard can materialize exactly
 //!   the messages addressed to its users;
-//! * classification reads the shared filter immutably, and token scoring
-//!   breaks ties by resolved token string (never raw `TokenId`), so
-//!   concurrent interning order cannot leak into verdicts;
-//! * week metrics are sums of per-shard counters, and the §2.1 cost model
-//!   counts folder contents, so shard-merge order is immaterial there.
+//! * each delivered message is tokenized and interned exactly once, on the
+//!   shard that delivers it, and classified by id against the shared
+//!   filter (read immutably); its id set then rides the fresh pool into
+//!   the retrain. Ids are therefore assigned in shard-concurrent order,
+//!   but token scoring breaks δ(E) ties by resolved token string (never
+//!   raw `TokenId`) and model dumps sort rows by string, so interning
+//!   order cannot leak into a verdict or a digest;
+//! * week metrics are sums of per-shard counters — the §2.1 cost model
+//!   reads a folder × truth [`FolderCounts`] matrix — so shard-merge order
+//!   is immaterial there.
 //!
 //! Defenses hook into the retraining step: RONI screens merged pool
 //! entries against a trusted bootstrap set (§5.1) through the fallible
@@ -63,7 +68,7 @@
 
 use crate::client::{Envelope, SmtpClient};
 use crate::faultplan::{FaultPlan, FaultPlanError};
-use crate::mailbox::{Mailbox, UserCosts, UserModel};
+use crate::mailbox::{Folder, FolderCounts, Mailbox, UserCosts, UserModel};
 use crate::server::{ServerEvent, SmtpServer};
 use crate::transport::{FaultConfig, FaultError, FaultStats, FaultyPipe};
 use sb_core::{
@@ -73,7 +78,7 @@ use sb_core::{
 use sb_corpus::{CorpusConfig, EmailGenerator};
 use sb_email::{Dataset, Email, Label, LabeledEmail};
 use sb_filter::{FilterOptions, SpamBayes, Verdict};
-use sb_intern::{par, FxHashMap, Interner, TokenId};
+use sb_intern::{par, AsIdSlice, FxHashMap, Interner, TokenId};
 use sb_stats::rng::SeedTree;
 use sb_tokenizer::Tokenizer;
 use serde::{Deserialize, Serialize};
@@ -458,12 +463,34 @@ enum ActiveFilter {
 }
 
 impl ActiveFilter {
-    fn classify(&self, email: &Email) -> Verdict {
+    /// Classify an interned token set. Ids interned at delivery may name
+    /// tokens the model never trained; they score the prior, which the
+    /// δ(E) strength band excludes, so the verdict equals the read-only
+    /// [`sb_filter::classify::lookup_ids`] path's (property-tested in
+    /// `sb-filter`'s `tests/prop_intern.rs`).
+    fn classify_ids(&self, ids: &[TokenId]) -> Verdict {
         match self {
-            ActiveFilter::Plain(f) => f.classify(email).verdict,
-            ActiveFilter::Calibrated(c) => c.classify(email).verdict,
+            ActiveFilter::Plain(f) => f.classify_ids(ids).verdict,
+            ActiveFilter::Calibrated(c) => c.classify_ids(ids).verdict,
         }
     }
+
+    /// The `SpamBayes` that classifies. A calibrated filter's inner filter
+    /// already carries the calibrated cutoffs in its options.
+    fn model(&self) -> &SpamBayes {
+        match self {
+            ActiveFilter::Plain(f) => f,
+            ActiveFilter::Calibrated(c) => c.filter(),
+        }
+    }
+}
+
+/// Tokenize and intern one message: the id set it is classified, screened
+/// and trained by. The organization calls this once per delivered message
+/// (on the delivering shard) and again only to rebuild ids it does not
+/// keep — the bootstrap in `try_new`, the pool and replay in `restore`.
+fn intern_email(tokenizer: &Tokenizer, interner: &Interner, email: &Email) -> Arc<Vec<TokenId>> {
+    Arc::new(interner.intern_set(&tokenizer.token_set(email)))
 }
 
 /// Capture a filter as a last-good checkpoint: the `persist` dump image of
@@ -472,10 +499,7 @@ impl ActiveFilter {
 /// carry the calibrated cutoffs, so the image + cutoff pair reproduces
 /// either variant's verdicts exactly.
 fn filter_image(filter: &ActiveFilter) -> (Vec<u8>, (f64, f64)) {
-    let f = match filter {
-        ActiveFilter::Plain(f) => f,
-        ActiveFilter::Calibrated(c) => c.filter(),
-    };
+    let f = filter.model();
     let opts = f.options();
     (
         sb_filter::persist::snapshot(f.db()),
@@ -585,9 +609,30 @@ impl OrgReport {
 /// keeps its *original* slot, whose first attempt never pooled), so the
 /// merge at retrain is a total order independent of shard count and
 /// scheduling. `user` keys the crash quarantine: shard ids change with the
-/// shard count, the recipient does not.
-#[derive(Clone, Serialize, Deserialize)]
+/// shard count, the recipient does not. `ids` is the interned token set
+/// the delivering shard classified the message by; the retrain screens
+/// and trains on it without tokenizing again.
+#[derive(Clone)]
 struct FreshMail {
+    day: u32,
+    pos: u64,
+    user: usize,
+    mail: LabeledEmail,
+    ids: Arc<Vec<TokenId>>,
+}
+
+impl AsIdSlice for FreshMail {
+    fn ids(&self) -> &[TokenId] {
+        &self.ids
+    }
+}
+
+/// A quarantined [`FreshMail`] as an [`OrgCheckpoint`] stores it: the
+/// message and its merge key without the ids, so a checkpoint never holds
+/// a `TokenId` (ids are only meaningful to the interner that issued them).
+/// [`MailOrg::restore`] re-interns it.
+#[derive(Clone, Serialize, Deserialize)]
+struct ReplayMail {
     day: u32,
     pos: u64,
     user: usize,
@@ -627,8 +672,8 @@ fn merge_fresh(per_shard: Vec<Vec<FreshMail>>) -> Vec<FreshMail> {
 }
 
 /// Per-shard, per-week accounting, merged by summation at the week
-/// boundary. Every field is order-independent (counters, or a mailbox
-/// whose §2.1 costs are counts), so the merged tally is shard-invariant.
+/// boundary. Every field is an order-independent counter, so the merged
+/// tally is shard-invariant.
 #[derive(Default)]
 struct WeekTally {
     offered: usize,
@@ -638,13 +683,9 @@ struct WeekTally {
     bounced: usize,
     fault_stats: FaultStats,
     redelivered: usize,
-    n_ham: usize,
-    n_spam: usize,
-    ham_as_spam: usize,
-    ham_as_unsure: usize,
-    spam_as_spam: usize,
-    spam_as_unsure: usize,
-    costs_box: Mailbox,
+    /// The week's classified mail by routed folder × ground truth: the
+    /// verdict rates and the §2.1 costs both read it.
+    counts: FolderCounts,
 }
 
 impl WeekTally {
@@ -656,45 +697,24 @@ impl WeekTally {
         self.bounced += other.bounced;
         self.redelivered += other.redelivered;
         self.fault_stats.absorb(other.fault_stats);
-        self.n_ham += other.n_ham;
-        self.n_spam += other.n_spam;
-        self.ham_as_spam += other.ham_as_spam;
-        self.ham_as_unsure += other.ham_as_unsure;
-        self.spam_as_spam += other.spam_as_spam;
-        self.spam_as_unsure += other.spam_as_unsure;
-        self.costs_box.absorb(other.costs_box);
+        self.counts.absorb(other.counts);
     }
 
     fn record_verdict(&mut self, truth: Label, verdict: Verdict) {
-        match truth {
-            Label::Ham => {
-                self.n_ham += 1;
-                match verdict {
-                    Verdict::Spam => self.ham_as_spam += 1,
-                    Verdict::Unsure => self.ham_as_unsure += 1,
-                    Verdict::Ham => {}
-                }
-            }
-            Label::Spam => {
-                self.n_spam += 1;
-                match verdict {
-                    Verdict::Spam => self.spam_as_spam += 1,
-                    Verdict::Unsure => self.spam_as_unsure += 1,
-                    Verdict::Ham => {}
-                }
-            }
-        }
+        self.counts.record(Folder::for_verdict(verdict), truth);
     }
 }
 
 /// Read-only context a shard needs to run a day: configuration, seed tree,
-/// corpus generator, the shared filter, the per-user traffic rates, the
-/// global corpus counters the bootstrap consumed, and the period's attack
-/// batches.
+/// corpus generator, the tokenizer and interner delivery uses, the shared
+/// filter, the per-user traffic rates, the global corpus counters the
+/// bootstrap consumed, and the period's attack batches.
 struct DayCtx<'a> {
     cfg: &'a OrgConfig,
     seeds: &'a SeedTree,
     generator: &'a EmailGenerator,
+    tokenizer: &'a Tokenizer,
+    interner: &'a Interner,
     filter: &'a ActiveFilter,
     /// Effective per-user daily rates ([`OrgConfig::per_user_rates`]).
     rates: &'a [TrafficMix],
@@ -886,8 +906,8 @@ impl Shard {
                 day_seeds.child("pipe").index(i as u64).seed(),
             );
             let mut server = SmtpServer::new("mx.corp.example");
-            let rcpt = &ctx.cfg.users[user];
-            let env = Envelope::to_one("sender@outside.example", rcpt.clone(), email);
+            let rcpt = ctx.cfg.users[user].clone();
+            let env = Envelope::to_one("sender@outside.example", rcpt, email);
             let report = client.deliver_all(&mut pipe, &mut server, std::slice::from_ref(&env));
             tally.fault_stats.absorb(pipe.stats());
 
@@ -899,36 +919,8 @@ impl Shard {
             }
             match (report.delivered, got) {
                 (1, Some(msg)) => {
-                    tally.accepted += 1;
-                    // Routing: an accepted message whose recipient has no
-                    // local mailbox — dropped from the table, or lost to a
-                    // scheduled mailbox fault for the rest of the period —
-                    // bounces into the day stats; it is never classified
-                    // and never reaches the training pool. (Pre-shard code
-                    // panicked here; a stale routing table must degrade,
-                    // not abort.)
-                    if ctx.cfg.fault_plan.mailbox_lost(user, day, ctx.cfg.retrain_every) {
-                        tally.bounced += 1;
-                        continue;
-                    }
-                    let Some(mbox) = self.mailboxes.get_mut(rcpt) else {
-                        tally.bounced += 1;
-                        continue;
-                    };
-                    // Classify the message as received (post-wire).
-                    let verdict = ctx.filter.classify(&msg.email);
-                    tally.record_verdict(truth, verdict);
-                    mbox.deliver(msg.email.clone(), truth, verdict, day);
-                    tally.costs_box.deliver(msg.email.clone(), truth, verdict, day);
-                    tally.delivered += 1;
-                    // Into the fresh pool with its ground-truth training
-                    // label and canonical arrival position.
-                    self.fresh.push(FreshMail {
-                        day,
-                        pos: i as u64,
-                        user,
-                        mail: LabeledEmail::new(msg.email, truth),
-                    });
+                    let mail = LabeledEmail::new(msg.email, truth);
+                    self.file_accepted(ctx, day, (day, i as u64), user, mail, tally);
                 }
                 _ => {
                     // Exhausted retries: park for redelivery on a later
@@ -949,6 +941,44 @@ impl Shard {
                 }
             }
         }
+    }
+
+    /// File one message the server accepted on `day` for `user`. An
+    /// accepted message whose recipient has no local mailbox — dropped
+    /// from the table, or lost to a scheduled mailbox fault for the rest
+    /// of the period — bounces into the day stats; it is never classified
+    /// and never reaches the training pool (a stale routing table must
+    /// degrade, not abort). Otherwise the
+    /// message as received (post-wire) is tokenized and interned — the
+    /// only time the organization tokenizes it — classified by id, routed
+    /// into the mailbox, and pooled with its ground-truth training label
+    /// and ids under its canonical arrival `slot`. Returns whether the
+    /// message was delivered.
+    fn file_accepted(
+        &mut self,
+        ctx: &DayCtx<'_>,
+        day: u32,
+        (slot_day, pos): (u32, u64),
+        user: usize,
+        mail: LabeledEmail,
+        tally: &mut WeekTally,
+    ) -> bool {
+        tally.accepted += 1;
+        if ctx.cfg.fault_plan.mailbox_lost(user, day, ctx.cfg.retrain_every) {
+            tally.bounced += 1;
+            return false;
+        }
+        let Some(mbox) = self.mailboxes.get_mut(&ctx.cfg.users[user]) else {
+            tally.bounced += 1;
+            return false;
+        };
+        let ids = intern_email(ctx.tokenizer, ctx.interner, &mail.email);
+        let verdict = ctx.filter.classify_ids(&ids);
+        tally.record_verdict(mail.label, verdict);
+        mbox.deliver(mail.email.clone(), mail.label, verdict, day);
+        tally.delivered += 1;
+        self.fresh.push(FreshMail { day: slot_day, pos, user, mail, ids });
+        true
     }
 
     /// Re-run the shard's deferred queue through today's wire plan. Each
@@ -982,8 +1012,8 @@ impl Shard {
                     .seed(),
             );
             let mut server = SmtpServer::new("mx.corp.example");
-            let rcpt = &ctx.cfg.users[d.user];
-            let env = Envelope::to_one("sender@outside.example", rcpt.clone(), d.email.clone());
+            let rcpt = ctx.cfg.users[d.user].clone();
+            let env = Envelope::to_one("sender@outside.example", rcpt, d.email.clone());
             let report = client.deliver_all(&mut pipe, &mut server, std::slice::from_ref(&env));
             tally.fault_stats.absorb(pipe.stats());
             let mut got = None;
@@ -994,29 +1024,15 @@ impl Shard {
             }
             match (report.delivered, got) {
                 (1, Some(msg)) => {
-                    tally.accepted += 1;
                     // A recipient who lost their mailbox since the original
-                    // attempt bounces terminally — same as a first attempt.
-                    if ctx.cfg.fault_plan.mailbox_lost(d.user, day, ctx.cfg.retrain_every) {
-                        tally.bounced += 1;
-                        continue;
+                    // attempt bounces terminally, same as a first attempt;
+                    // otherwise the redelivered (post-wire) copy is what
+                    // gets tokenized, classified and pooled.
+                    let mail = LabeledEmail::new(msg.email, d.truth);
+                    let slot = (d.orig_day, d.orig_pos);
+                    if self.file_accepted(ctx, day, slot, d.user, mail, tally) {
+                        tally.redelivered += 1;
                     }
-                    let Some(mbox) = self.mailboxes.get_mut(rcpt) else {
-                        tally.bounced += 1;
-                        continue;
-                    };
-                    let verdict = ctx.filter.classify(&msg.email);
-                    tally.record_verdict(d.truth, verdict);
-                    mbox.deliver(msg.email.clone(), d.truth, verdict, day);
-                    tally.costs_box.deliver(msg.email.clone(), d.truth, verdict, day);
-                    tally.delivered += 1;
-                    tally.redelivered += 1;
-                    self.fresh.push(FreshMail {
-                        day: d.orig_day,
-                        pos: d.orig_pos,
-                        user: d.user,
-                        mail: LabeledEmail::new(msg.email, d.truth),
-                    });
                 }
                 _ => {
                     let attempts = d.attempts + 1;
@@ -1041,7 +1057,8 @@ impl Shard {
 /// filter travels as a `persist` dump image plus its θ0/θ1 cutoffs, which
 /// reproduces classification exactly (counts are exact `u32`s and token
 /// scoring tie-breaks by resolved string, so interner state is
-/// irrelevant).
+/// irrelevant). The checkpoint holds no `TokenId`: pool and replay
+/// entries are stored as messages and re-interned on restore.
 #[derive(Clone, Serialize, Deserialize)]
 pub struct OrgCheckpoint {
     next_week: u32,
@@ -1057,7 +1074,8 @@ pub struct OrgCheckpoint {
     checkpoint_image: Vec<u8>,
     checkpoint_cutoffs: (f64, f64),
     pool: Dataset,
-    replay: Vec<FreshMail>,
+    /// Canonically ordered by `(day, pos)`.
+    replay: Vec<ReplayMail>,
     /// `(user index, mailbox)` — only users that still have one.
     mailboxes: Vec<(usize, Mailbox)>,
     /// Canonically ordered by `(orig_day, orig_pos)`.
@@ -1085,8 +1103,9 @@ pub struct MailOrg {
     bootstrap: Dataset,
     /// Screened, training-eligible pool (starts as the bootstrap).
     pool: Dataset,
-    /// Interned token sets parallel to `pool`: tokenize once on admission,
-    /// retrain by id every week thereafter.
+    /// Interned token sets parallel to `pool`: tokenized once at delivery
+    /// (the bootstrap at construction), retrained by id every week
+    /// thereafter.
     pool_ids: Vec<Arc<Vec<TokenId>>>,
     interner: Interner,
     /// Worker shards owning disjoint round-robin slices of the users.
@@ -1158,7 +1177,7 @@ impl MailOrg {
         let mut filter = SpamBayes::new();
         let mut pool_ids: Vec<Arc<Vec<TokenId>>> = Vec::with_capacity(bootstrap.len());
         for m in bootstrap.emails() {
-            let ids = Arc::new(interner.intern_set(&tokenizer.token_set(&m.email)));
+            let ids = intern_email(&tokenizer, &interner, &m.email);
             filter.train_ids(&ids, m.label, 1);
             pool_ids.push(ids);
         }
@@ -1286,19 +1305,22 @@ impl MailOrg {
             "week reports must append in canonical week order"
         );
         let user = UserModel::default();
+        let c = &tally.counts;
+        let (n_ham, n_spam) = (c.total(Label::Ham), c.total(Label::Spam));
+        let ham_as_spam = c.get(Folder::Spam, Label::Ham);
         self.weeks.push(WeekReport {
             week,
             offered: tally.offered,
             accepted: tally.accepted,
             bounced: tally.bounced,
-            ham_as_spam: rate(tally.ham_as_spam, tally.n_ham),
-            ham_misrouted: rate(tally.ham_as_spam + tally.ham_as_unsure, tally.n_ham),
-            spam_caught: rate(tally.spam_as_spam, tally.n_spam),
-            spam_as_unsure: rate(tally.spam_as_unsure, tally.n_spam),
+            ham_as_spam: rate(ham_as_spam, n_ham),
+            ham_misrouted: rate(ham_as_spam + c.get(Folder::Unsure, Label::Ham), n_ham),
+            spam_caught: rate(c.get(Folder::Spam, Label::Spam), n_spam),
+            spam_as_unsure: rate(c.get(Folder::Unsure, Label::Spam), n_spam),
             screened_out: outcome.screened_out,
             screen_error: outcome.screen_error,
-            costs: user.costs(&tally.costs_box),
-            filter_useless: user.filter_useless(&tally.costs_box, 0.2),
+            costs: user.costs(c),
+            filter_useless: user.filter_useless(c, 0.2),
             deferred,
             redelivered: tally.redelivered,
             quarantined: outcome.quarantined,
@@ -1349,8 +1371,12 @@ impl MailOrg {
             .flat_map(|s| s.deferred.iter().cloned())
             .collect();
         deferred.sort_unstable_by_key(|d| (d.orig_day, d.orig_pos));
-        let mut replay = self.replay.clone();
-        replay.sort_unstable_by_key(|f| (f.day, f.pos));
+        let mut replay: Vec<ReplayMail> = self
+            .replay
+            .iter()
+            .map(|f| ReplayMail { day: f.day, pos: f.pos, user: f.user, mail: f.mail.clone() })
+            .collect();
+        replay.sort_unstable_by_key(|r| (r.day, r.pos));
         OrgCheckpoint {
             next_week: self.next_week,
             weeks: self.weeks.clone(),
@@ -1400,17 +1426,27 @@ impl MailOrg {
         org.serving_stale = ckpt.serving_stale;
         org.checkpoint_image = ckpt.checkpoint_image.clone();
         org.checkpoint_cutoffs = ckpt.checkpoint_cutoffs;
-        org.replay = ckpt.replay.clone();
-        // Pool ids are recomputed by re-tokenizing: the interner is shared
-        // process-global state, so the id *values* may differ from the
-        // original run's, but training and scoring only ever depend on the
-        // resolved token strings.
+        // Pool and replay ids are recomputed by re-tokenizing: the interner
+        // is shared process-global state, so the id *values* may differ
+        // from the original run's, but screening, training and scoring
+        // only ever depend on the resolved token strings.
         org.pool = ckpt.pool.clone();
         org.pool_ids = org
             .pool
             .emails()
             .iter()
-            .map(|m| Arc::new(org.interner.intern_set(&org.tokenizer.token_set(&m.email))))
+            .map(|m| intern_email(&org.tokenizer, &org.interner, &m.email))
+            .collect();
+        org.replay = ckpt
+            .replay
+            .iter()
+            .map(|r| FreshMail {
+                day: r.day,
+                pos: r.pos,
+                user: r.user,
+                mail: r.mail.clone(),
+                ids: intern_email(&org.tokenizer, &org.interner, &r.mail.email),
+            })
             .collect();
         // Redistribute user-keyed state over this run's shard layout.
         let n = org.shards.len();
@@ -1437,10 +1473,18 @@ impl MailOrg {
     /// delivers only its own users' wire positions.
     fn simulate_days(&mut self, first_day: u32, last_day: u32) -> WeekTally {
         let attack_batches = attack_batches_for(&self.cfg, &self.seeds, first_day, last_day);
+        // Delivery classifies ids from `self.interner` against the filter's
+        // counts, so both must resolve ids through the same table.
+        debug_assert!(
+            self.filter.model().interner().same_table(&self.interner),
+            "delivery interner and serving filter must share one table"
+        );
         let ctx = DayCtx {
             cfg: &self.cfg,
             seeds: &self.seeds,
             generator: &self.generator,
+            tokenizer: &self.tokenizer,
+            interner: &self.interner,
             filter: &self.filter,
             rates: &self.rates,
             total_ham: self.rates.iter().map(|r| r.ham_per_day).sum(),
@@ -1549,18 +1593,10 @@ impl MailOrg {
         let mut screened_out = 0usize;
         let mut screen_error = None;
 
-        // Phase 1: admission control on the fresh messages. Each fresh
-        // message is tokenized + interned exactly once here; the id set
-        // drives screening now and every retrain afterwards.
-        let fresh_ids: Vec<Arc<Vec<TokenId>>> = fresh
-            .iter()
-            .map(|f| {
-                Arc::new(
-                    self.interner
-                        .intern_set(&self.tokenizer.token_set(&f.mail.email)),
-                )
-            })
-            .collect();
+        // Phase 1: admission control on the fresh messages. Each one
+        // arrives with the id set its delivering shard interned and
+        // classified it by; that set drives screening now and every
+        // retrain afterwards, so nothing here tokenizes.
         match self.cfg.defense {
             DefensePolicy::Roni | DefensePolicy::RoniPlusThreshold => {
                 let mut rng = week_seeds.child("roni").rng();
@@ -1575,17 +1611,17 @@ impl MailOrg {
                 // mutated). A screening failure fails closed: the week's
                 // mail stays out of the pool and the error lands in the
                 // report.
-                match roni.try_screen_ids(&fresh_ids) {
+                match roni.try_screen_ids(&fresh) {
                     Ok((kept, rejected)) => {
                         screened_out += rejected.len();
                         let mut admit = vec![false; fresh.len()];
                         for i in kept {
                             admit[i] = true;
                         }
-                        for ((f, ids), ok) in fresh.into_iter().zip(fresh_ids).zip(admit) {
+                        for (f, ok) in fresh.into_iter().zip(admit) {
                             if ok {
                                 self.pool.push(f.mail);
-                                self.pool_ids.push(ids);
+                                self.pool_ids.push(f.ids);
                             }
                         }
                     }
@@ -1595,9 +1631,9 @@ impl MailOrg {
                 }
             }
             _ => {
-                for (f, ids) in fresh.into_iter().zip(fresh_ids) {
+                for f in fresh {
                     self.pool.push(f.mail);
-                    self.pool_ids.push(ids);
+                    self.pool_ids.push(f.ids);
                 }
             }
         }
@@ -2062,6 +2098,8 @@ mod tests {
             cfg: &org.cfg,
             seeds: &org.seeds,
             generator: &org.generator,
+            tokenizer: &org.tokenizer,
+            interner: &org.interner,
             filter: &org.filter,
             rates: &org.rates,
             total_ham: org.rates.iter().map(|r| r.ham_per_day).sum(),
@@ -2257,6 +2295,7 @@ mod tests {
             mail: LabeledEmail::ham(
                 sb_email::Email::builder().body(format!("d{day}p{pos}")).build(),
             ),
+            ids: Arc::new(Vec::new()),
         };
         // Two shards' pools, interleaved arrivals across two days.
         let shard_a = || vec![entry(1, 0), entry(1, 2), entry(2, 1)];

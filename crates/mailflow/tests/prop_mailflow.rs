@@ -7,10 +7,11 @@ use sb_core::{
     AttackKind, CampaignSpec, DictionaryAttack, DictionaryKind, Intensity, MessageRef,
 };
 use sb_email::Email;
+use sb_email::Label;
 use sb_mailflow::{
     dot_stuff, dot_unstuff, AttackPlan, Command, DefensePolicy, Envelope, FaultConfig, FaultEvent,
-    FaultyPipe, LineCodec, MailOrg, OrgConfig, OrgReport, Reply, SmtpClient, SmtpServer,
-    TrafficMix, MAX_LINE_LEN,
+    FaultyPipe, Folder, LineCodec, MailOrg, Mailbox, OrgConfig, OrgReport, Reply, SmtpClient,
+    SmtpServer, TrafficMix, UserModel, MAX_LINE_LEN,
 };
 
 /// A proptest-sized organization: small enough that a full multi-week
@@ -399,6 +400,67 @@ proptest! {
                 "chaos plan diverged at shards={}",
                 shards
             );
+        }
+    }
+
+    /// The week report's §2.1 costs come from counts kept as mail is
+    /// classified, never from the mailboxes. Recount each week from the
+    /// users' mailboxes instead (messages whose delivery day falls in the
+    /// week) and require the same costs, usefulness verdict and verdict
+    /// rates, at shard counts 1 and 2, over a harsh wire (redelivered
+    /// mail lands on its redelivery day), a mailbox loss (bounces are in
+    /// neither) and an attack that misroutes ham after the first retrain.
+    #[test]
+    fn week_costs_match_the_mailboxes(
+        seed in any::<u64>(),
+        roni in any::<bool>(),
+    ) {
+        let defense = if roni { DefensePolicy::Roni } else { DefensePolicy::None };
+        let user = UserModel::default();
+        for shards in [1usize, 2] {
+            let mut cfg = tiny_org(seed, true, defense, shards);
+            cfg.faults = FaultConfig::harsh();
+            cfg.attacks = vec![AttackPlan::new(
+                2,
+                4,
+                Box::new(DictionaryAttack::new(DictionaryKind::UsenetTop(2_000))),
+            )];
+            cfg.fault_plan.events = vec![FaultEvent::MailboxLoss { day: 4, user: 2 }];
+            let users = cfg.users.clone();
+            let (every, days) = (cfg.retrain_every, cfg.days);
+            let mut org = MailOrg::new(cfg);
+            let mut redelivered = 0;
+            while let Some(week) = org.step_week().cloned() {
+                redelivered += week.redelivered;
+                let in_week = (week.week - 1) * every + 1..=(week.week * every).min(days);
+                let mut week_box = Mailbox::new();
+                for name in &users {
+                    let mbox = org.mailbox(name).expect("mailbox losses bounce, never remove");
+                    for folder in [Folder::Inbox, Folder::Unsure, Folder::Spam] {
+                        for m in mbox.folder(folder).iter().filter(|m| in_week.contains(&m.day)) {
+                            week_box.deliver(m.email.clone(), m.truth, m.verdict, m.day);
+                        }
+                    }
+                }
+                prop_assert_eq!(
+                    week_box.len(),
+                    week.accepted - week.bounced,
+                    "week {} at shards={}: every delivered message is in a mailbox",
+                    week.week,
+                    shards
+                );
+                let counts = week_box.counts();
+                prop_assert_eq!(week.costs, user.costs(&counts), "week {} shards={}", week.week, shards);
+                prop_assert_eq!(week.filter_useless, user.filter_useless(&counts, 0.2));
+                let ham = week_box.count(Folder::Inbox, Label::Ham)
+                    + week_box.count(Folder::Unsure, Label::Ham)
+                    + week_box.count(Folder::Spam, Label::Ham);
+                let misrouted = week_box.count(Folder::Unsure, Label::Ham)
+                    + week_box.count(Folder::Spam, Label::Ham);
+                let expect = if ham == 0 { 0.0 } else { misrouted as f64 / ham as f64 };
+                prop_assert_eq!(week.ham_misrouted.to_bits(), expect.to_bits());
+            }
+            prop_assert!(redelivered > 0, "a harsh wire must exercise redelivery");
         }
     }
 
