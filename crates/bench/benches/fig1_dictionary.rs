@@ -4,7 +4,7 @@
 //! classification), so regressions in any stage show up here.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sb_experiments::config::{Fig1Config, Scale};
+use sb_experiments::config::Fig1Config;
 use sb_experiments::figures::fig1;
 
 fn bench_fig1(c: &mut Criterion) {
@@ -12,7 +12,7 @@ fn bench_fig1(c: &mut Criterion) {
         train_size: 600,
         folds: 2,
         fractions: vec![0.01, 0.05],
-        ..Fig1Config::at_scale(Scale::Quick, 0xF1)
+        ..Fig1Config::quick(0xF1)
     };
     let mut g = c.benchmark_group("fig1");
     g.sample_size(10);

@@ -1,7 +1,7 @@
 //! Figure 2 reproduction bench: focused attack vs guess probability.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sb_experiments::config::{FocusedConfig, Scale};
+use sb_experiments::config::FocusedConfig;
 use sb_experiments::figures::focused;
 
 fn bench_fig2(c: &mut Criterion) {
@@ -11,7 +11,7 @@ fn bench_fig2(c: &mut Criterion) {
         repetitions: 2,
         guess_probs: vec![0.1, 0.5, 0.9],
         fig2_attack_count: 24,
-        ..FocusedConfig::at_scale(Scale::Quick, 0xF2)
+        ..FocusedConfig::quick(0xF2)
     };
     let mut g = c.benchmark_group("fig2");
     g.sample_size(10);

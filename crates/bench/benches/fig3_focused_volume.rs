@@ -2,7 +2,7 @@
 //! (exercises the incremental multiplicity-training fast path).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sb_experiments::config::{FocusedConfig, Scale};
+use sb_experiments::config::FocusedConfig;
 use sb_experiments::figures::focused;
 
 fn bench_fig3(c: &mut Criterion) {
@@ -11,7 +11,7 @@ fn bench_fig3(c: &mut Criterion) {
         n_targets: 5,
         repetitions: 2,
         fig3_fractions: vec![0.01, 0.05, 0.10],
-        ..FocusedConfig::at_scale(Scale::Quick, 0xF3)
+        ..FocusedConfig::quick(0xF3)
     };
     let mut g = c.benchmark_group("fig3");
     g.sample_size(10);

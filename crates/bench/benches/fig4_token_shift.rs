@@ -4,7 +4,7 @@
 //! case search) that regenerates the paper's scatter panels.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sb_experiments::config::{FocusedConfig, Scale};
+use sb_experiments::config::FocusedConfig;
 use sb_experiments::figures::fig4;
 use std::hint::black_box;
 
@@ -13,7 +13,7 @@ fn bench_fig4(c: &mut Criterion) {
         inbox_size: 400,
         n_targets: 6,
         repetitions: 1,
-        ..FocusedConfig::at_scale(Scale::Quick, 0xF4)
+        ..FocusedConfig::quick(0xF4)
     };
     let mut g = c.benchmark_group("fig4");
     g.sample_size(10);

@@ -3,7 +3,7 @@
 //! half-split retrain + validation scoring).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sb_experiments::config::{Fig5Config, Scale};
+use sb_experiments::config::Fig5Config;
 use sb_experiments::figures::fig5;
 
 fn bench_fig5(c: &mut Criterion) {
@@ -11,7 +11,7 @@ fn bench_fig5(c: &mut Criterion) {
         train_size: 600,
         folds: 2,
         fractions: vec![0.05],
-        ..Fig5Config::at_scale(Scale::Quick, 0xF5)
+        ..Fig5Config::quick(0xF5)
     };
     let mut g = c.benchmark_group("fig5");
     g.sample_size(10);

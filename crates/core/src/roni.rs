@@ -72,7 +72,8 @@ pub struct RoniConfig {
     /// exceeds this many messages. The paper sets its threshold inside the
     /// measured separability gap (theirs: ≥ 6.8 attack vs ≤ 4.4
     /// non-attack); ours sits inside the gap measured on the synthetic
-    /// corpus by `repro roni` (attack ≥ 5.4 vs non-attack ≤ 4.8).
+    /// corpus by the rig's `roni` target (`repro run --only roni`; attack
+    /// ≥ 5.4 vs non-attack ≤ 4.8).
     pub reject_threshold: f64,
 }
 

@@ -1,45 +1,27 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro <command> [--seed N] [--scale full|quick] [--out DIR] [--threads N]
+//! repro run [--tier lite|full] [--only STEM] [--update-golden]
+//!           [--seed N] [--threads N] [--out DIR] [--scenarios DIR]
+//! repro serve-bench [--tenants N] [--seed N] [--threads N] [--out DIR]
+//! repro model pack <in> <out>
+//! repro model inspect <img>
+//! repro lint [--deep]
 //!
 //! commands:
-//!   table1    print the experimental-parameter registry (paper Table 1)
-//!   fig1      dictionary attacks vs attack fraction (Figure 1)
-//!   tokens    token-volume accounting at 2% contamination (§4.2)
-//!   fig2      focused attack vs guess probability (Figure 2)
-//!   fig3      focused attack vs attack volume (Figure 3)
-//!   fig4      token-score shift scatter data (Figure 4)
-//!   fig5      dynamic threshold defense (Figure 5)
-//!   roni      RONI defense experiment (§5.1)
-//!   variations  Table 1 size/prevalence variations of the dictionary sweep
-//!   headline  the §7 headline numbers (runs fig1+fig2+fig3)
-//!
-//! extension experiments (systems the paper names or defers):
-//!   transfer  attack transfer across the filter zoo (§7 claim)
-//!   constrained  optimal constrained attack budget sweep (§3.4)
-//!   hamattack    ham-labeled integrity attack (§2.2 remark)
-//!   matrix    attack × defense grid (§5 cross terms)
-//!   weeks     week-by-week organization simulation over SMTP (§2.1)
-//!   scenarios run the committed scenario suite (multi-campaign overlap,
-//!             intensity schedules, focused/ham-chaff campaigns, per-user
-//!             traffic skews), print each golden digest, and evaluate
-//!             every in-file `expect` assertion (non-zero exit on any
-//!             failure); `--filter STEM` runs a single scenario by name
-//!
-//!   extensions  the five extension experiments
-//!   all       everything above
-//!
-//! the tiered reproduction rig:
-//!   run       run every registered reproduction target at a tier
-//!             (`--tier lite` = CI-sized, byte-exact goldens under
-//!             `tests/golden/lite/`; `--tier full` = paper-scale with
-//!             typed paper-claim assertions, digest drift is a warning);
-//!             `--only STEM` selects one target, `--update-golden`
-//!             rewrites the tier's committed digests; artifacts land in
-//!             `<out>/<tier>/` and telemetry appends to `BENCH_pr9.json`
-//!
-//! the serving layer (sb-serve):
+//!   run       the tiered reproduction rig: every registered target — the
+//!             paper's Figures 1–5, the §4.2 token volume, the §5.1 RONI
+//!             study, the Table 1 variations, the extension experiments
+//!             (transfer, constrained, hamattack, matrix, weeks), every
+//!             committed scenario and the `org-scale` organization — at a
+//!             tier (`--tier lite` = CI-sized, byte-exact goldens under
+//!             `tests/golden/lite/`; `--tier full` = paper scale with
+//!             typed paper-claim assertions, digest drift is a warning).
+//!             Each target prints its table(s) — scenario targets their
+//!             per-week table — and writes them, with its digest, under
+//!             `<out>/<tier>/`, next to the paper's Table 1 and
+//!             `rig_summary.csv`. `--only STEM` selects one target;
+//!             `--update-golden` rewrites the tier's committed digests.
 //!   serve-bench  pack a paper-scale model image, time image-load vs
 //!             text-parse-load, register `--tenants N` tenant overlay
 //!             stacks over the shared mmap base, audit every tenant's
@@ -50,45 +32,29 @@
 //!             the loader sniffs magic bytes) to a packed image
 //!   model inspect <img>       print an image's header, checksum
 //!             verdict, and load mechanism (mmap vs read)
-//!
-//! housekeeping:
 //!   lint      run the workspace determinism/invariant linter in deny
 //!             mode (same gate as CI's `cargo run -p sb-lint -- --deny`);
 //!             non-zero exit on any deny-severity finding; `--deep` adds
 //!             the call-graph taint/panic-reachability passes
 //! ```
 //!
-//! ASCII tables go to stdout; CSVs to `--out` (default `reports/`).
+//! ASCII tables go to stdout; CSVs and `.txt` renderings go to `--out`
+//! (default `reports/`).
 
-use sb_experiments::config::{
-    table1, ConstrainedConfig, DefenseMatrixConfig, Fig1Config, Fig5Config, FocusedConfig,
-    HamAttackConfig, MailflowConfig, RoniExperimentConfig, Scale, ScenarioSuiteConfig,
-    TransferConfig,
-};
-use sb_experiments::rig;
-use sb_experiments::scenario::{golden_digest, ScenarioSpec};
-use sb_experiments::figures::{
-    constrained_exp, defense_matrix, fig1, fig4, fig5, focused, ham_attack_exp, headline,
-    mailflow_weeks, roni_exp, tokens, transfer, variations,
-};
-use sb_experiments::report::{f, pct, Table};
+use sb_experiments::config::ScenarioSuiteConfig;
 use sb_experiments::default_threads;
-use std::path::PathBuf;
+use sb_experiments::report::{f, Table};
+use sb_experiments::rig;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 struct Args {
     command: String,
     seed: u64,
-    scale: Scale,
     out: PathBuf,
     threads: usize,
-    /// Shard override for the `weeks` / `scenarios` organization
-    /// simulations (None = the config's own default).
-    shards: Option<usize>,
-    /// Directory of `*.scenario` files for the `scenarios` subcommand.
+    /// Directory of `*.scenario` files the rig registers as targets.
     scenarios_dir: PathBuf,
-    /// Run only the scenario with this stem (file stem / spec name).
-    filter: Option<String>,
     /// `lint --deep`: also run the call-graph passes (taint/reach).
     deep: bool,
     /// `run --tier`: which rig tier (default lite).
@@ -106,13 +72,12 @@ struct Args {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: repro <table1|fig1|tokens|fig2|fig3|fig4|fig5|roni|variations|headline|\
-         transfer|constrained|hamattack|matrix|weeks|scenarios|run|serve-bench|model|\
-         extensions|all|lint> \
-         [--seed N] [--scale full|quick] [--out DIR] [--threads N] [--shards N] \
-         [--scenarios DIR] [--filter STEM] [--deep] \
-         [--tier lite|full] [--only STEM] [--update-golden] [--tenants N]\n\
-         model subcommands: model pack <in> <out> | model inspect <img>"
+        "usage: repro run [--tier lite|full] [--only STEM] [--update-golden]\n\
+         \x20                [--seed N] [--threads N] [--out DIR] [--scenarios DIR]\n\
+         \x20      repro serve-bench [--tenants N] [--seed N] [--threads N] [--out DIR]\n\
+         \x20      repro model pack <in> <out>\n\
+         \x20      repro model inspect <img>\n\
+         \x20      repro lint [--deep]"
     );
     ExitCode::from(2)
 }
@@ -120,15 +85,15 @@ fn usage() -> ExitCode {
 fn parse_args() -> Result<Args, String> {
     let mut argv = std::env::args().skip(1);
     let command = argv.next().ok_or("missing command")?;
+    if !matches!(command.as_str(), "run" | "serve-bench" | "model" | "lint") {
+        return Err(format!("unknown command {command:?}"));
+    }
     let mut args = Args {
         command,
         seed: 2008,
-        scale: Scale::Full,
         out: PathBuf::from("reports"),
         threads: default_threads(),
-        shards: None,
         scenarios_dir: ScenarioSuiteConfig::default().dir,
-        filter: None,
         deep: false,
         tier: rig::Tier::Lite,
         only: None,
@@ -140,19 +105,11 @@ fn parse_args() -> Result<Args, String> {
         let mut take = || argv.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
             "--seed" => args.seed = take()?.parse().map_err(|e| format!("bad seed: {e}"))?,
-            "--scale" => {
-                let v = take()?;
-                args.scale = Scale::parse(&v).ok_or(format!("bad scale {v:?}"))?;
-            }
             "--out" => args.out = PathBuf::from(take()?),
             "--threads" => {
                 args.threads = take()?.parse().map_err(|e| format!("bad threads: {e}"))?
             }
-            "--shards" => {
-                args.shards = Some(take()?.parse().map_err(|e| format!("bad shards: {e}"))?)
-            }
             "--scenarios" => args.scenarios_dir = PathBuf::from(take()?),
-            "--filter" => args.filter = Some(take()?),
             "--deep" => args.deep = true,
             "--tier" => {
                 let v = take()?;
@@ -176,638 +133,14 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn emit(table: &Table, out: &std::path::Path, name: &str) {
+/// Print a table already written as `dir/name.{csv,txt}`.
+fn print_table(table: &Table, dir: &Path, name: &str) {
     println!("{}", table.to_ascii());
-    match table.write_csv(out, name) {
-        Ok(path) => println!("  -> {}", path.display()),
-        Err(e) => eprintln!("  !! could not write {name}.csv: {e}"),
-    }
-    // The human-readable rendering lands next to the CSV, so `reports/`
-    // stands alone without a terminal scrollback.
-    let txt = out.join(format!("{name}.txt"));
-    match std::fs::write(&txt, table.to_ascii()) {
-        Ok(()) => println!("  -> {}\n", txt.display()),
-        Err(e) => eprintln!("  !! could not write {name}.txt: {e}"),
-    }
+    println!("  -> {}\n", dir.join(format!("{name}.{{csv,txt}}")).display());
 }
 
-fn cmd_table1(args: &Args) {
-    let mut t = Table::new(
-        "Table 1: parameters used in our experiments",
-        &["Parameter", "Dictionary attack", "Focused attack", "RONI", "Threshold"],
-    );
-    for row in table1() {
-        t.row(vec![
-            row.parameter.into(),
-            row.dictionary.into(),
-            row.focused.into(),
-            row.roni.into(),
-            row.threshold.into(),
-        ]);
-    }
-    emit(&t, &args.out, "table1");
-}
-
-fn fig1_table(res: &fig1::Fig1Result) -> Table {
-    let mut t = Table::new(
-        "Figure 1: % test ham misclassified vs attack fraction (10-fold CV)",
-        &[
-            "attack",
-            "fraction",
-            "n_attack",
-            "ham_as_spam%",
-            "ham_spam_or_unsure%",
-            "spam_correct%",
-            "ham_as_spam_sd",
-        ],
-    );
-    for p in &res.points {
-        t.row(vec![
-            p.attack.clone(),
-            f(p.fraction, 3),
-            p.n_attack.to_string(),
-            f(p.ham_as_spam.pct(), 1),
-            f(p.ham_misclassified.pct(), 1),
-            f(p.spam_correct.pct(), 1),
-            f(p.ham_as_spam.std_dev * 100.0, 2),
-        ]);
-    }
-    t
-}
-
-fn cmd_fig1(args: &Args) -> fig1::Fig1Result {
-    let cfg = Fig1Config::at_scale(args.scale, args.seed);
-    eprintln!(
-        "[fig1] train={} folds={} fractions={:?}",
-        cfg.train_size, cfg.folds, cfg.fractions
-    );
-    let res = fig1::run(&cfg, args.threads);
-    emit(&fig1_table(&res), &args.out, "fig1_dictionary");
-    res
-}
-
-fn cmd_tokens(args: &Args) {
-    let size = match args.scale {
-        Scale::Full => 10_000,
-        Scale::Quick => 1_000,
-    };
-    let res = tokens::run(size, 0.02, args.seed);
-    let mut t = Table::new(
-        format!(
-            "§4.2 token volume at 2% contamination ({} msgs, {} corpus tokens)",
-            res.corpus_size, res.corpus_tokens
-        ),
-        &[
-            "attack",
-            "attack_emails",
-            "tokens_per_email",
-            "attack_tokens",
-            "ratio_vs_corpus",
-            "message_fraction%",
-        ],
-    );
-    for r in &res.rows {
-        t.row(vec![
-            r.attack.clone(),
-            r.n_attack_emails.to_string(),
-            r.tokens_per_email.to_string(),
-            r.attack_tokens.to_string(),
-            f(r.ratio, 2),
-            pct(r.message_fraction),
-        ]);
-    }
-    emit(&t, &args.out, "tokens_volume");
-}
-
-fn fig2_table(res: &focused::Fig2Result) -> Table {
-    let mut t = Table::new(
-        "Figure 2: target classification vs guess probability",
-        &["guess_prob", "ham%", "unsure%", "spam%", "n"],
-    );
-    for b in &res.bars {
-        t.row(vec![
-            f(b.guess_prob, 2),
-            pct(b.pct_ham),
-            pct(b.pct_unsure),
-            pct(b.pct_spam),
-            b.n.to_string(),
-        ]);
-    }
-    t
-}
-
-fn cmd_fig2(args: &Args) -> focused::Fig2Result {
-    let cfg = FocusedConfig::at_scale(args.scale, args.seed);
-    eprintln!(
-        "[fig2] inbox={} targets={} reps={} attack_emails={}",
-        cfg.inbox_size, cfg.n_targets, cfg.repetitions, cfg.fig2_attack_count
-    );
-    let res = focused::run_fig2(&cfg, args.threads);
-    emit(&fig2_table(&res), &args.out, "fig2_focused_knowledge");
-    res
-}
-
-fn fig3_table(res: &focused::Fig3Result) -> Table {
-    let mut t = Table::new(
-        "Figure 3: target misclassification vs attack volume (p=0.5)",
-        &["fraction", "n_attack", "target_as_spam%", "target_spam_or_unsure%"],
-    );
-    for p in &res.points {
-        t.row(vec![
-            f(p.fraction, 3),
-            p.n_attack.to_string(),
-            pct(p.pct_spam),
-            pct(p.pct_misclassified),
-        ]);
-    }
-    t
-}
-
-fn cmd_fig3(args: &Args) -> focused::Fig3Result {
-    let cfg = FocusedConfig::at_scale(args.scale, args.seed);
-    eprintln!(
-        "[fig3] inbox={} targets={} reps={} fractions={:?}",
-        cfg.inbox_size, cfg.n_targets, cfg.repetitions, cfg.fig3_fractions
-    );
-    let res = focused::run_fig3(&cfg, args.threads);
-    emit(&fig3_table(&res), &args.out, "fig3_focused_volume");
-    res
-}
-
-fn cmd_fig4(args: &Args) {
-    let cfg = FocusedConfig::at_scale(args.scale, args.seed);
-    let res = fig4::run(&cfg, 60);
-    eprintln!(
-        "[fig4] examined {} targets, found {} outcome cases",
-        res.targets_examined,
-        res.cases.len()
-    );
-    let mut summary = Table::new(
-        "Figure 4: representative focused-attack targets",
-        &[
-            "outcome",
-            "score_before",
-            "score_after",
-            "tokens",
-            "attacked_tokens",
-            "mean_shift_attacked",
-            "mean_shift_other",
-        ],
-    );
-    let mut scatter = Table::new(
-        "Figure 4 scatter: token scores before/after",
-        &["case_outcome", "token", "before", "after", "in_attack"],
-    );
-    for case in &res.cases {
-        let (inc, exc): (Vec<_>, Vec<_>) = case.points.iter().partition(|p| p.in_attack);
-        let mean = |v: &[&fig4::TokenShift]| -> f64 {
-            if v.is_empty() {
-                0.0
-            } else {
-                v.iter().map(|p| p.after - p.before).sum::<f64>() / v.len() as f64
-            }
-        };
-        summary.row(vec![
-            case.outcome.to_string(),
-            f(case.score_before, 3),
-            f(case.score_after, 3),
-            case.points.len().to_string(),
-            inc.len().to_string(),
-            f(mean(&inc), 3),
-            f(mean(&exc), 3),
-        ]);
-        for p in &case.points {
-            scatter.row(vec![
-                case.outcome.to_string(),
-                p.token.clone(),
-                f(p.before, 4),
-                f(p.after, 4),
-                p.in_attack.to_string(),
-            ]);
-        }
-    }
-    emit(&summary, &args.out, "fig4_cases");
-    match scatter.write_csv(&args.out, "fig4_token_shift") {
-        Ok(path) => println!("  -> {} ({} rows)\n", path.display(), scatter.n_rows()),
-        Err(e) => eprintln!("  !! could not write fig4_token_shift.csv: {e}"),
-    }
-}
-
-fn fig5_table(res: &fig5::Fig5Result) -> Table {
-    let mut t = Table::new(
-        "Figure 5: dynamic threshold defense vs dictionary attack",
-        &[
-            "defense",
-            "fraction",
-            "ham_as_spam%",
-            "ham_spam_or_unsure%",
-            "spam_as_unsure%",
-            "spam_correct%",
-        ],
-    );
-    for p in &res.points {
-        t.row(vec![
-            p.defense.name().into(),
-            f(p.fraction, 3),
-            f(p.ham_as_spam.pct(), 1),
-            f(p.ham_misclassified.pct(), 1),
-            f(p.spam_as_unsure.pct(), 1),
-            f(p.spam_correct.pct(), 1),
-        ]);
-    }
-    t
-}
-
-fn cmd_fig5(args: &Args) {
-    let cfg = Fig5Config::at_scale(args.scale, args.seed);
-    eprintln!(
-        "[fig5] train={} folds={} fractions={:?}",
-        cfg.train_size, cfg.folds, cfg.fractions
-    );
-    let res = fig5::run(&cfg, args.threads);
-    emit(&fig5_table(&res), &args.out, "fig5_threshold_defense");
-}
-
-fn cmd_roni(args: &Args) {
-    let cfg = RoniExperimentConfig::at_scale(args.scale, args.seed);
-    eprintln!(
-        "[roni] pool={} reps={} non_attack_spam={}",
-        cfg.pool_size, cfg.reps_per_variant, cfg.non_attack_spam
-    );
-    let res = roni_exp::run(&cfg, args.threads);
-    let mut t = Table::new(
-        "§5.1 RONI: incremental impact (ham-as-ham lost, of 25 validation ham)",
-        &["candidate", "lexicon", "mean_impact", "min/max_impact", "rejected%"],
-    );
-    for v in &res.variants {
-        t.row(vec![
-            v.variant.clone(),
-            v.lexicon_len.to_string(),
-            f(v.mean_impact, 2),
-            format!("min {}", f(v.min_impact, 2)),
-            pct(v.detection_rate),
-        ]);
-    }
-    t.row(vec![
-        format!("non-attack spam (n={})", res.non_attack.n),
-        "-".into(),
-        f(res.non_attack.mean_impact, 2),
-        format!("max {}", f(res.non_attack.max_impact, 2)),
-        pct(res.non_attack.false_positive_rate),
-    ]);
-    emit(&t, &args.out, "roni_defense");
-    println!(
-        "separable: {} (threshold in force: {})\n",
-        res.separable, res.threshold
-    );
-}
-
-fn cmd_variations(args: &Args) {
-    let base = Fig1Config::at_scale(args.scale, args.seed);
-    let full = matches!(args.scale, Scale::Full);
-    eprintln!("[variations] settings={:?}", variations::settings(full));
-    let res = variations::run(&base, full, args.threads);
-    let mut t = Table::new(
-        "Table 1 variations: dictionary sweep across training size / prevalence",
-        &[
-            "train_size",
-            "prevalence",
-            "attack",
-            "fraction",
-            "ham_as_spam%",
-            "ham_spam_or_unsure%",
-        ],
-    );
-    for cell in &res.cells {
-        for p in &cell.result.points {
-            t.row(vec![
-                cell.train_size.to_string(),
-                f(cell.spam_prevalence, 2),
-                p.attack.clone(),
-                f(p.fraction, 3),
-                f(p.ham_as_spam.pct(), 1),
-                f(p.ham_misclassified.pct(), 1),
-            ]);
-        }
-    }
-    emit(&t, &args.out, "table1_variations");
-}
-
-fn cmd_transfer(args: &Args) {
-    let cfg = TransferConfig::at_scale(args.scale, args.seed);
-    eprintln!(
-        "[transfer] train={} test={} fractions={:?} usenet_k={}",
-        cfg.train_size, cfg.test_size, cfg.fractions, cfg.usenet_k
-    );
-    let res = transfer::run(&cfg, args.threads);
-    let mut t = Table::new(
-        "Extension: Usenet dictionary attack across the filter zoo",
-        &[
-            "filter",
-            "fraction",
-            "ham_as_spam%",
-            "ham_spam_or_unsure%",
-            "spam_correct%",
-        ],
-    );
-    for p in &res.points {
-        t.row(vec![
-            p.filter.clone(),
-            f(p.fraction, 3),
-            pct(p.ham_as_spam),
-            pct(p.ham_misclassified),
-            pct(p.spam_caught),
-        ]);
-    }
-    emit(&t, &args.out, "ext_transfer");
-}
-
-fn cmd_constrained(args: &Args) {
-    let cfg = ConstrainedConfig::at_scale(args.scale, args.seed);
-    eprintln!(
-        "[constrained] train={} observed_ham={} budgets={:?} fraction={}",
-        cfg.train_size, cfg.observed_ham, cfg.budgets, cfg.attack_fraction
-    );
-    let res = constrained_exp::run(&cfg, args.threads);
-    let mut t = Table::new(
-        "Extension: optimal constrained attack — damage vs token budget",
-        &[
-            "source",
-            "budget",
-            "words_used",
-            "ham_spam_or_unsure%",
-            "sd",
-        ],
-    );
-    for p in &res.points {
-        t.row(vec![
-            p.source.name().into(),
-            p.budget.to_string(),
-            p.words_used.to_string(),
-            f(p.ham_misclassified.pct(), 1),
-            f(p.ham_misclassified.std_dev * 100.0, 2),
-        ]);
-    }
-    emit(&t, &args.out, "ext_constrained");
-}
-
-fn cmd_hamattack(args: &Args) {
-    let cfg = HamAttackConfig::at_scale(args.scale, args.seed);
-    eprintln!(
-        "[hamattack] inbox={} chaff_counts={:?} campaign_words={} reps={}",
-        cfg.inbox_size, cfg.chaff_counts, cfg.campaign_words, cfg.repetitions
-    );
-    let res = ham_attack_exp::run(&cfg, args.threads);
-    let mut t = Table::new(
-        "Extension: ham-labeled integrity attack — campaign deliverability vs chaff",
-        &[
-            "chaff",
-            "campaign_to_inbox%",
-            "campaign_caught%",
-            "chaff_delivered%",
-            "clean_spam_caught%",
-        ],
-    );
-    for p in &res.points {
-        t.row(vec![
-            p.chaff_count.to_string(),
-            f(p.campaign_to_inbox.pct(), 1),
-            f(p.campaign_caught.pct(), 1),
-            f(p.chaff_delivered.pct(), 1),
-            f(p.clean_spam_caught.pct(), 1),
-        ]);
-    }
-    emit(&t, &args.out, "ext_ham_attack");
-}
-
-fn cmd_matrix(args: &Args) {
-    let cfg = DefenseMatrixConfig::at_scale(args.scale, args.seed);
-    eprintln!(
-        "[matrix] trusted={} candidates={} fractions={:?} targets={}",
-        cfg.trusted_size, cfg.clean_candidates, cfg.dictionary_fractions, cfg.focused_targets
-    );
-    let res = defense_matrix::run(&cfg, args.threads);
-    let mut t = Table::new(
-        "Extension: attack × defense matrix",
-        &[
-            "attack",
-            "defense",
-            "ham_spam_or_unsure%",
-            "ham_as_spam%",
-            "spam_correct%",
-            "spam_as_unsure%",
-            "screened(attack)",
-            "target_flips%",
-        ],
-    );
-    for c in &res.cells {
-        t.row(vec![
-            c.attack.name(),
-            c.defense.name().into(),
-            pct(c.ham_misclassified),
-            pct(c.ham_as_spam),
-            pct(c.spam_caught),
-            pct(c.spam_as_unsure),
-            format!("{}({})", c.screened_out, c.screened_attack),
-            c.target_flips.map(pct).unwrap_or_else(|| "-".into()),
-        ]);
-    }
-    emit(&t, &args.out, "ext_defense_matrix");
-}
-
-fn cmd_weeks(args: &Args) {
-    let mut cfg = MailflowConfig::at_scale(args.scale, args.seed);
-    if let Some(shards) = args.shards {
-        cfg.shards = shards;
-    }
-    // Honor --threads like every other subcommand: the org runs
-    // min(workers, shards) scoped workers and reports are bit-identical
-    // across shard counts, so capping shards caps parallelism without
-    // changing a single number.
-    cfg.shards = match cfg.shards {
-        0 => args.threads,
-        s => s.min(args.threads),
-    };
-    eprintln!(
-        "[weeks] users={} days={} retrain_every={} attack/day={} faults={} shards={}",
-        cfg.users, cfg.days, cfg.retrain_every, cfg.attack_per_day, cfg.fault_chance,
-        if cfg.shards == 0 { "auto".into() } else { cfg.shards.to_string() }
-    );
-    let res = mailflow_weeks::run(&cfg);
-    let mut t = Table::new(
-        "Extension: week-by-week organization simulation (SMTP substrate)",
-        &[
-            "scenario",
-            "week",
-            "ham_misrouted%",
-            "ham_as_spam%",
-            "spam_caught%",
-            "screened_out",
-            "useless",
-        ],
-    );
-    for (scenario, report) in &res.reports {
-        for w in &report.weeks {
-            t.row(vec![
-                scenario.name().into(),
-                w.week.to_string(),
-                pct(w.ham_misrouted),
-                pct(w.ham_as_spam),
-                pct(w.spam_caught),
-                w.screened_out.to_string(),
-                w.filter_useless.to_string(),
-            ]);
-        }
-    }
-    emit(&t, &args.out, "ext_mailflow_weeks");
-    for (scenario, report) in &res.reports {
-        eprintln!(
-            "[weeks] {}: delivered={} failed={} faults(drop/corrupt)={}/{}",
-            scenario.name(),
-            report.total_delivered,
-            report.total_failed,
-            report.fault_stats.dropped,
-            report.fault_stats.corrupted
-        );
-    }
-}
-
-fn cmd_scenarios(args: &Args) -> Result<(), String> {
-    let suite = ScenarioSuiteConfig {
-        dir: args.scenarios_dir.clone(),
-        ..ScenarioSuiteConfig::default()
-    };
-    let mut files = suite
-        .scenario_files()
-        .map_err(|e| format!("cannot list {}: {e}", suite.dir.display()))?;
-    if files.is_empty() {
-        return Err(format!(
-            "no *.scenario files under {} (run from the repository root, or pass --scenarios DIR)",
-            suite.dir.display()
-        ));
-    }
-    if let Some(stem) = &args.filter {
-        files.retain(|p| p.file_stem().is_some_and(|s| s == stem.as_str()));
-        if files.is_empty() {
-            return Err(format!(
-                "--filter {stem:?} matches no scenario under {}",
-                suite.dir.display()
-            ));
-        }
-    }
-    let mut t = Table::new(
-        "Scenario suite: multi-campaign organization runs",
-        &[
-            "scenario",
-            "week",
-            "offered",
-            "ham_misrouted%",
-            "ham_as_spam%",
-            "spam_caught%",
-            "screened_out",
-            "bounced",
-            "deferred",
-            "degraded",
-            "useless",
-        ],
-    );
-    // Parse every file before running any, so one bad scenario does not
-    // hide errors in the rest: each failure is reported with its file and
-    // line number, the valid ones still run, and the exit is non-zero.
-    let mut parse_failures = 0usize;
-    let mut specs = Vec::new();
-    for path in &files {
-        match ScenarioSpec::load(path) {
-            Ok(spec) => specs.push((path, spec)),
-            Err(e) => {
-                eprintln!("error: {}: {e}", path.display());
-                parse_failures += 1;
-            }
-        }
-    }
-    let mut expect_failures = 0usize;
-    for (path, spec) in &specs {
-        let campaigns: Vec<String> = spec.campaigns.iter().map(|c| c.attack.name()).collect();
-        eprintln!(
-            "[scenarios] {}: users={} days={} campaigns=[{}] defense={:?} expects={}",
-            spec.name,
-            spec.users,
-            spec.days,
-            campaigns.join(", "),
-            spec.defense,
-            spec.expectations.len(),
-        );
-        // `--shards` follows the `weeks` convention: 0 = auto (one shard
-        // per worker thread), anything else capped by --threads. Reports
-        // are bit-identical for every value.
-        let report = match args.shards {
-            Some(0) => spec.run_with_shards(args.threads),
-            Some(shards) => spec.run_with_shards(shards.min(args.threads)),
-            None => spec.run_with_threads(args.threads),
-        }
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-        for w in &report.weeks {
-            t.row(vec![
-                spec.name.clone(),
-                w.week.to_string(),
-                w.offered.to_string(),
-                pct(w.ham_misrouted),
-                pct(w.ham_as_spam),
-                pct(w.spam_caught),
-                w.screened_out.to_string(),
-                w.bounced.to_string(),
-                w.deferred.to_string(),
-                w.degraded.to_string(),
-                w.filter_useless.to_string(),
-            ]);
-        }
-        // The canonical digest, exactly what the golden harness locks.
-        let digest = golden_digest(&spec.name, &report);
-        let digest_path = args.out.join(format!("scenario_{}.golden.csv", spec.name));
-        if let Err(e) = std::fs::create_dir_all(&args.out) {
-            eprintln!("  !! could not create {}: {e}", args.out.display());
-        } else if let Err(e) = std::fs::write(&digest_path, &digest) {
-            eprintln!("  !! could not write {}: {e}", digest_path.display());
-        } else {
-            println!("  -> {}", digest_path.display());
-        }
-        let hash = digest.lines().last().unwrap_or_default();
-        println!("  [{}] {}", spec.name, hash);
-        // The scenario's behavioral contract: one summary line per
-        // scenario, details per failed assertion.
-        let failures = spec.check_expectations(&report);
-        if spec.expectations.is_empty() {
-            println!("  [{}] expect: none declared", spec.name);
-        } else if failures.is_empty() {
-            println!(
-                "  [{}] expect: {} assertion(s) passed",
-                spec.name,
-                spec.expectations.len()
-            );
-        } else {
-            for f in &failures {
-                eprintln!("  [{}] expect FAILED: {f}", spec.name);
-            }
-            println!(
-                "  [{}] expect: {} of {} assertion(s) FAILED",
-                spec.name,
-                failures.len(),
-                spec.expectations.len()
-            );
-            expect_failures += failures.len();
-        }
-    }
-    emit(&t, &args.out, "scenario_suite");
-    match (parse_failures, expect_failures) {
-        (0, 0) => Ok(()),
-        (p, 0) => Err(format!("{p} scenario file(s) failed to parse (see above)")),
-        (0, e) => Err(format!("{e} expect assertion(s) failed across the suite")),
-        (p, e) => Err(format!(
-            "{p} scenario file(s) failed to parse and {e} expect assertion(s) failed"
-        )),
-    }
-}
-
+/// `repro run` — the rig: every target's tables, then the run summary
+/// and every claim. Non-zero exit if any target failed.
 fn cmd_run(args: &Args) -> Result<(), String> {
     let opts = rig::RigOptions {
         seed: args.seed,
@@ -819,23 +152,22 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         ..rig::RigOptions::new(args.tier)
     };
     let summary = rig::run_rig(&opts)?;
+    let report_dir = args.out.join(summary.tier.name());
     let mut t = Table::new(
         format!("Reproduction rig — {} tier", summary.tier.name()),
         &["target", "status", "wall_ms", "messages", "msgs/s", "claims"],
     );
     for r in &summary.targets {
+        for (name, table) in &r.tables {
+            print_table(table, &report_dir, name);
+        }
         let passed = r.claims.iter().filter(|c| c.passed()).count();
-        let rate = if r.wall_ms == 0 {
-            0.0
-        } else {
-            r.messages as f64 * 1000.0 / r.wall_ms as f64
-        };
         t.row(vec![
             r.stem.clone(),
             r.status.name().to_string(),
             r.wall_ms.to_string(),
             r.messages.to_string(),
-            f(rate, 1),
+            f(r.msgs_per_sec(), 1),
             format!("{passed}/{}", r.claims.len()),
         ]);
     }
@@ -856,25 +188,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         return Err(format!("{failures} rig target(s) failed"));
     }
     Ok(())
-}
-
-fn cmd_extensions(args: &Args) {
-    cmd_transfer(args);
-    cmd_constrained(args);
-    cmd_hamattack(args);
-    cmd_matrix(args);
-    cmd_weeks(args);
-}
-
-fn headline_table(h: &headline::HeadlineResult) -> Table {
-    let mut t = Table::new(
-        "§7 headline claims: paper vs measured",
-        &["claim", "paper", "measured%"],
-    );
-    for r in &h.rows {
-        t.row(vec![r.claim.into(), r.paper.into(), f(r.measured_pct, 1)]);
-    }
-    t
 }
 
 /// `repro serve-bench` — the sb-serve end-to-end benchmark: pack, load
@@ -916,7 +229,9 @@ fn cmd_serve_bench(args: &Args) -> Result<(), String> {
         "bit-identity audit".into(),
         format!("{} verdicts, {} mismatches", r.verdicts_checked, r.mismatches),
     ]);
-    emit(&t, &args.out, "serve_bench");
+    t.write_files(&args.out, "serve_bench")
+        .map_err(|e| format!("writing serve_bench under {}: {e}", args.out.display()))?;
+    print_table(&t, &args.out, "serve_bench");
     if r.mismatches > 0 {
         return Err(format!(
             "{} of {} stacked-overlay verdicts diverged from the standalone TokenDb",
@@ -1036,81 +351,16 @@ fn main() -> ExitCode {
     };
     // sb-lint: allow(wall-clock, "operator-facing elapsed-time display on the CLI; never feeds simulation state or reports")
     let started = std::time::Instant::now();
-    match args.command.as_str() {
-        "table1" => cmd_table1(&args),
-        "fig1" => {
-            cmd_fig1(&args);
-        }
-        "tokens" => cmd_tokens(&args),
-        "fig2" => {
-            cmd_fig2(&args);
-        }
-        "fig3" => {
-            cmd_fig3(&args);
-        }
-        "fig4" => cmd_fig4(&args),
-        "fig5" => cmd_fig5(&args),
-        "roni" => cmd_roni(&args),
-        "variations" => cmd_variations(&args),
-        "transfer" => cmd_transfer(&args),
-        "constrained" => cmd_constrained(&args),
-        "hamattack" => cmd_hamattack(&args),
-        "matrix" => cmd_matrix(&args),
-        "weeks" => cmd_weeks(&args),
-        "scenarios" => {
-            if let Err(e) = cmd_scenarios(&args) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "run" => {
-            if let Err(e) = cmd_run(&args) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "serve-bench" => {
-            if let Err(e) = cmd_serve_bench(&args) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "model" => {
-            if let Err(e) = cmd_model(&args) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "extensions" => cmd_extensions(&args),
+    let result = match args.command.as_str() {
+        "run" => cmd_run(&args),
+        "serve-bench" => cmd_serve_bench(&args),
+        "model" => cmd_model(&args),
         "lint" => return cmd_lint(args.deep),
-        "headline" => {
-            let f1 = cmd_fig1(&args);
-            let f2 = cmd_fig2(&args);
-            let f3 = cmd_fig3(&args);
-            emit(
-                &headline_table(&headline::extract(&f1, &f2, &f3)),
-                &args.out,
-                "headline",
-            );
-        }
-        "all" => {
-            cmd_table1(&args);
-            let f1 = cmd_fig1(&args);
-            cmd_tokens(&args);
-            let f2 = cmd_fig2(&args);
-            let f3 = cmd_fig3(&args);
-            cmd_fig4(&args);
-            cmd_fig5(&args);
-            cmd_roni(&args);
-            cmd_variations(&args);
-            emit(
-                &headline_table(&headline::extract(&f1, &f2, &f3)),
-                &args.out,
-                "headline",
-            );
-            cmd_extensions(&args);
-        }
         _ => return usage(),
+    };
+    if let Err(e) = result {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
     }
     eprintln!("done in {:.1}s", started.elapsed().as_secs_f64());
     ExitCode::SUCCESS

@@ -1,32 +1,13 @@
 //! Experiment configurations: the paper's Table 1, as code.
 //!
-//! Every figure generator takes one of these configs; the `Full` scale
-//! reproduces the paper's parameters verbatim, while `Quick` shrinks sizes
-//! ~10× so integration tests and Criterion benches exercise the identical
-//! code paths in seconds.
+//! Every figure generator takes one of these configs. `full(seed)`
+//! reproduces the paper's parameters verbatim, while `quick(seed)` shrinks
+//! sizes ~10× so integration tests and Criterion benches exercise the
+//! identical code paths in seconds. The rig (`repro run`) runs `quick` at
+//! its lite tier and `full` at its full tier.
 
 use sb_core::DictionaryKind;
 use serde::{Deserialize, Serialize};
-
-/// Experiment scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Scale {
-    /// The paper's parameters (Table 1).
-    Full,
-    /// Reduced sizes for tests and benches (same code paths).
-    Quick,
-}
-
-impl Scale {
-    /// Parse from a CLI string.
-    pub fn parse(s: &str) -> Option<Scale> {
-        match s {
-            "full" => Some(Scale::Full),
-            "quick" => Some(Scale::Quick),
-            _ => None,
-        }
-    }
-}
 
 /// Figure 1: dictionary attacks vs attack fraction, K-fold cross-validated.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -67,14 +48,6 @@ impl Fig1Config {
             fractions: vec![0.01, 0.05, 0.10],
             usenet_k: 90_000,
             seed,
-        }
-    }
-
-    /// Pick by scale.
-    pub fn at_scale(scale: Scale, seed: u64) -> Self {
-        match scale {
-            Scale::Full => Self::full(seed),
-            Scale::Quick => Self::quick(seed),
         }
     }
 
@@ -141,14 +114,6 @@ impl FocusedConfig {
             seed,
         }
     }
-
-    /// Pick by scale.
-    pub fn at_scale(scale: Scale, seed: u64) -> Self {
-        match scale {
-            Scale::Full => Self::full(seed),
-            Scale::Quick => Self::quick(seed),
-        }
-    }
 }
 
 /// Figure 5: the dynamic threshold defense under dictionary attack.
@@ -193,14 +158,6 @@ impl Fig5Config {
             seed,
         }
     }
-
-    /// Pick by scale.
-    pub fn at_scale(scale: Scale, seed: u64) -> Self {
-        match scale {
-            Scale::Full => Self::full(seed),
-            Scale::Quick => Self::quick(seed),
-        }
-    }
 }
 
 /// §5.1: the RONI experiment.
@@ -234,14 +191,6 @@ impl RoniExperimentConfig {
             reps_per_variant: 3,
             non_attack_spam: 24,
             seed,
-        }
-    }
-
-    /// Pick by scale.
-    pub fn at_scale(scale: Scale, seed: u64) -> Self {
-        match scale {
-            Scale::Full => Self::full(seed),
-            Scale::Quick => Self::quick(seed),
         }
     }
 }
@@ -287,14 +236,6 @@ impl TransferConfig {
             fractions: vec![0.0, 0.05],
             usenet_k: 10_000,
             seed,
-        }
-    }
-
-    /// Pick by scale.
-    pub fn at_scale(scale: Scale, seed: u64) -> Self {
-        match scale {
-            Scale::Full => Self::full(seed),
-            Scale::Quick => Self::quick(seed),
         }
     }
 }
@@ -352,14 +293,6 @@ impl ConstrainedConfig {
             seed,
         }
     }
-
-    /// Pick by scale.
-    pub fn at_scale(scale: Scale, seed: u64) -> Self {
-        match scale {
-            Scale::Full => Self::full(seed),
-            Scale::Quick => Self::quick(seed),
-        }
-    }
 }
 
 /// Extension: the ham-labeled integrity attack (§2.2 closing remark).
@@ -409,14 +342,6 @@ impl HamAttackConfig {
             blasts: 20,
             repetitions: 2,
             seed,
-        }
-    }
-
-    /// Pick by scale.
-    pub fn at_scale(scale: Scale, seed: u64) -> Self {
-        match scale {
-            Scale::Full => Self::full(seed),
-            Scale::Quick => Self::quick(seed),
         }
     }
 }
@@ -476,14 +401,6 @@ impl DefenseMatrixConfig {
             focused_attack_count: 40,
             focused_guess_prob: 0.5,
             seed,
-        }
-    }
-
-    /// Pick by scale.
-    pub fn at_scale(scale: Scale, seed: u64) -> Self {
-        match scale {
-            Scale::Full => Self::full(seed),
-            Scale::Quick => Self::quick(seed),
         }
     }
 }
@@ -556,19 +473,11 @@ impl MailflowConfig {
             seed,
         }
     }
-
-    /// Pick by scale.
-    pub fn at_scale(scale: Scale, seed: u64) -> Self {
-        match scale {
-            Scale::Full => Self::full(seed),
-            Scale::Quick => Self::quick(seed),
-        }
-    }
 }
 
 /// The scenario suite: where the committed scenario files live and which
 /// shard counts the golden harness verifies bit-identity across. One
-/// definition shared by `repro scenarios` and the `golden_scenarios`
+/// definition shared by the rig (`repro run`) and the `golden_scenarios`
 /// integration test, so CI and the CLI can never drift apart.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScenarioSuiteConfig {
@@ -696,13 +605,6 @@ mod tests {
         assert_eq!(t.len(), 6);
         assert_eq!(t[0].parameter, "Training set size");
         assert_eq!(t[4].dictionary, "10");
-    }
-
-    #[test]
-    fn scale_parsing() {
-        assert_eq!(Scale::parse("full"), Some(Scale::Full));
-        assert_eq!(Scale::parse("quick"), Some(Scale::Quick));
-        assert_eq!(Scale::parse("bogus"), None);
     }
 
     #[test]

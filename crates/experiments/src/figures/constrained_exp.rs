@@ -194,11 +194,10 @@ pub fn run(cfg: &ConstrainedConfig, threads: usize) -> ConstrainedResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Scale;
 
     #[test]
     fn informed_sources_beat_generic_at_equal_budget() {
-        let cfg = ConstrainedConfig::at_scale(Scale::Quick, 51);
+        let cfg = ConstrainedConfig::quick(51);
         let res = run(&cfg, 2);
         let b = cfg.budgets[1]; // the mid budget: all sources measurable
         let gain = res.point(WordSource::ConstrainedGain, b).unwrap();
@@ -221,7 +220,7 @@ mod tests {
         // vocabulary but still match or beat full-size generic slices —
         // the "smaller emails without losing much effectiveness" claim of
         // §3.2 applied to §3.4.
-        let cfg = ConstrainedConfig::at_scale(Scale::Quick, 54);
+        let cfg = ConstrainedConfig::quick(54);
         let res = run(&cfg, 2);
         let b = *cfg.budgets.last().unwrap();
         let prob = res.point(WordSource::Constrained, b).unwrap();
@@ -237,7 +236,7 @@ mod tests {
 
     #[test]
     fn damage_is_monotone_in_budget_for_ranked_sources() {
-        let cfg = ConstrainedConfig::at_scale(Scale::Quick, 52);
+        let cfg = ConstrainedConfig::quick(52);
         let res = run(&cfg, 2);
         for source in [WordSource::ConstrainedGain, WordSource::UsenetTop] {
             let mut last = -1.0;
@@ -255,7 +254,7 @@ mod tests {
 
     #[test]
     fn words_used_respects_support() {
-        let cfg = ConstrainedConfig::at_scale(Scale::Quick, 53);
+        let cfg = ConstrainedConfig::quick(53);
         let res = run(&cfg, 2);
         for p in &res.points {
             assert!(p.words_used <= p.budget);

@@ -337,10 +337,9 @@ pub fn run(cfg: &DefenseMatrixConfig, threads: usize) -> MatrixResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Scale;
 
     fn result() -> MatrixResult {
-        run(&DefenseMatrixConfig::at_scale(Scale::Quick, 71), 4)
+        run(&DefenseMatrixConfig::quick(71), 4)
     }
 
     #[test]

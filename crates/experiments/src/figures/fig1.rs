@@ -159,11 +159,10 @@ pub fn run(cfg: &Fig1Config, threads: usize) -> Fig1Result {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Scale;
 
     #[test]
     fn quick_fig1_reproduces_paper_shape() {
-        let cfg = Fig1Config::at_scale(Scale::Quick, 42);
+        let cfg = Fig1Config::quick(42);
         let res = run(&cfg, 2);
         // Baseline: clean filter keeps ham misclassification low.
         let base = res.point("optimal", 0.0).unwrap();

@@ -151,11 +151,10 @@ pub fn run(cfg: &FocusedConfig, max_targets: usize) -> Fig4Result {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Scale;
 
     #[test]
     fn token_shifts_match_paper_mechanism() {
-        let cfg = FocusedConfig::at_scale(Scale::Quick, 21);
+        let cfg = FocusedConfig::quick(21);
         let res = run(&cfg, 40);
         assert!(!res.cases.is_empty(), "no cases found");
         for case in &res.cases {
@@ -189,7 +188,7 @@ mod tests {
 
     #[test]
     fn attacked_scores_never_decrease_for_included_tokens() {
-        let cfg = FocusedConfig::at_scale(Scale::Quick, 22);
+        let cfg = FocusedConfig::quick(22);
         let res = run(&cfg, 20);
         for case in &res.cases {
             for p in case.points.iter().filter(|p| p.in_attack) {

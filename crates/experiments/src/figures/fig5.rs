@@ -200,11 +200,10 @@ pub fn run(cfg: &Fig5Config, threads: usize) -> Fig5Result {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Scale;
 
     #[test]
     fn threshold_defense_protects_ham() {
-        let cfg = Fig5Config::at_scale(Scale::Quick, 33);
+        let cfg = Fig5Config::quick(33);
         let res = run(&cfg, 2);
         let last_frac = *cfg.fractions.last().unwrap();
         let plain = res.point(Fig5Defense::NoDefense, last_frac).unwrap();
@@ -227,7 +226,7 @@ mod tests {
 
     #[test]
     fn defense_cost_is_spam_as_unsure() {
-        let cfg = Fig5Config::at_scale(Scale::Quick, 34);
+        let cfg = Fig5Config::quick(34);
         let res = run(&cfg, 2);
         let frac = *cfg.fractions.last().unwrap();
         let defended = res.point(Fig5Defense::Threshold05, frac).unwrap();

@@ -250,11 +250,10 @@ pub fn run_fig3(cfg: &FocusedConfig, threads: usize) -> Fig3Result {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Scale;
 
     #[test]
     fn fig2_attack_strengthens_with_knowledge() {
-        let cfg = FocusedConfig::at_scale(Scale::Quick, 7);
+        let cfg = FocusedConfig::quick(7);
         let res = run_fig2(&cfg, 2);
         assert_eq!(res.bars.len(), cfg.guess_probs.len());
         for b in &res.bars {
@@ -281,7 +280,7 @@ mod tests {
 
     #[test]
     fn fig3_attack_strengthens_with_volume() {
-        let cfg = FocusedConfig::at_scale(Scale::Quick, 8);
+        let cfg = FocusedConfig::quick(8);
         let res = run_fig3(&cfg, 2);
         assert_eq!(res.points.len(), cfg.fig3_fractions.len());
         let mut prev = -1.0;

@@ -176,11 +176,10 @@ pub fn run(cfg: &HamAttackConfig, threads: usize) -> HamAttackResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Scale;
 
     #[test]
     fn chaff_volume_opens_the_inbox() {
-        let cfg = HamAttackConfig::at_scale(Scale::Quick, 61);
+        let cfg = HamAttackConfig::quick(61);
         let res = run(&cfg, 2);
         let first = &res.points[0];
         let last = res.points.last().unwrap();
@@ -202,7 +201,7 @@ mod tests {
 
     #[test]
     fn chaff_is_plausible_ham() {
-        let cfg = HamAttackConfig::at_scale(Scale::Quick, 62);
+        let cfg = HamAttackConfig::quick(62);
         let res = run(&cfg, 2);
         for p in res.points.iter().filter(|p| p.chaff_count > 0) {
             assert!(
@@ -216,7 +215,7 @@ mod tests {
 
     #[test]
     fn ordinary_spam_filtering_survives() {
-        let cfg = HamAttackConfig::at_scale(Scale::Quick, 63);
+        let cfg = HamAttackConfig::quick(63);
         let res = run(&cfg, 2);
         for p in &res.points {
             assert!(

@@ -145,10 +145,9 @@ pub fn run(cfg: &MailflowConfig) -> MailflowResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Scale;
 
     fn result() -> MailflowResult {
-        run(&MailflowConfig::at_scale(Scale::Quick, 81))
+        run(&MailflowConfig::quick(81))
     }
 
     #[test]

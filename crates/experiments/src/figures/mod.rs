@@ -1,4 +1,6 @@
-//! One module per figure/table of the paper's evaluation.
+//! One module per figure/table of the paper's evaluation. Each is a pure
+//! experiment (config in, result value out); the rig (`crate::rig`,
+//! `repro run`) runs them, digests the results and renders their tables.
 //!
 //! | Paper artifact | Module |
 //! |---|---|
@@ -9,7 +11,7 @@
 //! | Figure 5 (dynamic threshold defense) | [`fig5`] |
 //! | §5.1 RONI experiment | [`roni_exp`] |
 //! | §4.2 token-volume claim | [`tokens`] |
-//! | §7 headline numbers | [`headline`] |
+//! | §7 headline numbers | full-tier claims of the `fig1`/`fig2`/`fig3` rig targets |
 //! | Table 1 size/prevalence variations | [`variations`] |
 //!
 //! Extension experiments (systems the paper names or leaves to future
@@ -30,7 +32,6 @@ pub mod fig4;
 pub mod fig5;
 pub mod focused;
 pub mod ham_attack_exp;
-pub mod headline;
 pub mod mailflow_weeks;
 pub mod roni_exp;
 pub mod tokens;

@@ -168,11 +168,10 @@ pub fn run(cfg: &RoniExperimentConfig, threads: usize) -> RoniResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Scale;
 
     #[test]
     fn roni_separates_attacks_from_ordinary_spam() {
-        let cfg = RoniExperimentConfig::at_scale(Scale::Quick, 55);
+        let cfg = RoniExperimentConfig::quick(55);
         let res = run(&cfg, 2);
         assert_eq!(res.variants.len(), 7);
         // Every variant must be detected in every repetition (the paper:
@@ -186,9 +185,10 @@ mod tests {
             );
         }
         // Ordinary spam is (essentially) never flagged. The paper's exact
-        // zero-false-positive claim holds at full scale (`repro roni
-        // --scale full`, recorded in EXPERIMENTS.md); at this test's quick
-        // scale the tiny pool leaves room for an occasional unlucky draw.
+        // zero-false-positive claim holds at full scale (the full-tier rig
+        // claim `roni.non-attack-fp`, `repro run --tier full --only roni`);
+        // at this test's quick scale the tiny pool leaves room for an
+        // occasional unlucky draw.
         assert!(
             res.non_attack.false_positive_rate <= 0.10,
             "false positives: {}",

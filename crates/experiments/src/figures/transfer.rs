@@ -167,11 +167,10 @@ pub fn run(cfg: &TransferConfig, threads: usize) -> TransferResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Scale;
 
     #[test]
     fn attack_degrades_every_presence_counting_learner() {
-        let cfg = TransferConfig::at_scale(Scale::Quick, 41);
+        let cfg = TransferConfig::quick(41);
         let res = run(&cfg, 3);
         let top = *cfg
             .fractions
@@ -192,7 +191,7 @@ mod tests {
 
     #[test]
     fn flood_self_dilutes_against_multinomial_nb() {
-        let cfg = TransferConfig::at_scale(Scale::Quick, 44);
+        let cfg = TransferConfig::quick(44);
         let res = run(&cfg, 3);
         let top = *cfg
             .fractions
@@ -219,7 +218,7 @@ mod tests {
 
     #[test]
     fn sa_full_resists_ham_as_spam() {
-        let cfg = TransferConfig::at_scale(Scale::Quick, 42);
+        let cfg = TransferConfig::quick(42);
         let res = run(&cfg, 3);
         for p in res.points.iter().filter(|p| p.filter == "sa-full") {
             assert!(
@@ -233,7 +232,7 @@ mod tests {
 
     #[test]
     fn clean_baselines_are_usable() {
-        let cfg = TransferConfig::at_scale(Scale::Quick, 43);
+        let cfg = TransferConfig::quick(43);
         let res = run(&cfg, 3);
         for name in FILTER_NAMES {
             let clean = res.point(name, 0.0).expect("baseline cell");

@@ -65,14 +65,13 @@ pub fn run(base: &Fig1Config, full_scale: bool, threads: usize) -> VariationsRes
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Scale;
 
     #[test]
     fn variations_preserve_attack_ordering() {
         let base = Fig1Config {
             fractions: vec![0.05],
             folds: 2,
-            ..Fig1Config::at_scale(Scale::Quick, 88)
+            ..Fig1Config::quick(88)
         };
         let res = run(&base, false, 2);
         assert_eq!(res.cells.len(), 2);

@@ -9,19 +9,21 @@
 //!   ham-as-unsure rates the paper plots.
 //! * [`runner`] — pre-tokenized datasets and deterministic parallel fan-out.
 //! * [`figures`] — one generator per paper artifact (Fig. 1–5, the §5.1
-//!   RONI experiment, the §4.2 token-volume claim, the §7 headlines).
+//!   RONI experiment, the §4.2 token-volume claim).
 //! * [`report`] — ASCII/CSV rendering.
 //! * [`scenario`] — the declarative multi-campaign scenario engine and
-//!   the golden-digest regression format (`repro scenarios`, the
+//!   the golden-digest regression format (the rig's scenario targets, the
 //!   `golden_scenarios` integration test, `SB_UPDATE_GOLDEN=1`).
 //! * [`rig`] — the tiered reproduction rig (`repro run --tier lite|full`):
 //!   one registry of every figure/scenario target with per-tier goldens
-//!   under `tests/golden/<tier>/` and paper-claim assertions at full scale.
+//!   under `tests/golden/<tier>/`, paper-claim assertions at full scale
+//!   (the §7 headlines among them), and each target's human tables.
 //!
-//! The `repro` binary drives everything:
+//! The `repro` binary drives everything through the rig:
 //!
 //! ```text
-//! cargo run --release -p sb-experiments --bin repro -- all --scale full
+//! cargo run --release -p sb-experiments --bin repro -- run --tier full
+//! cargo run --release -p sb-experiments --bin repro -- run --tier lite --only fig1
 //! ```
 
 #![forbid(unsafe_code)]
@@ -37,8 +39,7 @@ pub mod scenario;
 
 pub use config::{
     ConstrainedConfig, DefenseMatrixConfig, Fig1Config, Fig5Config, FocusedConfig,
-    HamAttackConfig, MailflowConfig, RoniExperimentConfig, Scale, ScenarioSuiteConfig,
-    TransferConfig,
+    HamAttackConfig, MailflowConfig, RoniExperimentConfig, ScenarioSuiteConfig, TransferConfig,
 };
 pub use metrics::{Confusion, RateSummary};
 pub use report::Table;

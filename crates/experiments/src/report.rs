@@ -42,11 +42,6 @@ impl Table {
         &self.title
     }
 
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render as an aligned ASCII table.
     pub fn to_ascii(&self) -> String {
         let mut widths: Vec<usize> = self.columns.iter().map(|c| c.chars().count()).collect();
@@ -109,6 +104,13 @@ impl Table {
         let path = dir.join(format!("{name}.csv"));
         std::fs::write(&path, self.to_csv())?;
         Ok(path)
+    }
+
+    /// Write `dir/name.csv` plus the ASCII rendering as `dir/name.txt`, so
+    /// a report directory stands alone without terminal scrollback.
+    pub fn write_files(&self, dir: &Path, name: &str) -> io::Result<()> {
+        self.write_csv(dir, name)?;
+        std::fs::write(dir.join(format!("{name}.txt")), self.to_ascii())
     }
 }
 

@@ -18,9 +18,12 @@
 //!   NSDI'08 headline numbers (dictionary-attack knee, focused-attack
 //!   flip rates, RONI separability, organization-level detonation).
 //!
-//! Artifacts land under `reports/<tier>/` (one digest CSV per target plus
-//! `rig_summary.csv`), and per-target wall-clock + messages/sec telemetry
-//! is appended as one JSON line to `BENCH_pr9.json`.
+//! Each target also renders its human-readable table(s) from the same
+//! result value it digests. Artifacts land under `reports/<tier>/`: per
+//! target the digest `<stem>.golden.csv` and each table as `<name>.csv`
+//! plus its ASCII rendering `<name>.txt`; per run the paper's Table 1
+//! (`table1.csv`/`.txt`) and `rig_summary.csv` (status, wall-clock and
+//! messages/sec per target).
 
 use std::fmt::Write as _;
 use std::fs;
@@ -28,15 +31,15 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use crate::config::{
-    ConstrainedConfig, DefenseMatrixConfig, Fig1Config, Fig5Config, FocusedConfig,
-    HamAttackConfig, MailflowConfig, RoniExperimentConfig, Scale, ScenarioSuiteConfig,
-    TransferConfig,
+    table1, ConstrainedConfig, DefenseMatrixConfig, Fig1Config, Fig5Config, FocusedConfig,
+    HamAttackConfig, MailflowConfig, RoniExperimentConfig, ScenarioSuiteConfig, TransferConfig,
 };
 use crate::figures::{
     constrained_exp, defense_matrix, fig1, fig4, fig5, focused, ham_attack_exp, mailflow_weeks,
     roni_exp, tokens, transfer, variations,
 };
 use crate::metrics::RateSummary;
+use crate::report::{f, pct, Table};
 use crate::scenario::{first_divergence, fnv1a64, golden_digest, ExpectOp, ScenarioSpec};
 use sb_mailflow::OrgReport;
 
@@ -67,11 +70,12 @@ impl Tier {
         }
     }
 
-    /// The figure-config scale this tier runs at.
-    pub fn scale(self) -> Scale {
+    /// `lite` at the lite tier, `full` at the full tier: how every figure
+    /// target picks between its config's `quick(seed)` and `full(seed)`.
+    fn pick<T>(self, lite: T, full: T) -> T {
         match self {
-            Tier::Lite => Scale::Quick,
-            Tier::Full => Scale::Full,
+            Tier::Lite => lite,
+            Tier::Full => full,
         }
     }
 }
@@ -346,6 +350,9 @@ pub struct TargetOutput {
     /// documented coarse workload estimate for figures —
     /// used only for messages/sec telemetry trend lines.
     pub messages: u64,
+    /// Human-readable tables rendered from the digested result, each with
+    /// the file name (no extension) it is written under.
+    pub tables: Vec<(String, Table)>,
 }
 
 /// Options for one rig invocation.
@@ -366,8 +373,6 @@ pub struct RigOptions {
     pub golden_root: PathBuf,
     /// Directory of committed `*.scenario` files.
     pub scenarios_dir: PathBuf,
-    /// Append one JSON line of telemetry here (None = skip).
-    pub bench_path: Option<PathBuf>,
     /// Shard counts lite scenario targets must be bit-identical across.
     pub shard_matrix: Vec<usize>,
 }
@@ -384,7 +389,6 @@ impl RigOptions {
             reports_root: PathBuf::from("reports"),
             golden_root: PathBuf::from("tests/golden"),
             scenarios_dir: PathBuf::from("scenarios"),
-            bench_path: Some(PathBuf::from("BENCH_pr9.json")),
             shard_matrix: ScenarioSuiteConfig::default().shard_matrix,
         }
     }
@@ -434,6 +438,19 @@ pub struct TargetReport {
     pub errors: Vec<String>,
     /// Non-gating notes (full-tier drift details and the like).
     pub warnings: Vec<String>,
+    /// The target's tables (see [`TargetOutput::tables`]).
+    pub tables: Vec<(String, Table)>,
+}
+
+impl TargetReport {
+    /// Messages per wall-clock second (0 when the target took under 1 ms).
+    pub fn msgs_per_sec(&self) -> f64 {
+        if self.wall_ms == 0 {
+            0.0
+        } else {
+            self.messages as f64 * 1000.0 / self.wall_ms as f64
+        }
+    }
 }
 
 /// Whole-run summary.
@@ -484,8 +501,40 @@ fn last_line(digest: &str) -> String {
 // full tier) the paper-claim invariants that target is responsible for.
 // ---------------------------------------------------------------------------
 
+/// One table under the file name `name`.
+fn table(name: &str, t: Table) -> Vec<(String, Table)> {
+    vec![(name.to_string(), t)]
+}
+
+fn fig1_table(res: &fig1::Fig1Result) -> Table {
+    let mut t = Table::new(
+        "Figure 1: % test ham misclassified vs attack fraction (10-fold CV)",
+        &[
+            "attack",
+            "fraction",
+            "n_attack",
+            "ham_as_spam%",
+            "ham_spam_or_unsure%",
+            "spam_correct%",
+            "ham_as_spam_sd",
+        ],
+    );
+    for p in &res.points {
+        t.row(vec![
+            p.attack.clone(),
+            f(p.fraction, 3),
+            p.n_attack.to_string(),
+            f(p.ham_as_spam.pct(), 1),
+            f(p.ham_misclassified.pct(), 1),
+            f(p.spam_correct.pct(), 1),
+            f(p.ham_as_spam.std_dev * 100.0, 2),
+        ]);
+    }
+    t
+}
+
 fn run_fig1(tier: Tier, seed: u64, threads: usize) -> TargetOutput {
-    let cfg = Fig1Config::at_scale(tier.scale(), seed);
+    let cfg = tier.pick(Fig1Config::quick(seed), Fig1Config::full(seed));
     let res = fig1::run(&cfg, threads);
     let mut csv = String::from("target,fig1\n");
     csv.push_str(
@@ -556,14 +605,40 @@ fn run_fig1(tier: Tier, seed: u64, threads: usize) -> TargetOutput {
         digest: seal(csv),
         claims,
         messages: train * folds * (res.points.len() as u64).max(1),
+        tables: table("fig1", fig1_table(&res)),
     }
 }
 
+fn tokens_table(res: &tokens::TokenVolumeResult) -> Table {
+    let mut t = Table::new(
+        format!(
+            "§4.2 token volume at 2% contamination ({} msgs, {} corpus tokens)",
+            res.corpus_size, res.corpus_tokens
+        ),
+        &[
+            "attack",
+            "attack_emails",
+            "tokens_per_email",
+            "attack_tokens",
+            "ratio_vs_corpus",
+            "message_fraction%",
+        ],
+    );
+    for r in &res.rows {
+        t.row(vec![
+            r.attack.clone(),
+            r.n_attack_emails.to_string(),
+            r.tokens_per_email.to_string(),
+            r.attack_tokens.to_string(),
+            f(r.ratio, 2),
+            pct(r.message_fraction),
+        ]);
+    }
+    t
+}
+
 fn run_tokens(tier: Tier, seed: u64) -> TargetOutput {
-    let size = match tier.scale() {
-        Scale::Full => 10_000,
-        Scale::Quick => 1_000,
-    };
+    let size = tier.pick(1_000, 10_000);
     let res = tokens::run(size, 0.02, seed);
     let mut csv = String::from("target,tokens\n");
     let _ = writeln!(csv, "corpus_size,{}", res.corpus_size);
@@ -585,11 +660,29 @@ fn run_tokens(tier: Tier, seed: u64) -> TargetOutput {
         digest: seal(csv),
         claims: Vec::new(),
         messages: res.corpus_size as u64,
+        tables: table("tokens", tokens_table(&res)),
     }
 }
 
+fn fig2_table(res: &focused::Fig2Result) -> Table {
+    let mut t = Table::new(
+        "Figure 2: target classification vs guess probability",
+        &["guess_prob", "ham%", "unsure%", "spam%", "n"],
+    );
+    for b in &res.bars {
+        t.row(vec![
+            f(b.guess_prob, 2),
+            pct(b.pct_ham),
+            pct(b.pct_unsure),
+            pct(b.pct_spam),
+            b.n.to_string(),
+        ]);
+    }
+    t
+}
+
 fn run_fig2(tier: Tier, seed: u64, threads: usize) -> TargetOutput {
-    let cfg = FocusedConfig::at_scale(tier.scale(), seed);
+    let cfg = tier.pick(FocusedConfig::quick(seed), FocusedConfig::full(seed));
     let res = focused::run_fig2(&cfg, threads);
     let mut csv = String::from("target,fig2\n");
     csv.push_str("guess_prob,pct_ham,pct_unsure,pct_spam,n\n");
@@ -625,11 +718,28 @@ fn run_fig2(tier: Tier, seed: u64, threads: usize) -> TargetOutput {
         digest: seal(csv),
         claims,
         messages: n,
+        tables: table("fig2", fig2_table(&res)),
     }
 }
 
+fn fig3_table(res: &focused::Fig3Result) -> Table {
+    let mut t = Table::new(
+        "Figure 3: target misclassification vs attack volume (p=0.5)",
+        &["fraction", "n_attack", "target_as_spam%", "target_spam_or_unsure%"],
+    );
+    for p in &res.points {
+        t.row(vec![
+            f(p.fraction, 3),
+            p.n_attack.to_string(),
+            pct(p.pct_spam),
+            pct(p.pct_misclassified),
+        ]);
+    }
+    t
+}
+
 fn run_fig3(tier: Tier, seed: u64, threads: usize) -> TargetOutput {
-    let cfg = FocusedConfig::at_scale(tier.scale(), seed);
+    let cfg = tier.pick(FocusedConfig::quick(seed), FocusedConfig::full(seed));
     let res = focused::run_fig3(&cfg, threads);
     let mut csv = String::from("target,fig3\n");
     csv.push_str("fraction,n_attack,pct_spam,pct_misclassified\n");
@@ -664,11 +774,64 @@ fn run_fig3(tier: Tier, seed: u64, threads: usize) -> TargetOutput {
         digest: seal(csv),
         claims,
         messages: n.max(1),
+        tables: table("fig3", fig3_table(&res)),
     }
 }
 
+/// Figure 4's per-case summary and its token-score shift scatter.
+fn fig4_tables(res: &fig4::Fig4Result) -> Vec<(String, Table)> {
+    let mut summary = Table::new(
+        "Figure 4: representative focused-attack targets",
+        &[
+            "outcome",
+            "score_before",
+            "score_after",
+            "tokens",
+            "attacked_tokens",
+            "mean_shift_attacked",
+            "mean_shift_other",
+        ],
+    );
+    let mut scatter = Table::new(
+        "Figure 4 scatter: token scores before/after",
+        &["case_outcome", "token", "before", "after", "in_attack"],
+    );
+    for case in &res.cases {
+        let (inc, exc): (Vec<_>, Vec<_>) = case.points.iter().partition(|p| p.in_attack);
+        let mean = |v: &[&fig4::TokenShift]| -> f64 {
+            if v.is_empty() {
+                0.0
+            } else {
+                v.iter().map(|p| p.after - p.before).sum::<f64>() / v.len() as f64
+            }
+        };
+        summary.row(vec![
+            case.outcome.to_string(),
+            f(case.score_before, 3),
+            f(case.score_after, 3),
+            case.points.len().to_string(),
+            inc.len().to_string(),
+            f(mean(&inc), 3),
+            f(mean(&exc), 3),
+        ]);
+        for p in &case.points {
+            scatter.row(vec![
+                case.outcome.to_string(),
+                p.token.clone(),
+                f(p.before, 4),
+                f(p.after, 4),
+                p.in_attack.to_string(),
+            ]);
+        }
+    }
+    vec![
+        ("fig4".to_string(), summary),
+        ("fig4_token_shift".to_string(), scatter),
+    ]
+}
+
 fn run_fig4(tier: Tier, seed: u64) -> TargetOutput {
-    let cfg = FocusedConfig::at_scale(tier.scale(), seed);
+    let cfg = tier.pick(FocusedConfig::quick(seed), FocusedConfig::full(seed));
     let res = fig4::run(&cfg, 60);
     let mut csv = String::from("target,fig4\n");
     let _ = writeln!(csv, "targets_examined,{}", res.targets_examined);
@@ -697,11 +860,37 @@ fn run_fig4(tier: Tier, seed: u64) -> TargetOutput {
         digest: seal(csv),
         claims: Vec::new(),
         messages: res.targets_examined as u64,
+        tables: fig4_tables(&res),
     }
 }
 
+fn fig5_table(res: &fig5::Fig5Result) -> Table {
+    let mut t = Table::new(
+        "Figure 5: dynamic threshold defense vs dictionary attack",
+        &[
+            "defense",
+            "fraction",
+            "ham_as_spam%",
+            "ham_spam_or_unsure%",
+            "spam_as_unsure%",
+            "spam_correct%",
+        ],
+    );
+    for p in &res.points {
+        t.row(vec![
+            p.defense.name().into(),
+            f(p.fraction, 3),
+            f(p.ham_as_spam.pct(), 1),
+            f(p.ham_misclassified.pct(), 1),
+            f(p.spam_as_unsure.pct(), 1),
+            f(p.spam_correct.pct(), 1),
+        ]);
+    }
+    t
+}
+
 fn run_fig5(tier: Tier, seed: u64, threads: usize) -> TargetOutput {
-    let cfg = Fig5Config::at_scale(tier.scale(), seed);
+    let cfg = tier.pick(Fig5Config::quick(seed), Fig5Config::full(seed));
     let res = fig5::run(&cfg, threads);
     let mut csv = String::from("target,fig5\n");
     csv.push_str(
@@ -743,11 +932,43 @@ fn run_fig5(tier: Tier, seed: u64, threads: usize) -> TargetOutput {
         digest: seal(csv),
         claims,
         messages: (res.config.train_size as u64) * (res.points.len() as u64).max(1),
+        tables: table("fig5", fig5_table(&res)),
     }
 }
 
+fn roni_table(res: &roni_exp::RoniResult) -> Table {
+    let mut t = Table::new(
+        format!(
+            "§5.1 RONI: incremental impact (ham-as-ham lost, of 25 validation ham); \
+             separable: {} (threshold in force: {})",
+            res.separable, res.threshold
+        ),
+        &["candidate", "lexicon", "mean_impact", "min/max_impact", "rejected%"],
+    );
+    for v in &res.variants {
+        t.row(vec![
+            v.variant.clone(),
+            v.lexicon_len.to_string(),
+            f(v.mean_impact, 2),
+            format!("min {}", f(v.min_impact, 2)),
+            pct(v.detection_rate),
+        ]);
+    }
+    t.row(vec![
+        format!("non-attack spam (n={})", res.non_attack.n),
+        "-".into(),
+        f(res.non_attack.mean_impact, 2),
+        format!("max {}", f(res.non_attack.max_impact, 2)),
+        pct(res.non_attack.false_positive_rate),
+    ]);
+    t
+}
+
 fn run_roni(tier: Tier, seed: u64, threads: usize) -> TargetOutput {
-    let cfg = RoniExperimentConfig::at_scale(tier.scale(), seed);
+    let cfg = tier.pick(
+        RoniExperimentConfig::quick(seed),
+        RoniExperimentConfig::full(seed),
+    );
     let res = roni_exp::run(&cfg, threads);
     let mut csv = String::from("target,roni\n");
     let _ = writeln!(csv, "threshold,{}", fx(res.threshold));
@@ -806,11 +1027,39 @@ fn run_roni(tier: Tier, seed: u64, threads: usize) -> TargetOutput {
         claims,
         messages: (res.config.reps_per_variant as u64)
             * (res.variants.len() as u64 + res.non_attack.n as u64).max(1),
+        tables: table("roni", roni_table(&res)),
     }
 }
 
+fn variations_table(res: &variations::VariationsResult) -> Table {
+    let mut t = Table::new(
+        "Table 1 variations: dictionary sweep across training size / prevalence",
+        &[
+            "train_size",
+            "prevalence",
+            "attack",
+            "fraction",
+            "ham_as_spam%",
+            "ham_spam_or_unsure%",
+        ],
+    );
+    for cell in &res.cells {
+        for p in &cell.result.points {
+            t.row(vec![
+                cell.train_size.to_string(),
+                f(cell.spam_prevalence, 2),
+                p.attack.clone(),
+                f(p.fraction, 3),
+                f(p.ham_as_spam.pct(), 1),
+                f(p.ham_misclassified.pct(), 1),
+            ]);
+        }
+    }
+    t
+}
+
 fn run_variations(tier: Tier, seed: u64, threads: usize) -> TargetOutput {
-    let cfg = Fig1Config::at_scale(tier.scale(), seed);
+    let cfg = tier.pick(Fig1Config::quick(seed), Fig1Config::full(seed));
     let res = variations::run(&cfg, tier == Tier::Full, threads);
     let mut csv = String::from("target,variations\n");
     csv.push_str("train_size,spam_prevalence,attack,fraction,ham_misclassified,ham_misclassified_sd\n");
@@ -833,11 +1082,35 @@ fn run_variations(tier: Tier, seed: u64, threads: usize) -> TargetOutput {
         digest: seal(csv),
         claims: Vec::new(),
         messages: messages.max(1),
+        tables: table("variations", variations_table(&res)),
     }
 }
 
+fn transfer_table(res: &transfer::TransferResult) -> Table {
+    let mut t = Table::new(
+        "Extension: Usenet dictionary attack across the filter zoo",
+        &[
+            "filter",
+            "fraction",
+            "ham_as_spam%",
+            "ham_spam_or_unsure%",
+            "spam_correct%",
+        ],
+    );
+    for p in &res.points {
+        t.row(vec![
+            p.filter.clone(),
+            f(p.fraction, 3),
+            pct(p.ham_as_spam),
+            pct(p.ham_misclassified),
+            pct(p.spam_caught),
+        ]);
+    }
+    t
+}
+
 fn run_transfer(tier: Tier, seed: u64, threads: usize) -> TargetOutput {
-    let cfg = TransferConfig::at_scale(tier.scale(), seed);
+    let cfg = tier.pick(TransferConfig::quick(seed), TransferConfig::full(seed));
     let res = transfer::run(&cfg, threads);
     let mut csv = String::from("target,transfer\n");
     csv.push_str("filter,fraction,ham_as_spam,ham_misclassified,spam_caught\n");
@@ -856,11 +1129,35 @@ fn run_transfer(tier: Tier, seed: u64, threads: usize) -> TargetOutput {
         digest: seal(csv),
         claims: Vec::new(),
         messages: (res.points.len() as u64).max(1) * res.config.train_size as u64,
+        tables: table("transfer", transfer_table(&res)),
     }
 }
 
+fn constrained_table(res: &constrained_exp::ConstrainedResult) -> Table {
+    let mut t = Table::new(
+        "Extension: optimal constrained attack — damage vs token budget",
+        &[
+            "source",
+            "budget",
+            "words_used",
+            "ham_spam_or_unsure%",
+            "sd",
+        ],
+    );
+    for p in &res.points {
+        t.row(vec![
+            p.source.name().into(),
+            p.budget.to_string(),
+            p.words_used.to_string(),
+            f(p.ham_misclassified.pct(), 1),
+            f(p.ham_misclassified.std_dev * 100.0, 2),
+        ]);
+    }
+    t
+}
+
 fn run_constrained(tier: Tier, seed: u64, threads: usize) -> TargetOutput {
-    let cfg = ConstrainedConfig::at_scale(tier.scale(), seed);
+    let cfg = tier.pick(ConstrainedConfig::quick(seed), ConstrainedConfig::full(seed));
     let res = constrained_exp::run(&cfg, threads);
     let mut csv = String::from("target,constrained\n");
     csv.push_str("source,budget,words_used,ham_misclassified,ham_misclassified_sd\n");
@@ -878,11 +1175,35 @@ fn run_constrained(tier: Tier, seed: u64, threads: usize) -> TargetOutput {
         digest: seal(csv),
         claims: Vec::new(),
         messages: (res.points.len() as u64).max(1) * res.config.train_size as u64,
+        tables: table("constrained", constrained_table(&res)),
     }
 }
 
+fn hamattack_table(res: &ham_attack_exp::HamAttackResult) -> Table {
+    let mut t = Table::new(
+        "Extension: ham-labeled integrity attack — campaign deliverability vs chaff",
+        &[
+            "chaff",
+            "campaign_to_inbox%",
+            "campaign_caught%",
+            "chaff_delivered%",
+            "clean_spam_caught%",
+        ],
+    );
+    for p in &res.points {
+        t.row(vec![
+            p.chaff_count.to_string(),
+            f(p.campaign_to_inbox.pct(), 1),
+            f(p.campaign_caught.pct(), 1),
+            f(p.chaff_delivered.pct(), 1),
+            f(p.clean_spam_caught.pct(), 1),
+        ]);
+    }
+    t
+}
+
 fn run_hamattack(tier: Tier, seed: u64, threads: usize) -> TargetOutput {
-    let cfg = HamAttackConfig::at_scale(tier.scale(), seed);
+    let cfg = tier.pick(HamAttackConfig::quick(seed), HamAttackConfig::full(seed));
     let res = ham_attack_exp::run(&cfg, threads);
     let mut csv = String::from("target,hamattack\n");
     csv.push_str(
@@ -904,11 +1225,44 @@ fn run_hamattack(tier: Tier, seed: u64, threads: usize) -> TargetOutput {
         digest: seal(csv),
         claims: Vec::new(),
         messages: chaff.max(1),
+        tables: table("hamattack", hamattack_table(&res)),
     }
 }
 
+fn matrix_table(res: &defense_matrix::MatrixResult) -> Table {
+    let mut t = Table::new(
+        "Extension: attack × defense matrix",
+        &[
+            "attack",
+            "defense",
+            "ham_spam_or_unsure%",
+            "ham_as_spam%",
+            "spam_correct%",
+            "spam_as_unsure%",
+            "screened(attack)",
+            "target_flips%",
+        ],
+    );
+    for c in &res.cells {
+        t.row(vec![
+            c.attack.name(),
+            c.defense.name().into(),
+            pct(c.ham_misclassified),
+            pct(c.ham_as_spam),
+            pct(c.spam_caught),
+            pct(c.spam_as_unsure),
+            format!("{}({})", c.screened_out, c.screened_attack),
+            c.target_flips.map(pct).unwrap_or_else(|| "-".into()),
+        ]);
+    }
+    t
+}
+
 fn run_matrix(tier: Tier, seed: u64, threads: usize) -> TargetOutput {
-    let cfg = DefenseMatrixConfig::at_scale(tier.scale(), seed);
+    let cfg = tier.pick(
+        DefenseMatrixConfig::quick(seed),
+        DefenseMatrixConfig::full(seed),
+    );
     let res = defense_matrix::run(&cfg, threads);
     let mut csv = String::from("target,matrix\n");
     csv.push_str(
@@ -933,7 +1287,37 @@ fn run_matrix(tier: Tier, seed: u64, threads: usize) -> TargetOutput {
         digest: seal(csv),
         claims: Vec::new(),
         messages: (res.cells.len() as u64).max(1) * res.config.trusted_size as u64,
+        tables: table("matrix", matrix_table(&res)),
     }
+}
+
+fn weeks_table(res: &mailflow_weeks::MailflowResult) -> Table {
+    let mut t = Table::new(
+        "Extension: week-by-week organization simulation (SMTP substrate)",
+        &[
+            "scenario",
+            "week",
+            "ham_misrouted%",
+            "ham_as_spam%",
+            "spam_caught%",
+            "screened_out",
+            "useless",
+        ],
+    );
+    for (scenario, report) in &res.reports {
+        for w in &report.weeks {
+            t.row(vec![
+                scenario.name().into(),
+                w.week.to_string(),
+                pct(w.ham_misrouted),
+                pct(w.ham_as_spam),
+                pct(w.spam_caught),
+                w.screened_out.to_string(),
+                w.filter_useless.to_string(),
+            ]);
+        }
+    }
+    t
 }
 
 fn weeks_digest(res: &mailflow_weeks::MailflowResult) -> String {
@@ -961,7 +1345,7 @@ fn weeks_digest(res: &mailflow_weeks::MailflowResult) -> String {
 }
 
 fn run_weeks(tier: Tier, seed: u64) -> TargetOutput {
-    let cfg = MailflowConfig::at_scale(tier.scale(), seed);
+    let cfg = tier.pick(MailflowConfig::quick(seed), MailflowConfig::full(seed));
     let res = mailflow_weeks::run(&cfg);
     let mut claims = Vec::new();
     if tier == Tier::Full {
@@ -1006,7 +1390,42 @@ fn run_weeks(tier: Tier, seed: u64) -> TargetOutput {
         digest: weeks_digest(&res),
         claims,
         messages: messages.max(1),
+        tables: table("weeks", weeks_table(&res)),
     }
+}
+
+/// The per-week table of one organization scenario run.
+fn scenario_table(name: &str, report: &OrgReport) -> Table {
+    let mut t = Table::new(
+        format!("Scenario {name}: per-week organization report"),
+        &[
+            "week",
+            "offered",
+            "ham_misrouted%",
+            "ham_as_spam%",
+            "spam_caught%",
+            "screened_out",
+            "bounced",
+            "deferred",
+            "degraded",
+            "useless",
+        ],
+    );
+    for w in &report.weeks {
+        t.row(vec![
+            w.week.to_string(),
+            w.offered.to_string(),
+            pct(w.ham_misrouted),
+            pct(w.ham_as_spam),
+            pct(w.spam_caught),
+            w.screened_out.to_string(),
+            w.bounced.to_string(),
+            w.deferred.to_string(),
+            w.degraded.to_string(),
+            w.filter_useless.to_string(),
+        ]);
+    }
+    t
 }
 
 fn org_messages(report: &OrgReport) -> u64 {
@@ -1096,6 +1515,7 @@ fn run_scenario_spec(
         digest,
         claims,
         messages: org_messages(&report) * runs,
+        tables: table(&spec.name, scenario_table(&spec.name, &report)),
     };
     Ok((out, report))
 }
@@ -1237,11 +1657,6 @@ fn summary_csv(summary: &RigSummary) -> String {
     for t in &summary.targets {
         let passed = t.claims.iter().filter(|c| c.passed()).count();
         let failed = t.claims.len() - passed;
-        let rate = if t.wall_ms == 0 {
-            0.0
-        } else {
-            t.messages as f64 * 1000.0 / t.wall_ms as f64
-        };
         let _ = writeln!(
             csv,
             "{},{},{},{},{:.1},{},{},{}",
@@ -1249,7 +1664,7 @@ fn summary_csv(summary: &RigSummary) -> String {
             t.status.name(),
             t.wall_ms,
             t.messages,
-            rate,
+            t.msgs_per_sec(),
             passed,
             failed,
             t.seal
@@ -1258,40 +1673,22 @@ fn summary_csv(summary: &RigSummary) -> String {
     csv
 }
 
-fn bench_line(summary: &RigSummary, opts: &RigOptions) -> String {
-    let mut line = format!(
-        "{{\"bench\":\"rig\",\"tier\":\"{}\",\"seed\":{},\"threads\":{},\"targets\":[",
-        summary.tier.name(),
-        opts.seed,
-        opts.threads
+/// The paper's Table 1, verbatim from [`table1`].
+fn table1_table() -> Table {
+    let mut t = Table::new(
+        "Table 1: parameters used in our experiments",
+        &["Parameter", "Dictionary attack", "Focused attack", "RONI", "Threshold"],
     );
-    for (i, t) in summary.targets.iter().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        let rate = if t.wall_ms == 0 {
-            0.0
-        } else {
-            t.messages as f64 * 1000.0 / t.wall_ms as f64
-        };
-        let _ = write!(
-            line,
-            "{{\"stem\":\"{}\",\"status\":\"{}\",\"wall_ms\":{},\"messages\":{},\"msgs_per_sec\":{rate:.1}}}",
-            t.stem,
-            t.status.name(),
-            t.wall_ms,
-            t.messages
-        );
+    for row in table1() {
+        t.row(vec![
+            row.parameter.into(),
+            row.dictionary.into(),
+            row.focused.into(),
+            row.roni.into(),
+            row.threshold.into(),
+        ]);
     }
-    let total: u128 = summary.targets.iter().map(|t| t.wall_ms).sum();
-    let _ = write!(
-        line,
-        "],\"total_wall_ms\":{total},\"claims_evaluated\":{},\"failures\":{}}}",
-        summary.claims_evaluated(),
-        summary.failures()
-    );
-    line.push('\n');
-    line
+    t
 }
 
 /// Run the rig. Per-target failures are collected in the summary rather
@@ -1324,7 +1721,7 @@ pub fn run_rig(opts: &RigOptions) -> Result<RigSummary, String> {
     };
 
     for target in selected {
-        // sb-lint: allow(wall-clock, "per-target telemetry for BENCH_pr9.json and rig_summary.csv; never feeds a golden digest or simulation state")
+        // sb-lint: allow(wall-clock, "per-target telemetry for rig_summary.csv; never feeds a golden digest or simulation state")
         let t0 = Instant::now();
         let outcome = run_target(target, opts);
         let wall_ms = t0.elapsed().as_millis();
@@ -1339,12 +1736,18 @@ pub fn run_rig(opts: &RigOptions) -> Result<RigSummary, String> {
                 claims: Vec::new(),
                 errors: vec![e],
                 warnings: Vec::new(),
+                tables: Vec::new(),
             },
             Ok(out) => {
                 let artifact = report_dir.join(format!("{}.golden.csv", target.stem));
                 let mut errors = Vec::new();
                 if let Err(e) = fs::write(&artifact, &out.digest) {
                     errors.push(format!("writing {}: {e}", artifact.display()));
+                }
+                for (name, t) in &out.tables {
+                    if let Err(e) = t.write_files(&report_dir, name) {
+                        errors.push(format!("writing table {name}: {e}"));
+                    }
                 }
                 let golden_path = golden_dir.join(format!("{}.golden.csv", target.stem));
                 let (mut status, mut golden_errors, warnings) =
@@ -1365,6 +1768,7 @@ pub fn run_rig(opts: &RigOptions) -> Result<RigSummary, String> {
                     claims: out.claims,
                     errors,
                     warnings,
+                    tables: out.tables,
                 }
             }
         };
@@ -1392,22 +1796,12 @@ pub fn run_rig(opts: &RigOptions) -> Result<RigSummary, String> {
         summary.targets.push(record);
     }
 
+    table1_table()
+        .write_files(&report_dir, "table1")
+        .map_err(|e| format!("writing table1 under {}: {e}", report_dir.display()))?;
     let csv = summary_csv(&summary);
     let summary_path = report_dir.join("rig_summary.csv");
     fs::write(&summary_path, &csv).map_err(|e| format!("writing {}: {e}", summary_path.display()))?;
-
-    if let Some(bench) = &opts.bench_path {
-        use std::io::Write as _;
-        let line = bench_line(&summary, opts);
-        let res = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(bench)
-            .and_then(|mut f| f.write_all(line.as_bytes()));
-        if let Err(e) = res {
-            eprintln!("warning: could not append {}: {e}", bench.display());
-        }
-    }
 
     Ok(summary)
 }

@@ -112,8 +112,9 @@
 //! (0/1), `fault_dropped`, `fault_corrupted`.
 //! Operators: `<  <=  >  >=  ==  !=` (exact float
 //! comparison — use `==` for the integer-valued fields). Expectations are
-//! evaluated by `repro scenarios` (non-zero exit on failure) and enforced
-//! for every committed scenario by the `golden_scenarios` suite.
+//! evaluated by the rig's scenario targets (`repro run --only <stem>`,
+//! non-zero exit on failure) and enforced for every committed scenario by
+//! the `golden_scenarios` suite.
 //!
 //! The grammar round-trips: [`ScenarioSpec::format`] renders the canonical
 //! text form, and `parse(format(parse(text)))` equals `parse(text)` for
@@ -941,9 +942,9 @@ impl ScenarioSpec {
         Ok(org.run())
     }
 
-    /// Run the scenario with its own shard hint capped by `threads` (the
-    /// same `--threads` semantics as the `repro weeks` subcommand: capping
-    /// shards caps parallelism without changing a single report number).
+    /// Run the scenario with its own shard hint capped by `threads` (a hint
+    /// of 0 means one shard per thread). Capping shards caps parallelism
+    /// without changing a single report number.
     pub fn run_with_threads(&self, threads: usize) -> Result<OrgReport, ScenarioError> {
         let shards = match self.shards {
             0 => threads,

@@ -18,9 +18,9 @@
 //!    sequentially). A mismatch count other than zero fails the run.
 //!
 //! Telemetry (load times, aggregate messages/sec, the audit tally) is
-//! appended as one JSON line to `BENCH_pr10.json`, same family as the
-//! rig's `BENCH_pr9.json` lines. All wall-clock reads here are operator
-//! telemetry — nothing feeds a verdict, a digest, or simulation state.
+//! appended as one JSON line to `BENCH_pr10.json`. All wall-clock reads
+//! here are operator telemetry — nothing feeds a verdict, a digest, or
+//! simulation state.
 
 use crate::model::MmapDb;
 use crate::registry::{TenantId, TenantRegistry};

@@ -2,7 +2,7 @@
 //! parallel execution must not change results.
 
 use spambayes_repro::corpus::{CorpusConfig, TrecCorpus};
-use spambayes_repro::experiments::config::{Fig1Config, FocusedConfig, Scale};
+use spambayes_repro::experiments::config::{Fig1Config, FocusedConfig};
 use spambayes_repro::experiments::figures::{fig1, focused};
 
 #[test]
@@ -18,7 +18,7 @@ fn fig1_identical_across_thread_counts() {
         train_size: 400,
         folds: 2,
         fractions: vec![0.02],
-        ..Fig1Config::at_scale(Scale::Quick, 13)
+        ..Fig1Config::quick(13)
     };
     let serial = fig1::run(&cfg, 1);
     let parallel = fig1::run(&cfg, 4);
@@ -39,7 +39,7 @@ fn fig2_identical_across_thread_counts_and_reruns() {
         repetitions: 2,
         guess_probs: vec![0.5],
         fig2_attack_count: 20,
-        ..FocusedConfig::at_scale(Scale::Quick, 17)
+        ..FocusedConfig::quick(17)
     };
     let a = focused::run_fig2(&cfg, 1);
     let b = focused::run_fig2(&cfg, 4);

@@ -58,7 +58,7 @@ fn committed_specs() -> Vec<(PathBuf, ScenarioSpec)> {
             (path, spec)
         })
         .collect();
-    // Golden files and `repro scenarios` outputs are keyed by spec name,
+    // Golden files and the rig's scenario tables are keyed by spec name,
     // not file name: duplicates would silently share one digest.
     for (i, (path, spec)) in specs.iter().enumerate() {
         if let Some((other, _)) = specs[..i].iter().find(|(_, s)| s.name == spec.name) {

@@ -3,7 +3,7 @@
 //! tests guarantee the *orderings and mechanisms* never regress.
 
 use spambayes_repro::core::{attack_count_for_fraction, DictionaryKind, WordKnowledge};
-use spambayes_repro::experiments::config::{Fig1Config, FocusedConfig, Scale};
+use spambayes_repro::experiments::config::{Fig1Config, FocusedConfig};
 use spambayes_repro::experiments::figures::{fig1, focused, tokens};
 
 #[test]
@@ -32,7 +32,7 @@ fn claim_lexicon_sizes() {
 fn claim_fig1_ordering_and_unusability() {
     // §4.2/Fig 1: optimal ≥ usenet ≥ aspell; ~1% control makes the filter
     // unusable (ham overwhelmingly lost to spam/unsure).
-    let res = fig1::run(&Fig1Config::at_scale(Scale::Quick, 101), 2);
+    let res = fig1::run(&Fig1Config::quick(101), 2);
     let at = |name: &str, f: f64| res.point(name, f).unwrap();
     let f = 0.01;
     assert!(
@@ -54,7 +54,7 @@ fn claim_fig1_ordering_and_unusability() {
 #[test]
 fn claim_fig2_knowledge_monotonicity() {
     // §4.3/Fig 2: "the attack is increasingly effective as p increases."
-    let res = focused::run_fig2(&FocusedConfig::at_scale(Scale::Quick, 102), 2);
+    let res = focused::run_fig2(&FocusedConfig::quick(102), 2);
     let hams: Vec<f64> = res.bars.iter().map(|b| b.pct_ham).collect();
     for w in hams.windows(2) {
         assert!(w[1] <= w[0] + 0.10, "ham survival must shrink with p: {hams:?}");
