@@ -43,8 +43,8 @@ fn bench_roni(c: &mut Criterion) {
     let interner = sb_filter::Interner::global();
     let attack_ids = interner.intern_set(&attack_tokens);
     let normal_ids = interner.intern_set(&normal_tokens);
-    // The overlay path: invalidation-free, allocation-free in steady
-    // state, `&self`, on pre-interned ids.
+    // One candidate on pre-interned ids, through the trial tables
+    // (`&self`, no per-trial threads).
     g.bench_function("measure_attack_email_10k_lexicon", |b| {
         b.iter(|| roni.measure_ids(&attack_ids))
     });
@@ -52,18 +52,18 @@ fn bench_roni(c: &mut Criterion) {
         b.iter(|| roni.measure_ids(&normal_ids))
     });
     // Fresh-vocabulary candidate (focused-attack / foreign-language
-    // shape): no validation message δ-intersects it, so the overlay
-    // reuses every cached pure-shift verdict and the measurement reduces
-    // to a membership scan.
+    // shape): it shares no token with any trial vocabulary, so every
+    // validation message keeps its shift-only score and the measurement
+    // reduces to the vocabulary intersection.
     let fresh_ids: Vec<sb_filter::TokenId> = (0..200)
         .map(|i| interner.intern(&format!("zz-fresh-vocab-{i}")))
         .collect();
     g.bench_function("measure_fresh_vocab_spam", |b| {
         b.iter(|| roni.measure_ids(&fresh_ids))
     });
-    // Batch screening: 32 distinct candidates. The trial filters are
-    // shared read-only and per-trial scratch state is reused across the
-    // batch.
+    // Batch screening: 32 distinct candidates. The trial tables are
+    // shared read-only and each worker reuses one scratch across its
+    // share of the batch.
     let candidates: Vec<Vec<sb_filter::TokenId>> = (0..32)
         .map(|k| interner.intern_set(&Tokenizer::new().token_set(&corpus.fresh_spam(k))))
         .collect();

@@ -12,7 +12,7 @@
 
 use crate::roni::{RoniConfig, RoniDefense};
 use crate::threshold::{calibrate, CalibratedFilter, ThresholdConfig, TrainItem};
-use sb_email::{Dataset, LabeledEmail};
+use sb_email::{Dataset, Label, LabeledEmail};
 use sb_filter::FilterOptions;
 use sb_intern::TokenId;
 use sb_stats::rng::Xoshiro256pp;
@@ -74,23 +74,25 @@ pub fn defend(
     rng: &mut Xoshiro256pp,
 ) -> CombinedOutcome {
     let tokenizer = Tokenizer::new();
-
-    // Phase 1: RONI admission control. Candidates are tokenized and
-    // interned once, screened in one parallel overlay sweep, and their id
-    // sets reused for calibration below.
-    let roni = RoniDefense::new(cfg.roni, trusted, opts, rng);
     let interner = sb_intern::Interner::global();
-    let candidate_ids: Vec<Arc<Vec<TokenId>>> = candidates
+    let intern = |m: &LabeledEmail| Arc::new(interner.intern_set(&tokenizer.token_set(&m.email)));
+
+    // Phase 1: RONI admission control. Trusted mail and candidates are
+    // tokenized and interned once; the candidates are screened in one
+    // parallel sweep, and both id sets are reused for calibration below.
+    let trusted_ids: Vec<(Arc<Vec<TokenId>>, Label)> = trusted
+        .emails()
         .iter()
-        .map(|m| Arc::new(interner.intern_set(&tokenizer.token_set(&m.email))))
+        .map(|m| (intern(m), m.label))
         .collect();
+    let roni = RoniDefense::from_ids(cfg.roni, &trusted_ids, opts, rng);
+    let candidate_ids: Vec<Arc<Vec<TokenId>>> = candidates.iter().map(intern).collect();
     let (admitted, rejected) = roni.screen_ids(&candidate_ids);
 
     // Phase 2: calibrate on trusted + admitted.
-    let mut items: Vec<TrainItem> = trusted
-        .emails()
-        .iter()
-        .map(|m| TrainItem::new(tokenizer.token_set(&m.email), m.label))
+    let mut items: Vec<TrainItem> = trusted_ids
+        .into_iter()
+        .map(|(ids, label)| TrainItem::from_ids(ids, label))
         .collect();
     for &i in &admitted {
         items.push(TrainItem::from_ids(

@@ -20,8 +20,8 @@
 //! retrain is a pure id-counting loop and held-out probes are classified
 //! through the parallel batch API. Screening goes through
 //! [`ScreeningPolicy::admit_batch`], so the RONI screen measures an
-//! epoch's spam arrivals in one parallel overlay sweep (read-only against
-//! shared trial filters — no database clones, no cache invalidation).
+//! epoch's spam arrivals in one parallel sweep (read-only against the
+//! shared trial tables — nothing is cloned or retrained).
 //! Pre-intern recurring probe sets with
 //! [`RetrainingPipeline::intern_probes`] to avoid re-tokenizing them
 //! every epoch.
@@ -100,9 +100,8 @@ impl ScreeningPolicy for RoniScreen {
     }
 
     /// Screen the spam-labeled arrivals of an epoch in one parallel
-    /// overlay sweep (`RoniDefense::measure_ids_batch`): candidate
-    /// measurement is read-only, so workers share the trial filters and
-    /// their warm score caches across the whole batch.
+    /// sweep (`RoniDefense::measure_ids_batch`): candidate measurement is
+    /// read-only, so workers share the trial tables across the batch.
     fn admit_batch(&mut self, items: &[(Arc<Vec<TokenId>>, Label)]) -> Vec<bool> {
         let mut admit = vec![true; items.len()];
         let spam_idx: Vec<usize> = items

@@ -32,6 +32,7 @@ use sb_filter::{FilterOptions, SpamBayes, Verdict};
 use sb_stats::rng::{SeedTree, Xoshiro256pp};
 use sb_tokenizer::Tokenizer;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The matrix's attack rows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -170,14 +171,23 @@ fn train_defended(
             (Defended::Plain(f), 0, 0)
         }
         MatrixDefense::Roni => {
-            let roni = RoniDefense::new(RoniConfig::default(), trusted, opts, rng);
+            // Tokenize + intern every message once: the trusted ids build
+            // the RONI trials and train the filter, the candidates take
+            // one parallel screening sweep and the kept ids train directly.
             let mut f = SpamBayes::new();
-            for m in trusted.emails() {
-                f.train(&m.email, m.label);
-            }
-            // Tokenize + intern each candidate once; one parallel overlay
-            // screening sweep, then the kept ids train directly.
             let interner = f.interner().clone();
+            let trusted_ids: Vec<(Arc<Vec<sb_intern::TokenId>>, Label)> = trusted
+                .emails()
+                .iter()
+                .map(|m| {
+                    let ids = interner.intern_set(&tokenizer.token_set(&m.email));
+                    (Arc::new(ids), m.label)
+                })
+                .collect();
+            let roni = RoniDefense::from_ids(RoniConfig::default(), &trusted_ids, opts, rng);
+            for (ids, label) in &trusted_ids {
+                f.train_ids(ids, *label, 1);
+            }
             let candidate_ids: Vec<Vec<sb_intern::TokenId>> = candidates
                 .iter()
                 .map(|m| interner.intern_set(&tokenizer.token_set(&m.email)))

@@ -163,9 +163,6 @@ fn scored<D: ScoreDb + ?Sized>(delta: &[(TokenId, f64)], db: &D, opts: &FilterOp
 
 /// Score an interned (deduplicated) id set against any [`ScoreDb`]:
 /// δ-selection over the source's scores followed by Fisher combining.
-/// On an overlay it is bit-identical to scoring after training the
-/// overlay's candidate (property-tested in `tests/prop_intern.rs` and
-/// `sb-core::roni`).
 pub fn score_token_ids<D: ScoreDb + ?Sized>(
     ids: &[TokenId],
     db: &D,

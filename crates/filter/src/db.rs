@@ -39,7 +39,6 @@
 //!   what makes the paper-scale parameter sweeps tractable.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::memo::ScoreMemo;
 use crate::options::FilterOptions;
@@ -90,13 +89,10 @@ impl std::error::Error for UntrainError {}
 /// [`crate::classify::score_token_ids`] (and therefore
 /// `SpamBayes::classify_ids`) is generic over.
 ///
-/// Four implementations exist, all memoizing through a
+/// Three implementations exist, all memoizing through a
 /// [`ScoreMemo`] (stamp rules in [`crate::memo`]):
 ///
 /// * [`TokenDb`] — the trained counts;
-/// * [`crate::overlay::OverlayDb`] — a borrowed base plus a candidate
-///   delta (`counts + candidate, NS + 1`), used by the RONI defense to
-///   measure candidates without mutating (or invalidating) the base;
 /// * `sb_serve::MmapDb` — a packed model image served in place;
 /// * `sb_serve::StackView` — tenant overlay layers over a served base.
 ///
@@ -144,13 +140,8 @@ pub struct TokenDb {
     distinct: usize,
     /// Mutation counter driving cache invalidation (starts at 1).
     generation: u64,
-    /// Process-unique instance identity (see [`TokenDb::uid`]).
-    uid: u64,
     cache: ScoreMemo,
 }
-
-/// Next value for [`TokenDb::uid`]; starts at 1 so 0 can mean "unbound".
-static NEXT_DB_UID: AtomicU64 = AtomicU64::new(1);
 
 impl Default for TokenDb {
     fn default() -> Self {
@@ -167,9 +158,6 @@ impl Clone for TokenDb {
             counts: self.counts.clone(),
             distinct: self.distinct,
             generation: self.generation,
-            // A clone is a distinct instance: same (uid, generation) must
-            // never describe two databases whose counts can diverge.
-            uid: NEXT_DB_UID.fetch_add(1, Ordering::Relaxed),
             // Fresh, unfilled cache.
             cache: ScoreMemo::with_capacity(self.counts.len()),
         }
@@ -192,7 +180,6 @@ impl TokenDb {
             counts: Vec::new(),
             distinct: 0,
             generation: 1,
-            uid: NEXT_DB_UID.fetch_add(1, Ordering::Relaxed),
             cache: ScoreMemo::new(),
         }
     }
@@ -225,14 +212,6 @@ impl TokenDb {
     /// The mutation generation (exposed for cache diagnostics and tests).
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// A process-unique identity for this database *instance* (clones get
-    /// fresh uids). `(uid, generation)` therefore pins an exact counts
-    /// state, which is what `overlay::OverlayScratch` binds its memoized
-    /// scores to so they can outlive a single overlay.
-    pub fn uid(&self) -> u64 {
-        self.uid
     }
 
     /// Drop every cached score by advancing the generation. Counts are
@@ -278,12 +257,6 @@ impl TokenDb {
         }
         entry.spam += counts.spam;
         entry.ham += counts.ham;
-    }
-
-    /// Ids below this bound may carry counts; every id at or past it is
-    /// unseen. The score memo covers exactly these ids.
-    pub(crate) fn id_bound(&self) -> usize {
-        self.counts.len()
     }
 
     /// Counts for a token id (zero if unseen).

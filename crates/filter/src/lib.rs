@@ -31,10 +31,9 @@
 //!   and the ID paths ([`SpamBayes::classify_ids`],
 //!   [`SpamBayes::classify_ids_batch`]) are property-tested bit-identical
 //!   to a string-keyed reference scorer.
-//! * **Overlay scoring** — ID scoring is generic over [`ScoreDb`]; an
-//!   [`OverlayDb`] lays a candidate's [`CandidateDelta`] over a borrowed
-//!   database to score "as if trained" without mutating it, which is what
-//!   makes RONI candidate measurement invalidation-free (see [`overlay`]).
+//! * **Generic scoring** — ID scoring is generic over [`ScoreDb`], so the
+//!   trained database and sb-serve's packed images and tenant stacks share
+//!   one δ(E) selection and Fisher combine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +44,6 @@ pub mod db;
 pub mod image;
 pub mod memo;
 pub mod options;
-pub mod overlay;
 pub mod persist;
 pub mod score;
 
@@ -58,6 +56,5 @@ pub use db::{ln_pair, CachedScore, ScoreDb, TokenCounts, TokenDb, UntrainError};
 pub use image::{ImageError, ImageView};
 pub use memo::ScoreMemo;
 pub use options::FilterOptions;
-pub use overlay::{CandidateDelta, OverlayDb, OverlayScratch};
 pub use persist::{load_db, load_db_into, save_db, PersistError};
 pub use sb_intern::{Interner, TokenId};

@@ -26,13 +26,6 @@
 //! * **`StackView`** (sb-serve) stamps with 1 + Σ layer generations.
 //!   Every layer mutation bumps its layer's generation, so the sum only
 //!   grows; the registry gives each tenant its own memo.
-//! * **`OverlayScratch`** holds two memos. The *stable* memo covers
-//!   tokens outside the candidate; its epoch moves only when the
-//!   binding — base uid, base generation and class shift — changes, so
-//!   RONI candidates with one binding share it (this is what
-//!   `OverlayDb::shift_f` reads too). The *member* memo covers candidate
-//!   tokens, whose scores differ per candidate; its epoch moves on every
-//!   claim. Both grow at claim to the ids the base has counts for.
 //!
 //! A memo bakes one `FilterOptions` in per stamp; owners whose options
 //! can change must move to a new stamp when they do.

@@ -6,10 +6,7 @@
 
 use proptest::prelude::*;
 use sb_email::Label;
-use sb_filter::{
-    classify, CandidateDelta, Clue, FilterOptions, Interner, OverlayDb, OverlayScratch, Scored,
-    SpamBayes, TokenDb, TokenId,
-};
+use sb_filter::{classify, Clue, FilterOptions, Interner, Scored, SpamBayes, TokenDb, TokenId};
 
 /// The string-keyed reference scorer: δ(E) selection over string token
 /// scores with a string tie-break, then Fisher's method written out from
@@ -285,49 +282,6 @@ proptest! {
         let score_after = classify::score_token_ids(&probe_ids, &db, &opts);
         prop_assert_eq!(score_before.score.to_bits(), score_after.score.to_bits());
         prop_assert_eq!(score_before, score_after);
-    }
-
-    /// Overlay scoring is train → classify → untrain, bit for bit: for
-    /// any base history, candidate (any label/multiplicity), and probe,
-    /// classifying under the candidate's [`CandidateDelta`] overlay
-    /// equals actually training the candidate — and the overlay leaves
-    /// the base generation (hence its score cache) untouched.
-    #[test]
-    fn overlay_classification_matches_train_untrain(
-        base in proptest::collection::vec((token_set(), any::<bool>()), 1..10),
-        candidate in token_set(),
-        cand_spam in any::<bool>(),
-        multiplicity in 1u32..5,
-        probe in token_set(),
-    ) {
-        let interner = Interner::new();
-        let mut filter = SpamBayes::with_interner(interner.clone());
-        for (set, is_spam) in &base {
-            filter.train_tokens(set, if *is_spam { Label::Spam } else { Label::Ham }, 1);
-        }
-        let label = if cand_spam { Label::Spam } else { Label::Ham };
-        let cand_ids = interner.intern_set(&candidate);
-        let probe_ids = interner.intern_set(&probe);
-
-        let delta = CandidateDelta::new(&cand_ids, label, multiplicity);
-        let gen_before = filter.db().generation();
-        let mut scratch = OverlayScratch::new();
-        let overlay = OverlayDb::new(filter.db(), &delta, &mut scratch);
-        let via_overlay = classify::score_token_ids(&probe_ids, &overlay, filter.options());
-        prop_assert_eq!(filter.db().generation(), gen_before, "overlay mutated the base");
-
-        filter.train_ids(&cand_ids, label, multiplicity);
-        let via_train = filter.classify_ids(&probe_ids);
-        filter.untrain_ids(&cand_ids, label, multiplicity).unwrap();
-
-        prop_assert_eq!(
-            via_overlay.score.to_bits(),
-            via_train.score.to_bits(),
-            "overlay {} vs trained {}",
-            via_overlay.score,
-            via_train.score
-        );
-        prop_assert_eq!(&via_overlay, &via_train);
     }
 
     /// Multiplicity fast path on ids equals repetition (the dictionary

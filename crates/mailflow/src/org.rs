@@ -1099,8 +1099,9 @@ pub struct MailOrg {
     generator: EmailGenerator,
     tokenizer: Tokenizer,
     filter: ActiveFilter,
-    /// Trusted bootstrap messages (never contaminated; RONI's yardstick).
-    bootstrap: Dataset,
+    /// Interned trusted bootstrap messages (never contaminated; RONI's
+    /// yardstick), sharing their id sets with the head of `pool_ids`.
+    bootstrap_ids: Vec<(Arc<Vec<TokenId>>, Label)>,
     /// Screened, training-eligible pool (starts as the bootstrap).
     pool: Dataset,
     /// Interned token sets parallel to `pool`: tokenized once at delivery
@@ -1176,9 +1177,11 @@ impl MailOrg {
         let interner = Interner::global();
         let mut filter = SpamBayes::new();
         let mut pool_ids: Vec<Arc<Vec<TokenId>>> = Vec::with_capacity(bootstrap.len());
+        let mut bootstrap_ids = Vec::with_capacity(bootstrap.len());
         for m in bootstrap.emails() {
             let ids = intern_email(&tokenizer, &interner, &m.email);
             filter.train_ids(&ids, m.label, 1);
+            bootstrap_ids.push((Arc::clone(&ids), m.label));
             pool_ids.push(ids);
         }
 
@@ -1206,8 +1209,7 @@ impl MailOrg {
             })
             .collect();
 
-        let mut pool = Dataset::new();
-        pool.extend_from(&bootstrap);
+        let pool = bootstrap;
 
         let filter = ActiveFilter::Plain(filter);
         // The initial last-good checkpoint is the bootstrap-trained model:
@@ -1219,7 +1221,7 @@ impl MailOrg {
             generator,
             tokenizer,
             filter,
-            bootstrap,
+            bootstrap_ids,
             pool,
             pool_ids,
             interner,
@@ -1600,17 +1602,16 @@ impl MailOrg {
         match self.cfg.defense {
             DefensePolicy::Roni | DefensePolicy::RoniPlusThreshold => {
                 let mut rng = week_seeds.child("roni").rng();
-                let roni = RoniDefense::new(
+                let roni = RoniDefense::from_ids(
                     RoniConfig::default(),
-                    &self.bootstrap,
+                    &self.bootstrap_ids,
                     FilterOptions::default(),
                     &mut rng,
                 );
-                // The parallel overlay sweep over the merged week's
-                // arrivals (read-only; the shared trial filters are never
-                // mutated). A screening failure fails closed: the week's
-                // mail stays out of the pool and the error lands in the
-                // report.
+                // One parallel screening sweep over the merged week's
+                // arrivals (read-only against the shared trial tables).
+                // A screening failure fails closed: the week's mail stays
+                // out of the pool and the error lands in the report.
                 match roni.try_screen_ids(&fresh) {
                     Ok((kept, rejected)) => {
                         screened_out += rejected.len();

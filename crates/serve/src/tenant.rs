@@ -2,11 +2,10 @@
 //! base, combined read-only by [`StackView`] and served to concurrent
 //! probe threads through a shared [`ScoreMemo`].
 //!
-//! Where [`sb_filter::CandidateDelta`] is the *measurement* delta — one
-//! immutable candidate message, built per RONI probe and thrown away —
-//! an [`OverlayLayer`] is the *serving* delta: it accumulates a tenant's
-//! whole personal training history (arbitrary per-token counts from many
-//! train/untrain calls) and lives as long as the tenant does. Layers
+//! An [`OverlayLayer`] is the workspace's one count-delta type: it
+//! accumulates a tenant's whole personal training history (arbitrary
+//! per-token counts from many train/untrain calls) and lives as long as
+//! the tenant does. Layers
 //! stack: a [`StackView`] lays an ordered list of layers over any
 //! [`BaseModel`] (org patch over the packed base, user delta over that),
 //! and scoring consults them newest-to-oldest additively — effective
