@@ -73,7 +73,7 @@ impl AttackBatch {
     ) -> Vec<(Vec<sb_intern::TokenId>, u32)> {
         self.groups
             .iter()
-            .map(|(e, n)| (interner.intern_set(&tokenizer.token_set(e)), *n))
+            .map(|(e, n)| (tokenizer.intern_ids(e, interner), *n))
             .collect()
     }
 

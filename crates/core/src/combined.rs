@@ -75,7 +75,7 @@ pub fn defend(
 ) -> CombinedOutcome {
     let tokenizer = Tokenizer::new();
     let interner = sb_intern::Interner::global();
-    let intern = |m: &LabeledEmail| Arc::new(interner.intern_set(&tokenizer.token_set(&m.email)));
+    let intern = |m: &LabeledEmail| Arc::new(tokenizer.intern_ids(&m.email, &interner));
 
     // Phase 1: RONI admission control. Trusted mail and candidates are
     // tokenized and interned once; the candidates are screened in one

@@ -167,12 +167,7 @@ impl<P: ScreeningPolicy> RetrainingPipeline<P> {
         let interner = sb_intern::Interner::global();
         let pool: Vec<(Arc<Vec<TokenId>>, Label)> = initial_pool
             .iter()
-            .map(|(e, l)| {
-                (
-                    Arc::new(interner.intern_set(&tokenizer.token_set(e))),
-                    *l,
-                )
-            })
+            .map(|(e, l)| (Arc::new(tokenizer.intern_ids(e, &interner)), *l))
             .collect();
         let mut pipeline = Self {
             tokenizer,
@@ -201,7 +196,7 @@ impl<P: ScreeningPolicy> RetrainingPipeline<P> {
         let interner = self.filter.interner().clone();
         probes
             .iter()
-            .map(|e| Arc::new(interner.intern_set(&self.tokenizer.token_set(e))))
+            .map(|e| Arc::new(self.tokenizer.intern_ids(e, &interner)))
             .collect()
     }
 
@@ -225,12 +220,7 @@ impl<P: ScreeningPolicy> RetrainingPipeline<P> {
         let interner = self.filter.interner().clone();
         let arrivals_ids: Vec<(Arc<Vec<TokenId>>, Label)> = arrivals
             .iter()
-            .map(|(e, l)| {
-                (
-                    Arc::new(interner.intern_set(&self.tokenizer.token_set(e))),
-                    *l,
-                )
-            })
+            .map(|(e, l)| (Arc::new(self.tokenizer.intern_ids(e, &interner)), *l))
             .collect();
         let probe_ham_ids = self.intern_probes(probe_ham);
         let probe_spam_ids = self.intern_probes(probe_spam);
@@ -378,9 +368,7 @@ mod tests {
             let arrivals: Vec<(Arc<Vec<TokenId>>, Label)> =
                 epoch_traffic(&corpus, epoch * 50, 10, 5)
                     .iter()
-                    .map(|(e, l)| {
-                        (Arc::new(interner.intern_set(&tokenizer.token_set(e))), *l)
-                    })
+                    .map(|(e, l)| (Arc::new(tokenizer.intern_ids(e, &interner)), *l))
                     .collect();
             let report =
                 pipeline.run_epoch_interned(&arrivals, &probe_ham_ids, &probe_spam_ids);

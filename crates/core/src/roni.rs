@@ -512,12 +512,7 @@ impl RoniDefense {
         let tokenized: Vec<IdMessage> = pool
             .emails()
             .iter()
-            .map(|m| {
-                (
-                    Arc::new(interner.intern_set(&tokenizer.token_set(&m.email))),
-                    m.label,
-                )
-            })
+            .map(|m| (Arc::new(tokenizer.intern_ids(&m.email, &interner)), m.label))
             .collect();
         Self::from_ids(cfg, &tokenized, opts, rng)
     }

@@ -180,7 +180,7 @@ fn train_defended(
                 .emails()
                 .iter()
                 .map(|m| {
-                    let ids = interner.intern_set(&tokenizer.token_set(&m.email));
+                    let ids = tokenizer.intern_ids(&m.email, &interner);
                     (Arc::new(ids), m.label)
                 })
                 .collect();
@@ -190,7 +190,7 @@ fn train_defended(
             }
             let candidate_ids: Vec<Vec<sb_intern::TokenId>> = candidates
                 .iter()
-                .map(|m| interner.intern_set(&tokenizer.token_set(&m.email)))
+                .map(|m| tokenizer.intern_ids(&m.email, &interner))
                 .collect();
             let (kept, rejected) = roni.screen_ids(&candidate_ids);
             let out_atk = rejected.iter().filter(|&&i| is_attack[i]).count();

@@ -84,7 +84,7 @@ pub fn run(cfg: &Fig1Config, threads: usize) -> Fig1Result {
             let attack = DictionaryAttack::new(kind);
             (
                 kind,
-                Arc::new(tokenized.intern_set(&tokenizer.token_set(attack.prototype()))),
+                Arc::new(tokenizer.intern_ids(attack.prototype(), tokenized.interner())),
             )
         })
         .collect();

@@ -99,7 +99,7 @@ pub fn run(cfg: &Fig5Config, threads: usize) -> Fig5Result {
 
     let attack = DictionaryAttack::new(DictionaryKind::UsenetTop(cfg.usenet_k));
     let lexicon: Arc<Vec<sb_filter::TokenId>> =
-        Arc::new(tokenized.intern_set(&tokenizer.token_set(attack.prototype())));
+        Arc::new(tokenizer.intern_ids(attack.prototype(), tokenized.interner()));
 
     // fold → fraction → defense → Confusion
     let per_fold: Vec<Vec<Vec<Confusion>>> = parallel_map(cfg.folds, threads, |fold| {

@@ -78,7 +78,7 @@ pub fn run(cfg: &RoniExperimentConfig, threads: usize) -> RoniResult {
                 let attack = DictionaryAttack::new(kind);
                 (
                     kind,
-                    Arc::new(interner.intern_set(&tokenizer.token_set(attack.prototype()))),
+                    Arc::new(tokenizer.intern_ids(attack.prototype(), &interner)),
                 )
             })
             .collect();

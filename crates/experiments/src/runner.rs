@@ -29,10 +29,7 @@ impl TokenizedDataset {
             .emails()
             .iter()
             .map(|m| {
-                (
-                    Arc::new(interner.intern_set(&tokenizer.token_set(&m.email))),
-                    m.label,
-                )
+(Arc::new(tokenizer.intern_ids(&m.email, &interner)), m.label)
             })
             .collect();
         Self { interner, items }
@@ -146,7 +143,7 @@ mod tests {
         assert_eq!(label, Label::Ham);
         assert_eq!(
             **tokens,
-            td.interner().intern_set(&tk.token_set(&data.emails()[0].email))
+            tk.intern_ids(&data.emails()[0].email, td.interner())
         );
         assert_eq!(td.indices_of(Label::Spam), vec![1]);
     }

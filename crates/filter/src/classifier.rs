@@ -1,7 +1,7 @@
 //! The user-facing filter: tokenizer + token database + options.
 
 use crate::classify::{
-    lookup_ids, score_token_ids, score_token_ids_with_clues, Clue, Scored, Verdict,
+    email_ids, lookup_ids, score_token_ids, score_token_ids_with_clues, Clue, Scored, Verdict,
 };
 use crate::db::{TokenDb, UntrainError};
 use crate::options::FilterOptions;
@@ -105,8 +105,7 @@ impl SpamBayes {
     /// read-only lookup so attacker-chosen probe vocabulary cannot grow
     /// the interner.
     pub fn token_ids(&self, email: &Email) -> Vec<TokenId> {
-        let set = self.tokenizer.token_set(email);
-        self.db.interner().intern_set(&set)
+        self.tokenizer.intern_ids(email, self.db.interner())
     }
 
     /// Train on one labelled message.
@@ -156,9 +155,12 @@ impl SpamBayes {
     /// Score and classify a message (tokenize → read-only id lookup →
     /// ID fast path; probe-only vocabulary never grows the interner).
     pub fn classify(&self, email: &Email) -> Scored {
-        let set = self.tokenizer.token_set(email);
-        let ids = lookup_ids(self.db.interner(), &set, &self.opts);
-        score_token_ids(&ids, &self.db, &self.opts)
+        score_token_ids(&self.lookup_email(email), &self.db, &self.opts)
+    }
+
+    /// The ids `email` classifies by ([`email_ids`]).
+    fn lookup_email(&self, email: &Email) -> Vec<TokenId> {
+        email_ids(&self.tokenizer, email, self.db.interner(), &self.opts)
     }
 
     /// Classify a pre-tokenized set (read-only id lookup → ID path;
@@ -201,9 +203,7 @@ impl SpamBayes {
 
     /// Classify with the δ(E) clue list (diagnostics / Figure 4).
     pub fn classify_with_clues(&self, email: &Email) -> (Scored, Vec<Clue>) {
-        let set = self.tokenizer.token_set(email);
-        let ids = lookup_ids(self.db.interner(), &set, &self.opts);
-        score_token_ids_with_clues(&ids, &self.db, &self.opts)
+        score_token_ids_with_clues(&self.lookup_email(email), &self.db, &self.opts)
     }
 
     /// The smoothed score `f(w)` of a single token under the current counts.

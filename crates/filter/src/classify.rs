@@ -16,8 +16,10 @@
 
 use crate::db::ScoreDb;
 use crate::options::FilterOptions;
+use sb_email::Email;
 use sb_intern::{Interner, TokenId};
 use sb_stats::chi2::chi2q_even;
+use sb_tokenizer::Tokenizer;
 use serde::{Deserialize, Serialize};
 
 /// The three-way decision of the filter (§2.1 of the paper).
@@ -73,12 +75,18 @@ pub struct Scored {
     pub n_clues: usize,
 }
 
+/// True when never-interned tokens cannot enter δ(E) (see [`lookup_ids`]).
+fn unknown_tokens_are_inert(opts: &FilterOptions) -> bool {
+    (opts.unknown_word_prob - 0.5).abs() < opts.minimum_prob_strength
+}
+
 /// Resolve a token set to ids for *classification*: read-only against
 /// the interner whenever dropping never-interned tokens cannot change
 /// the result (they score the prior `x`, which the δ(E) strength filter
 /// excludes for every sane configuration). Classifying a stream of unseen
 /// vocabulary — the dictionary-attack shape — must not permanently grow
-/// the append-only interner.
+/// the append-only interner. [`email_ids`] is the same rule for a whole
+/// message.
 ///
 /// `sb_mailflow::MailOrg` does not use this path: it interns each
 /// delivered message's full token set at delivery (the same ids then
@@ -87,16 +95,28 @@ pub struct Scored {
 /// organization already interned every delivered message when it
 /// retrained on it.
 pub fn lookup_ids(interner: &Interner, token_set: &[String], opts: &FilterOptions) -> Vec<TokenId> {
-    if (opts.unknown_word_prob - 0.5).abs() < opts.minimum_prob_strength {
-        let mut ids: Vec<TokenId> = token_set.iter().filter_map(|t| interner.get(t)).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+    if unknown_tokens_are_inert(opts) {
+        interner.lookup_pieces(token_set)
     } else {
         // Unusual options (e.g. a biased prior with a zero-width
         // exclusion band): unknown tokens would enter δ(E), so they must
         // be representable — intern them.
         interner.intern_set(token_set)
+    }
+}
+
+/// [`lookup_ids`] of `tokenizer.token_set(email)`, through the tokenizer's
+/// fused path: no `String` per token.
+pub fn email_ids(
+    tokenizer: &Tokenizer,
+    email: &Email,
+    interner: &Interner,
+    opts: &FilterOptions,
+) -> Vec<TokenId> {
+    if unknown_tokens_are_inert(opts) {
+        tokenizer.lookup_ids(email, interner)
+    } else {
+        tokenizer.intern_ids(email, interner)
     }
 }
 
@@ -183,7 +203,7 @@ pub fn score_token_ids_with_clues<D: ScoreDb + ?Sized>(
     let clues = delta
         .iter()
         .map(|&(id, f)| Clue {
-            token: interner.resolve(id).to_string(),
+            token: interner.resolve(id),
             score: f,
         })
         .collect();
@@ -214,7 +234,7 @@ mod tests {
         let ids = db.interner().intern_set(words);
         select_delta_ids(&ids, db, opts)
             .into_iter()
-            .map(|(id, _)| db.interner().resolve(id).to_string())
+            .map(|(id, _)| db.interner().resolve(id))
             .collect()
     }
 

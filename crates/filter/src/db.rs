@@ -280,14 +280,7 @@ impl TokenDb {
             .iter()
             .enumerate()
             .filter(|(_, c)| !c.is_zero())
-            .map(|(i, c)| {
-                (
-                    self.interner
-                        .resolve(TokenId(i as u32))
-                        .to_string(),
-                    *c,
-                )
-            })
+            .map(|(i, c)| (self.interner.resolve(TokenId(i as u32)), *c))
     }
 
     /// Ids with nonzero counts, ascending.
@@ -409,7 +402,7 @@ impl TokenDb {
             };
             if have < multiplicity {
                 return Err(UntrainError {
-                    token: Some(self.interner.resolve(id).to_string()),
+                    token: Some(self.interner.resolve(id)),
                 });
             }
         }

@@ -12,6 +12,10 @@
 //! attacker-influenced in this codebase, but an attacker who wants to
 //! slow the filter down already has cheaper levers (message volume), and
 //! the paper's threat model is poisoning, not algorithmic complexity.
+//! The same holds for the interner's flat table (`crate::intern`), which
+//! probes linearly from a slot chosen by this hash: tokens an attacker
+//! crafts to share a tag's home slot lengthen that run's probes. That is
+//! a known, accepted trade-off for the table's cache behaviour.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -108,7 +112,11 @@ mod tests {
         for t in &tokens {
             seen.insert(hash_of(t));
         }
-        assert_eq!(seen.len(), tokens.len(), "collisions on the counter-token shape");
+        assert_eq!(
+            seen.len(),
+            tokens.len(),
+            "collisions on the counter-token shape"
+        );
     }
 
     #[test]

@@ -490,7 +490,7 @@ impl ActiveFilter {
 /// (on the delivering shard) and again only to rebuild ids it does not
 /// keep — the bootstrap in `try_new`, the pool and replay in `restore`.
 fn intern_email(tokenizer: &Tokenizer, interner: &Interner, email: &Email) -> Arc<Vec<TokenId>> {
-    Arc::new(interner.intern_set(&tokenizer.token_set(email)))
+    Arc::new(tokenizer.intern_ids(email, interner))
 }
 
 /// Capture a filter as a last-good checkpoint: the `persist` dump image of

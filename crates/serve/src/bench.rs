@@ -10,8 +10,10 @@
 //!    parse per process" number.
 //! 3. **Serve** — register N tenants over the shared image (plus a
 //!    frozen org patch, so every stack is 2 layers deep), train each
-//!    tenant's private delta, and drive M-threaded
-//!    `classify_ids_batch` probe traffic through every tenant.
+//!    tenant's private delta, and drive M-threaded raw-message probe
+//!    traffic through every tenant with [`TenantRegistry::classify_raw`]
+//!    (parse → tokenize → read-only id lookup → classify), so the probes
+//!    never grow the serving interner.
 //! 4. **Audit** — before timing, every tenant's verdicts over the probe
 //!    set are compared bit-for-bit against a standalone `TokenDb`
 //!    trained with the same mail (base → org patch → tenant delta,
@@ -27,9 +29,9 @@ use crate::registry::{TenantId, TenantRegistry};
 use crate::tenant::OverlayLayer;
 use crate::ServeError;
 use sb_corpus::{CorpusConfig, TrecCorpus};
-use sb_email::Label;
+use sb_email::{render_email, Label};
 use sb_filter::classify::score_token_ids;
-use sb_filter::{image, load_db, save_db, FilterOptions, TokenDb};
+use sb_filter::{image, load_db, save_db, FilterOptions, Scored, TokenDb};
 use sb_intern::{par, Interner, TokenId};
 use sb_tokenizer::Tokenizer;
 use std::fmt::Write as _;
@@ -156,7 +158,25 @@ fn intern_email(
     interner: &Interner,
     email: &sb_email::Email,
 ) -> Vec<TokenId> {
-    interner.intern_set(&tokenizer.token_set(email))
+    tokenizer.intern_ids(email, interner)
+}
+
+/// Classify raw messages through `tenant`'s stack on `threads` workers,
+/// results in input order.
+fn classify_raw_batch(
+    registry: &TenantRegistry<MmapDb>,
+    tenant: TenantId,
+    raw: &[String],
+    threads: usize,
+) -> Result<Vec<Scored>, ServeError> {
+    par::parallel_chunks(raw, threads, |_, chunk| {
+        chunk
+            .iter()
+            .map(|m| registry.classify_raw(tenant, m))
+            .collect()
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Run the benchmark (see module docs). Bit-identity mismatches are
@@ -256,10 +276,7 @@ pub fn run_serve_bench(cfg: &ServeBenchConfig) -> Result<ServeBenchReport, Serve
             }
         })
         .collect();
-    let probe_ids: Vec<Vec<TokenId>> = probe_mail
-        .iter()
-        .map(|e| intern_email(&tokenizer, &serve_interner, e))
-        .collect();
+    let probe_raw: Vec<String> = probe_mail.iter().map(render_email).collect();
 
     // ---- audit: bit-identity vs standalone per-tenant TokenDbs -------
     let mut verdicts_checked = 0usize;
@@ -276,11 +293,7 @@ pub fn run_serve_bench(cfg: &ServeBenchConfig) -> Result<ServeBenchReport, Serve
             .iter()
             .map(|e| intern_email(&tokenizer, &base_interner, e))
             .collect();
-        let got = registry.classify_ids_batch_with_threads(
-            TenantId(t as u32),
-            &probe_ids,
-            cfg.threads,
-        )?;
+        let got = classify_raw_batch(&registry, TenantId(t as u32), &probe_raw, cfg.threads)?;
         for (ids, scored) in standalone_probe.iter().zip(&got) {
             let want = score_token_ids(ids, &standalone, &opts);
             verdicts_checked += 1;
@@ -294,10 +307,10 @@ pub fn run_serve_bench(cfg: &ServeBenchConfig) -> Result<ServeBenchReport, Serve
     // sb-lint: allow(wall-clock, "throughput telemetry for BENCH_pr10.json; never feeds verdicts or simulation state")
     let t0 = Instant::now();
     for t in 0..cfg.tenants {
-        let _ = registry.classify_ids_batch_with_threads(TenantId(t), &probe_ids, cfg.threads)?;
+        classify_raw_batch(&registry, TenantId(t), &probe_raw, cfg.threads)?;
     }
     let serve_ms = ms(t0);
-    let messages = cfg.tenants as usize * probe_ids.len();
+    let messages = cfg.tenants as usize * probe_raw.len();
     let msgs_per_sec = if serve_ms > 0.0 {
         messages as f64 * 1000.0 / serve_ms
     } else {

@@ -28,10 +28,11 @@
 use crate::model::BaseModel;
 use crate::tenant::{OverlayLayer, StackView};
 use crate::ServeError;
-use sb_email::Label;
-use sb_filter::classify::score_token_ids;
+use sb_email::{parse_email, Label};
+use sb_filter::classify::{email_ids, score_token_ids};
 use sb_filter::{FilterOptions, ScoreMemo, Scored};
 use sb_intern::{par, AsIdSlice, FxHashMap, Interner, TokenId};
+use sb_tokenizer::Tokenizer;
 use std::sync::{Arc, RwLock};
 
 /// A tenant's identity within one registry (a user of the org the base
@@ -209,6 +210,18 @@ impl<B: BaseModel> TenantRegistry<B> {
     /// Classify one pre-interned id set through `id`'s stack.
     pub fn classify_ids(&self, id: TenantId, ids: &[TokenId]) -> Result<Scored, ServeError> {
         self.with_stack(id, |stack| score_token_ids(ids, stack, &self.opts))
+    }
+
+    /// Classify one raw RFC 822 message through `id`'s stack: parse,
+    /// tokenize (SpamBayes-default options, as every stack is trained)
+    /// and look the tokens up read-only ([`email_ids`]), so serving
+    /// untrusted mail never grows the shared interner. The verdict equals
+    /// [`TenantRegistry::classify_ids`] of the interned token set: tokens
+    /// the interner has never seen score the prior, which δ(E) excludes.
+    pub fn classify_raw(&self, id: TenantId, raw: &str) -> Result<Scored, ServeError> {
+        let email = parse_email(raw);
+        let ids = email_ids(&Tokenizer::new(), &email, self.interner(), &self.opts);
+        self.classify_ids(id, &ids)
     }
 
     /// Classify a batch of pre-interned id sets through `id`'s stack, in

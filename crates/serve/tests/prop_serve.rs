@@ -5,14 +5,17 @@
 //! (org patch over base under tenant delta) equals one `TokenDb` that
 //! trained the same mail sequentially. Plus fail-closed corruption:
 //! any byte flip or truncation of an image is a typed error, never a
-//! panic, never a silently different model.
+//! panic, never a silently different model. And raw serving
+//! (`classify_raw`) never grows the interner, yet scores exactly as the
+//! interning path does.
 
 use proptest::prelude::*;
-use sb_email::Label;
+use sb_email::{parse_email, render_email, Email, Label};
 use sb_filter::classify::score_token_ids;
 use sb_filter::{image, FilterOptions, TokenDb};
 use sb_intern::{Interner, TokenId};
 use sb_serve::{MmapDb, OverlayLayer, ServeError, TenantId, TenantRegistry};
+use sb_tokenizer::Tokenizer;
 use std::sync::Arc;
 
 /// Small alphabet keeps token collisions (shared counts) likely.
@@ -200,6 +203,52 @@ proptest! {
                 registry.untrain(id, &extra_ids, label(extra_spam)),
                 Err(ServeError::Underflow { tenant: 7 })
             ));
+        }
+    }
+
+    /// Serving raw mail full of never-seen vocabulary leaves the shared
+    /// interner exactly as it was, and every verdict's score bits equal
+    /// those of interning the message's token set and classifying the
+    /// ids.
+    #[test]
+    fn classify_raw_never_grows_the_interner(
+        base in mail(),
+        tenant_mail in mail(),
+        messages in proptest::collection::vec(
+            (
+                proptest::collection::vec("([a-e]{3,5}|[f-z]{3,9}|http://[f-z]{2,6}\\.com/[a-z]{1,5})", 0..12),
+                "[A-Za-z ]{0,20}",
+            ),
+            1..6,
+        ),
+    ) {
+        let opts = FilterOptions::default();
+        let interner = Interner::new();
+        let mut shared = TokenDb::with_interner(interner.clone());
+        train_all(&mut shared, &base);
+        let registry = TenantRegistry::new(Arc::new(shared), opts);
+        let id = TenantId(3);
+        registry.add_tenant(id).unwrap();
+        for (set, is_spam) in &tenant_mail {
+            registry.train(id, &intern(&interner, set), label(*is_spam)).unwrap();
+        }
+        let raw: Vec<String> = messages
+            .iter()
+            .map(|(words, subject)| {
+                render_email(&Email::builder().subject(subject.as_str()).body(words.join(" ")).build())
+            })
+            .collect();
+
+        let len = interner.len();
+        let served: Vec<_> = raw.iter().map(|r| registry.classify_raw(id, r).unwrap()).collect();
+        prop_assert_eq!(interner.len(), len);
+
+        let tokenizer = Tokenizer::new();
+        for (r, got) in raw.iter().zip(&served) {
+            let ids = interner.intern_set(&tokenizer.token_set(&parse_email(r)));
+            let want = registry.classify_ids(id, &ids).unwrap();
+            prop_assert_eq!(got.score.to_bits(), want.score.to_bits());
+            prop_assert_eq!(got.verdict, want.verdict);
         }
     }
 }

@@ -7,67 +7,71 @@
 //! from a random spam (focused attack) — see §2.2 / §4.1.
 
 use crate::options::TokenizerOptions;
-use crate::word::{fold, split_address, tokenize_word, trim_punct};
+use crate::pieces::Pieces;
+use crate::word::{split_address, tokenize_word, trim_punct};
 use sb_email::Email;
 
-/// Headers treated as address lists.
-const ADDRESS_HEADERS: [&str; 5] = ["From", "To", "Cc", "Sender", "Reply-To"];
+/// Headers treated as address lists, lowercased (their token prefix).
+const ADDRESS_HEADERS: [&str; 5] = ["from", "to", "cc", "sender", "reply-to"];
 
 /// Emit all header-derived tokens for a message.
-pub(crate) fn tokenize_headers(email: &Email, opts: &TokenizerOptions, out: &mut Vec<String>) {
+pub(crate) fn tokenize_headers(email: &Email, opts: &TokenizerOptions, out: &mut Pieces) {
     for (name, value) in email.headers() {
-        let lname = name.to_ascii_lowercase();
-        match lname.as_str() {
-            "subject" if opts.tokenize_subject => {
+        let is = |h: &str| name.eq_ignore_ascii_case(h);
+        if is("subject") {
+            if opts.tokenize_subject {
                 for word in value.split_whitespace() {
-                    let mut words = Vec::new();
-                    tokenize_word(word, opts, &mut words);
-                    for w in words {
-                        out.push(format!("subject:{w}"));
+                    tokenize_word("subject:", word, opts, out);
+                }
+            }
+        } else if is("message-id") {
+            if opts.tokenize_message_id {
+                match value.trim_matches(['<', '>']).split_once('@') {
+                    Some((_, domain)) => {
+                        out.put("message-id:@");
+                        out.put_folded(domain.trim_matches('>'), opts);
                     }
+                    None => out.put("message-id:invalid"),
                 }
+                out.end();
             }
-            "message-id" if opts.tokenize_message_id => {
-                if let Some((_, domain)) = value
-                    .trim_matches(['<', '>'])
-                    .split_once('@')
-                    .map(|(l, d)| (l, d.trim_matches('>')))
-                {
-                    out.push(format!("message-id:@{}", fold(domain, opts)));
-                } else {
-                    out.push("message-id:invalid".to_owned());
-                }
-            }
-            "content-type" if opts.tokenize_mailer_headers => {
+        } else if is("content-type") {
+            if opts.tokenize_mailer_headers {
                 let main = value.split(';').next().unwrap_or(value).trim();
                 if !main.is_empty() {
-                    out.push(format!("content-type:{}", fold(main, opts)));
+                    out.put("content-type:");
+                    out.put_folded(main, opts);
+                    out.end();
                 }
             }
-            "x-mailer" if opts.tokenize_mailer_headers => {
-                out.push(format!("x-mailer:{}", fold(value.trim(), opts)));
+        } else if is("x-mailer") {
+            if opts.tokenize_mailer_headers {
+                out.put("x-mailer:");
+                out.put_folded(value.trim(), opts);
+                out.end();
             }
-            "received" if opts.tokenize_received => {
+        } else if is("received") {
+            if opts.tokenize_received {
                 for word in value.split_whitespace() {
                     let w = trim_punct(word);
                     if w.contains('.') && !w.contains('@') && w.len() >= 4 {
-                        out.push(format!("received:{}", fold(w, opts)));
+                        out.put("received:");
+                        out.put_folded(w, opts);
+                        out.end();
                     }
                 }
             }
-            _ if opts.tokenize_address_headers
-                && ADDRESS_HEADERS.iter().any(|h| h.eq_ignore_ascii_case(name)) =>
-            {
-                tokenize_address_header(&lname, value, opts, out);
+        } else if opts.tokenize_address_headers {
+            if let Some(lname) = ADDRESS_HEADERS.iter().find(|h| is(h)) {
+                tokenize_address_header(lname, value, opts, out);
             }
-            _ => {}
         }
     }
 }
 
 /// `From: "Display Name" <local@domain>` →
 /// `from:name:display`, `from:name:name`, `from:addr:domain`.
-fn tokenize_address_header(lname: &str, value: &str, opts: &TokenizerOptions, out: &mut Vec<String>) {
+fn tokenize_address_header(lname: &str, value: &str, opts: &TokenizerOptions, out: &mut Pieces) {
     for part in value.split(',') {
         let part = part.trim();
         if part.is_empty() {
@@ -79,12 +83,18 @@ fn tokenize_address_header(lname: &str, value: &str, opts: &TokenizerOptions, ou
             _ => ("", part),
         };
         if let Some((_local, domain)) = split_address(addr.trim()) {
-            out.push(format!("{lname}:addr:{}", fold(domain, opts)));
+            out.put(lname);
+            out.put(":addr:");
+            out.put_folded(domain, opts);
+            out.end();
         }
         for word in display.split_whitespace() {
             let w = trim_punct(word);
             if !w.is_empty() {
-                out.push(format!("{lname}:name:{}", fold(w, opts)));
+                out.put(lname);
+                out.put(":name:");
+                out.put_folded(w, opts);
+                out.end();
             }
         }
     }
@@ -95,10 +105,14 @@ mod tests {
     use super::*;
     use sb_email::Email;
 
+    fn tokens_with(email: &Email, opts: &TokenizerOptions) -> Vec<String> {
+        let mut out = Pieces::default();
+        tokenize_headers(email, opts, &mut out);
+        out.iter().map(str::to_owned).collect()
+    }
+
     fn tokens(email: &Email) -> Vec<String> {
-        let mut out = Vec::new();
-        tokenize_headers(email, &TokenizerOptions::default(), &mut out);
-        out
+        tokens_with(email, &TokenizerOptions::default())
     }
 
     #[test]
@@ -189,8 +203,7 @@ mod tests {
         let e = Email::builder()
             .header("Received", "from relay.example.org by mx.corp.example")
             .build();
-        let mut out = Vec::new();
-        tokenize_headers(&e, &opts, &mut out);
+        let out = tokens_with(&e, &opts);
         assert!(out.contains(&"received:relay.example.org".to_owned()));
         assert!(out.contains(&"received:mx.corp.example".to_owned()));
     }
@@ -206,8 +219,6 @@ mod tests {
             .subject("Hello World")
             .from_addr("a@b.c")
             .build();
-        let mut out = Vec::new();
-        tokenize_headers(&e, &TokenizerOptions::body_only(), &mut out);
-        assert!(out.is_empty());
+        assert!(tokens_with(&e, &TokenizerOptions::body_only()).is_empty());
     }
 }

@@ -23,12 +23,30 @@
 
 pub mod header;
 pub mod options;
+mod pieces;
 pub mod url;
 pub mod word;
 
 pub use options::TokenizerOptions;
 
+use pieces::Pieces;
 use sb_email::Email;
+use sb_intern::{Interner, TokenId};
+use std::cell::RefCell;
+
+thread_local! {
+    /// Each thread's reusable piece arena.
+    static PIECES: RefCell<Pieces> = RefCell::default();
+}
+
+/// The first 8 bytes of `s`, zero-padded, as a big-endian integer: for
+/// any two strings, a smaller key means a smaller string.
+fn prefix_key(s: &str) -> u64 {
+    let mut key = [0u8; 8];
+    let n = s.len().min(8);
+    key[..n].copy_from_slice(&s.as_bytes()[..n]);
+    u64::from_be_bytes(key)
+}
 
 /// The tokenizer: [`TokenizerOptions`] plus the tokenization entry points.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -52,39 +70,84 @@ impl Tokenizer {
         &self.opts
     }
 
+    /// The core every entry point wraps: write the tokens of headers +
+    /// body, in document order, into this thread's piece arena and hand
+    /// it to `f`.
+    fn with_pieces<R>(&self, email: &Email, f: impl FnOnce(&Pieces) -> R) -> R {
+        let run = |out: &mut Pieces| {
+            out.clear();
+            header::tokenize_headers(email, &self.opts, out);
+            self.text_pieces(email.body(), out);
+            f(out)
+        };
+        PIECES.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut out) => run(&mut out),
+            Err(_) => run(&mut Pieces::default()),
+        })
+    }
+
+    /// Write the tokens of free text (no headers) into `out`.
+    fn text_pieces(&self, text: &str, out: &mut Pieces) {
+        let words = |segment: &str, out: &mut Pieces| {
+            for raw in segment.split_whitespace() {
+                word::tokenize_word("", raw, &self.opts, out);
+            }
+        };
+        if self.opts.crack_urls {
+            url::crack_urls(text, &self.opts, out, words);
+        } else {
+            words(text, out);
+        }
+    }
+
     /// Tokenize headers + body, preserving duplicates and document order.
     pub fn tokenize(&self, email: &Email) -> Vec<String> {
-        let mut out = Vec::new();
-        header::tokenize_headers(email, &self.opts, &mut out);
-        self.tokenize_text(email.body(), &mut out);
-        out
+        self.with_pieces(email, |p| p.iter().map(str::to_owned).collect())
     }
 
     /// Tokenize free text (no headers) into `out`.
     pub fn tokenize_text(&self, text: &str, out: &mut Vec<String>) {
-        let cleaned: std::borrow::Cow<'_, str> = if self.opts.crack_urls {
-            std::borrow::Cow::Owned(url::crack_urls(text, &self.opts, out))
-        } else {
-            std::borrow::Cow::Borrowed(text)
-        };
-        for raw in cleaned.split_whitespace() {
-            word::tokenize_word(raw, &self.opts, out);
-        }
+        let mut pieces = Pieces::default();
+        self.text_pieces(text, &mut pieces);
+        out.extend(pieces.iter().map(str::to_owned));
     }
 
     /// Tokenize with set semantics: sorted, deduplicated. This is what the
     /// learner trains and classifies on.
     pub fn token_set(&self, email: &Email) -> Vec<String> {
-        let mut tokens = self.tokenize(email);
-        tokens.sort_unstable();
-        tokens.dedup();
-        tokens
+        self.with_pieces(email, |p| {
+            // Sorting by a big-endian 8-byte prefix first settles most
+            // comparisons without touching the strings; equal prefixes
+            // fall back to the full byte order, so the order is `str`'s.
+            let mut set: Vec<(u64, &str)> = p.iter().map(|s| (prefix_key(s), s)).collect();
+            set.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)));
+            set.dedup_by(|a, b| a.1 == b.1);
+            set.into_iter().map(|(_, s)| s.to_owned()).collect()
+        })
     }
 
     /// Number of raw (non-deduplicated) tokens; used by the §4.2
     /// token-volume accounting.
     pub fn token_count(&self, email: &Email) -> usize {
-        self.tokenize(email).len()
+        self.with_pieces(email, Pieces::len)
+    }
+
+    /// The id set the learner trains on, sorted by id: the ids
+    /// `interner.intern_set(&self.token_set(email))` returns, without
+    /// building a `String` per token. Interns every token.
+    pub fn intern_ids(&self, email: &Email, interner: &Interner) -> Vec<TokenId> {
+        self.with_pieces(email, |p| {
+            interner.intern_pieces(&p.iter().collect::<Vec<_>>())
+        })
+    }
+
+    /// The read-only twin of [`Tokenizer::intern_ids`]: the ids of the
+    /// message's already-interned tokens, sorted by id. Never grows the
+    /// interner, so it is the path for classifying untrusted mail.
+    pub fn lookup_ids(&self, email: &Email, interner: &Interner) -> Vec<TokenId> {
+        self.with_pieces(email, |p| {
+            interner.lookup_pieces(&p.iter().collect::<Vec<_>>())
+        })
     }
 }
 

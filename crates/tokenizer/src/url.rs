@@ -4,75 +4,71 @@
 //! component tokens rather than treating the whole URL as one rare token.
 
 use crate::options::TokenizerOptions;
-use crate::word::fold;
+use crate::pieces::Pieces;
 
-/// Scan `text` for URLs; push `proto:`/`url:` tokens for each and return the
-/// text with URLs blanked out so word tokenization doesn't see them twice.
-pub(crate) fn crack_urls(text: &str, opts: &TokenizerOptions, out: &mut Vec<String>) -> String {
-    let mut result = String::with_capacity(text.len());
-    let mut rest = text;
-    loop {
-        match find_url(rest) {
-            Some((start, end, scheme)) => {
-                result.push_str(&rest[..start]);
-                result.push(' ');
-                let url = &rest[start..end];
-                emit_url_tokens(url, scheme, opts, out);
-                rest = &rest[end..];
-            }
-            None => {
-                result.push_str(rest);
-                break;
-            }
-        }
+/// Write the `proto:`/`url:` tokens of every URL in `text`, in order, and
+/// then `words` of the text between and around them, so word tokenization
+/// does not see a URL twice.
+pub(crate) fn crack_urls(
+    text: &str,
+    opts: &TokenizerOptions,
+    out: &mut Pieces,
+    mut words: impl FnMut(&str, &mut Pieces),
+) {
+    let mut urls = Vec::new();
+    let mut at = 0;
+    while let Some((start, end, scheme)) = find_url(&text[at..]) {
+        emit_url_tokens(&text[at + start..at + end], scheme, opts, out);
+        urls.push((at + start, at + end));
+        at += end;
     }
-    result
+    let mut from = 0;
+    for (start, end) in urls {
+        words(&text[from..start], out);
+        from = end;
+    }
+    words(&text[from..], out);
 }
 
 /// Locate the next URL: `(start, end, scheme)`. Recognizes explicit schemes
-/// (`http://`, `https://`, `ftp://`) and bare `www.` hosts.
+/// (`http://`, `https://`, `ftp://`, any ASCII case) and bare `www.` hosts.
+/// Only the first `www.` of `text` is a bare-host candidate, and only when
+/// it starts a word. One pass over `text`, up to the URL found.
 fn find_url(text: &str) -> Option<(usize, usize, &'static str)> {
-    const SCHEMES: [(&str, &str); 3] = [("http://", "http"), ("https://", "https"), ("ftp://", "ftp")];
-    let mut best: Option<(usize, usize, &'static str)> = None;
-    for (prefix, scheme) in SCHEMES {
-        if let Some(pos) = find_ascii_case_insensitive(text, prefix) {
-            if best.is_none_or(|(b, _, _)| pos < b) {
-                let end = url_end(text, pos);
-                best = Some((pos, end, scheme));
+    let bytes = text.as_bytes();
+    let mut www_seen = false;
+    for (i, &b) in bytes.iter().enumerate() {
+        let rest = &bytes[i..];
+        let scheme = match b.to_ascii_lowercase() {
+            b'h' if starts_with_ignore_case(rest, b"http://") => "http",
+            b'h' if starts_with_ignore_case(rest, b"https://") => "https",
+            b'f' if starts_with_ignore_case(rest, b"ftp://") => "ftp",
+            b'w' if !www_seen && starts_with_ignore_case(rest, b"www.") => {
+                www_seen = true;
+                if !at_word_boundary(text, i) {
+                    continue;
+                }
+                "http"
             }
-        }
-    }
-    // Bare "www." host, only at a word boundary.
-    if let Some(pos) = find_ascii_case_insensitive(text, "www.") {
-        let at_boundary = pos == 0
-            || text[..pos]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_whitespace() || c == '(' || c == '<' || c == '"');
-        if at_boundary && best.is_none_or(|(b, _, _)| pos < b) {
-            let end = url_end(text, pos);
-            best = Some((pos, end, "http"));
-        }
-    }
-    best
-}
-
-/// ASCII-case-insensitive substring search.
-fn find_ascii_case_insensitive(haystack: &str, needle: &str) -> Option<usize> {
-    if needle.is_empty() || haystack.len() < needle.len() {
-        return None;
-    }
-    let hb = haystack.as_bytes();
-    let nb = needle.as_bytes();
-    'outer: for i in 0..=(hb.len() - nb.len()) {
-        for j in 0..nb.len() {
-            if !hb[i + j].eq_ignore_ascii_case(&nb[j]) {
-                continue 'outer;
-            }
-        }
-        return Some(i);
+            _ => continue,
+        };
+        return Some((i, url_end(text, i), scheme));
     }
     None
+}
+
+fn starts_with_ignore_case(haystack: &[u8], needle: &[u8]) -> bool {
+    haystack.len() >= needle.len() && haystack[..needle.len()].eq_ignore_ascii_case(needle)
+}
+
+/// True when byte `pos` of `text` starts a word: the text's start, or
+/// after whitespace, `(`, `<` or `"`.
+fn at_word_boundary(text: &str, pos: usize) -> bool {
+    pos == 0
+        || text[..pos]
+            .chars()
+            .next_back()
+            .is_some_and(|c| c.is_whitespace() || c == '(' || c == '<' || c == '"')
 }
 
 /// A URL ends at whitespace or a closing delimiter.
@@ -84,8 +80,10 @@ fn url_end(text: &str, start: usize) -> usize {
 }
 
 /// Emit tokens for one URL.
-fn emit_url_tokens(url: &str, scheme: &'static str, opts: &TokenizerOptions, out: &mut Vec<String>) {
-    out.push(format!("proto:{scheme}"));
+fn emit_url_tokens(url: &str, scheme: &'static str, opts: &TokenizerOptions, out: &mut Pieces) {
+    out.put("proto:");
+    out.put(scheme);
+    out.end();
     // Strip the scheme prefix if present; bare www. hosts keep their "www"
     // label (SpamBayes emits url:www for them too).
     let rest = url.split_once("://").map_or(url, |x| x.1);
@@ -95,16 +93,21 @@ fn emit_url_tokens(url: &str, scheme: &'static str, opts: &TokenizerOptions, out
         None => (rest, ""),
     };
     let host = host_port.split(':').next().unwrap_or(host_port);
+    let mut url_token = |part: &str| {
+        out.put("url:");
+        out.put_folded(part, opts);
+        out.end();
+    };
     for label in host.split('.') {
         let label = label.trim_matches(|c: char| c.is_ascii_punctuation());
         if !label.is_empty() {
-            out.push(format!("url:{}", fold(label, opts)));
+            url_token(label);
         }
     }
     for seg in path.split(['/', '?', '&', '=']) {
         let seg = seg.trim_matches(|c: char| c.is_ascii_punctuation());
         if !seg.is_empty() && seg.len() <= 40 {
-            out.push(format!("url:{}", fold(seg, opts)));
+            url_token(seg);
         }
     }
 }
@@ -113,10 +116,96 @@ fn emit_url_tokens(url: &str, scheme: &'static str, opts: &TokenizerOptions, out
 mod tests {
     use super::*;
 
+    use proptest::prelude::*;
+
+    /// The URL tokens of `text`, and the text around its URLs joined by
+    /// single spaces (the body-sized copy word tokenization once read).
     fn crack(text: &str) -> (Vec<String>, String) {
-        let mut out = Vec::new();
-        let cleaned = crack_urls(text, &TokenizerOptions::default(), &mut out);
-        (out, cleaned)
+        let mut out = Pieces::default();
+        let mut around = Vec::new();
+        crack_urls(text, &TokenizerOptions::default(), &mut out, |seg, _| {
+            around.push(seg.to_owned())
+        });
+        (out.iter().map(str::to_owned).collect(), around.join(" "))
+    }
+
+    /// The finder before it became one pass: one case-insensitive scan of
+    /// the rest of the body per needle.
+    fn find_url_oracle(text: &str) -> Option<(usize, usize, &'static str)> {
+        const SCHEMES: [(&str, &str); 3] = [
+            ("http://", "http"),
+            ("https://", "https"),
+            ("ftp://", "ftp"),
+        ];
+        let mut best: Option<(usize, usize, &'static str)> = None;
+        for (prefix, scheme) in SCHEMES {
+            if let Some(pos) = find_ascii_case_insensitive(text, prefix) {
+                if best.is_none_or(|(b, _, _)| pos < b) {
+                    let end = url_end(text, pos);
+                    best = Some((pos, end, scheme));
+                }
+            }
+        }
+        // Bare "www." host, only at a word boundary.
+        if let Some(pos) = find_ascii_case_insensitive(text, "www.") {
+            let at_boundary = pos == 0
+                || text[..pos]
+                    .chars()
+                    .next_back()
+                    .is_some_and(|c| c.is_whitespace() || c == '(' || c == '<' || c == '"');
+            if at_boundary && best.is_none_or(|(b, _, _)| pos < b) {
+                let end = url_end(text, pos);
+                best = Some((pos, end, "http"));
+            }
+        }
+        best
+    }
+
+    fn find_ascii_case_insensitive(haystack: &str, needle: &str) -> Option<usize> {
+        if needle.is_empty() || haystack.len() < needle.len() {
+            return None;
+        }
+        let hb = haystack.as_bytes();
+        let nb = needle.as_bytes();
+        'outer: for i in 0..=(hb.len() - nb.len()) {
+            for j in 0..nb.len() {
+                if !hb[i + j].eq_ignore_ascii_case(&nb[j]) {
+                    continue 'outer;
+                }
+            }
+            return Some(i);
+        }
+        None
+    }
+
+    /// Bodies dense in URL openers: schemes and `www.` in mixed case,
+    /// delimiters, punctuation and non-ASCII text between them.
+    const URL_SOUP: &str = "((http://|HTTPS://|fTp://|xwww\\.|www\\.|WWW\\.| wWw\\.|<www\\.|ww|htt)|[a-z0-9./:<>()\"' ?&=]{0,6}|\\PC{0,3}|(Σ|İ|ß|é|\u{3000})){0,30}";
+
+    proptest! {
+        #[test]
+        fn one_pass_finder_matches_the_oracle(text in URL_SOUP) {
+            let mut at = 0;
+            loop {
+                let rest = &text[at..];
+                let got = find_url(rest);
+                prop_assert_eq!(got, find_url_oracle(rest), "text {:?} from byte {}", text, at);
+                match got {
+                    Some((_, end, _)) => at += end,
+                    None => break,
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_first_www_is_a_candidate() {
+        // The first "www." is mid-word, so the later one at a word
+        // boundary is not considered either.
+        assert_eq!(find_url("xwww.a www.b.com"), None);
+        assert_eq!(find_url_oracle("xwww.a www.b.com"), None);
+        // A scheme after the dropped "www." still counts.
+        assert_eq!(find_url("xwww.a http://b.com").map(|u| u.2), Some("http"));
     }
 
     #[test]

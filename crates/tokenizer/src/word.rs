@@ -1,22 +1,35 @@
 //! Word-level token rules (SpamBayes `tokenize_word` equivalents).
 
 use crate::options::TokenizerOptions;
+use crate::pieces::Pieces;
 
-/// Outcome of pushing one raw word through the word rules.
-pub(crate) fn tokenize_word(word: &str, opts: &TokenizerOptions, out: &mut Vec<String>) {
+/// Push one raw word through the word rules, writing its token (if any)
+/// with `prefix` in front.
+pub(crate) fn tokenize_word(prefix: &str, word: &str, opts: &TokenizerOptions, out: &mut Pieces) {
     let trimmed = trim_punct(word);
     if trimmed.is_empty() {
         return;
     }
+    // One branch-free pass: all-ASCII?, any '@'?, and the length in
+    // chars (bytes that are not UTF-8 continuation bytes).
+    let (mut ascii, mut has_at, mut len) = (true, false, 0usize);
+    for &b in trimmed.as_bytes() {
+        ascii &= b.is_ascii();
+        has_at |= b == b'@';
+        len += usize::from((b as i8) >= -0x40);
+    }
     // Embedded mail address?
-    if opts.crack_addresses && trimmed.contains('@') {
+    if opts.crack_addresses && has_at {
         if let Some((local, domain)) = split_address(trimmed) {
-            out.push(format!("email name:{}", fold(local, opts)));
-            out.push(format!("email addr:{}", fold(domain, opts)));
+            for (tag, part) in [("email name:", local), ("email addr:", domain)] {
+                out.put(prefix);
+                out.put(tag);
+                out.put_folded(part, opts);
+                out.end();
+            }
             return;
         }
     }
-    let len = trimmed.chars().count();
     if len < opts.min_word_size {
         return; // too short: contributes nothing (SpamBayes drops it)
     }
@@ -24,20 +37,22 @@ pub(crate) fn tokenize_word(word: &str, opts: &TokenizerOptions, out: &mut Vec<S
         if opts.generate_long_skips {
             // SpamBayes: "skip:%c %d" with the length bucketed to tens.
             let first = trimmed.chars().next().unwrap_or('?');
-            out.push(format!("skip:{} {}", first, len / 10 * 10));
+            out.put(prefix);
+            out.put("skip:");
+            out.put_char(first);
+            out.put(" ");
+            out.put_number(len / 10 * 10);
+            out.end();
         }
         return;
     }
-    out.push(fold(trimmed, opts));
-}
-
-/// Case folding per options.
-pub(crate) fn fold(s: &str, opts: &TokenizerOptions) -> String {
-    if opts.lowercase {
-        s.to_lowercase()
+    out.put(prefix);
+    if ascii {
+        out.put_ascii_folded(trimmed, opts);
     } else {
-        s.to_owned()
+        out.put_folded(trimmed, opts);
     }
+    out.end();
 }
 
 /// Strip leading/trailing punctuation (quotes, brackets, sentence marks) but
@@ -64,10 +79,14 @@ pub(crate) fn split_address(word: &str) -> Option<(&str, &str)> {
 mod tests {
     use super::*;
 
+    fn run_with(word: &str, opts: &TokenizerOptions) -> Vec<String> {
+        let mut out = Pieces::default();
+        tokenize_word("", word, opts, &mut out);
+        out.iter().map(str::to_owned).collect()
+    }
+
     fn run(word: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        tokenize_word(word, &TokenizerOptions::default(), &mut out);
-        out
+        run_with(word, &TokenizerOptions::default())
     }
 
     #[test]
@@ -128,9 +147,7 @@ mod tests {
             generate_long_skips: false,
             ..Default::default()
         };
-        let mut out = Vec::new();
-        tokenize_word("supercalifragilistic", &opts, &mut out);
-        assert!(out.is_empty());
+        assert!(run_with("supercalifragilistic", &opts).is_empty());
     }
 
     #[test]
@@ -139,9 +156,7 @@ mod tests {
             lowercase: false,
             ..Default::default()
         };
-        let mut out = Vec::new();
-        tokenize_word("Hello", &opts, &mut out);
-        assert_eq!(out, vec!["Hello"]);
+        assert_eq!(run_with("Hello", &opts), vec!["Hello"]);
     }
 
     #[test]

@@ -102,8 +102,8 @@ impl StatFilter for SpamBayes {
     }
 
     fn train_many(&mut self, email: &Email, label: Label, n: u32) {
-        let set = self.token_set(email);
-        self.train_tokens(&set, label, n);
+        let ids = self.token_ids(email);
+        self.train_ids(&ids, label, n);
     }
 
     fn classify(&self, email: &Email) -> Scored {

@@ -29,8 +29,8 @@
 
 use crate::StatFilter;
 use sb_email::{Email, Label};
-use sb_filter::classify::{lookup_ids, score_token_ids};
-use sb_filter::{FilterOptions, Scored, TokenDb, Verdict};
+use sb_filter::classify::{email_ids, score_token_ids};
+use sb_filter::{FilterOptions, Scored, TokenDb, TokenId, Verdict};
 use sb_tokenizer::{Tokenizer, TokenizerOptions};
 use serde::{Deserialize, Serialize};
 
@@ -153,8 +153,8 @@ impl SaBayes {
         }
     }
 
-    fn token_set(&self, email: &Email) -> Vec<String> {
-        self.tokenizer.token_set(email)
+    fn token_ids(&self, email: &Email) -> Vec<TokenId> {
+        self.tokenizer.intern_ids(email, self.db.interner())
     }
 }
 
@@ -164,18 +164,22 @@ impl StatFilter for SaBayes {
     }
 
     fn train(&mut self, email: &Email, label: Label) {
-        let set = self.token_set(email);
-        self.db.train(&set, label);
+        let ids = self.token_ids(email);
+        self.db.train_ids(&ids, label);
     }
 
     fn train_many(&mut self, email: &Email, label: Label, n: u32) {
-        let set = self.token_set(email);
-        self.db.train_many(&set, label, n);
+        let ids = self.token_ids(email);
+        self.db.train_ids_many(&ids, label, n);
     }
 
     fn classify(&self, email: &Email) -> Scored {
-        let set = self.token_set(email);
-        let ids = lookup_ids(self.db.interner(), &set, &self.filter_opts);
+        let ids = email_ids(
+            &self.tokenizer,
+            email,
+            self.db.interner(),
+            &self.filter_opts,
+        );
         score_token_ids(&ids, &self.db, &self.filter_opts)
     }
 
