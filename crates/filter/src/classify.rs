@@ -136,15 +136,16 @@ pub fn select_delta_ids<D: ScoreDb + ?Sized>(
         .map(|&id| (id, db.score_f(id, opts)))
         .filter(|(_, f)| (f - 0.5).abs() >= opts.minimum_prob_strength)
         .collect();
+    // Strength as one integer key: |f − 0.5| is finite and ≥ 0 (a NaN
+    // fails the filter above), so its bit pattern orders like the value,
+    // and inverting the bits sorts strongest first.
+    let key = |f: f64| !(f - 0.5).abs().to_bits();
     // One lock acquisition for the whole sort: tie-breaks resolve
     // through a read guard instead of locking per comparison.
     let reader = db.interner().reader();
     candidates.sort_unstable_by(|a, b| {
-        let da = (a.1 - 0.5).abs();
-        let db_ = (b.1 - 0.5).abs();
-        db_.partial_cmp(&da)
-            // sb-lint: allow(panic-path, "token strengths are |f − 0.5| of finite probabilities; never NaN")
-            .expect("scores are finite")
+        key(a.1)
+            .cmp(&key(b.1))
             .then_with(|| reader.cmp_by_str(a.0, b.0))
     });
     candidates.truncate(opts.max_discriminators);

@@ -26,8 +26,8 @@
 //! mutation costs O(1) regardless of vocabulary size, and within one
 //! generation (e.g. RONI scoring 50 validation messages) every distinct
 //! token's score is computed once and shared by all messages and all
-//! threads. The stamp rules of every score cache are described once, in
-//! [`crate::memo`].
+//! threads. The stamp rules, and why the serving tier's score sources
+//! keep no memo, are in [`crate::memo`].
 //!
 //! Two non-obvious requirements from the paper shape the API:
 //!
@@ -89,12 +89,14 @@ impl std::error::Error for UntrainError {}
 /// [`crate::classify::score_token_ids`] (and therefore
 /// `SpamBayes::classify_ids`) is generic over.
 ///
-/// Three implementations exist, all memoizing through a
-/// [`ScoreMemo`] (stamp rules in [`crate::memo`]):
+/// Three implementations exist:
 ///
-/// * [`TokenDb`] — the trained counts;
+/// * [`TokenDb`] — the trained counts, memoized through a [`ScoreMemo`]
+///   (stamp rules in [`crate::memo`]);
 /// * `sb_serve::MmapDb` — a packed model image served in place;
 /// * `sb_serve::StackView` — tenant overlay layers over a served base.
+///
+/// The two serving sources compute every score from counts.
 ///
 /// Implementations must be pure in their underlying counts: repeated
 /// lookups of the same id under the same options return bit-identical
@@ -511,9 +513,9 @@ impl ScoreDb for TokenDb {
 /// The `ln` pair of a token score, clamped away from exact 0/1 (Eq. 2's
 /// shrinkage keeps scores interior, but dynamic-threshold experiments
 /// may feed extreme synthetic values). Every score source's `ln` pairs
-/// come from this one function through [`ScoreMemo::lns`], which keeps
-/// their verdicts bit-identical to a [`TokenDb`] trained with the same
-/// mail.
+/// come from this one function (`TokenDb`'s through [`ScoreMemo::lns`]),
+/// which keeps their verdicts bit-identical to a [`TokenDb`] trained with
+/// the same mail.
 #[inline]
 pub fn ln_pair(f: f64) -> (f64, f64) {
     let fc = f.clamp(1e-12, 1.0 - 1e-12);

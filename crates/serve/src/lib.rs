@@ -12,12 +12,14 @@
 //!   RONI code works against it unchanged.
 //! * [`tenant`] — overlay *stacks*: an ordered list of
 //!   [`OverlayLayer`] deltas (org patch over base, user delta over that)
-//!   combined read-only by [`StackView`], plus a shared
-//!   [`sb_filter::ScoreMemo`] of generation-stamped score slots so one
-//!   tenant's overlay serves many concurrent probe threads.
+//!   combined read-only by [`StackView`], which many probe threads share.
 //! * [`registry`] — [`TenantRegistry`]: `TenantId → overlay stack`
 //!   bookkeeping with per-tenant train/untrain (mutating only the top
 //!   delta) and batch classification.
+//!
+//! Neither `MmapDb` nor a stack keeps a score memo: both compute `f(w)`
+//! from counts on every lookup, so a tenant costs its own mail, not a
+//! slot per interned token ([`sb_filter::memo`] has the measurement).
 //!
 //! ## The bit-identity contract
 //!
@@ -56,7 +58,7 @@ pub mod tenant;
 pub use bench::{run_serve_bench, ServeBenchConfig, ServeBenchReport};
 pub use mmap::ImageBytes;
 pub use model::{BaseModel, MmapDb};
-pub use registry::{Tenant, TenantId, TenantRegistry};
+pub use registry::{TenantId, TenantRegistry};
 pub use tenant::{OverlayLayer, StackView};
 
 use sb_filter::ImageError;

@@ -4,37 +4,37 @@
 //! Where [`sb_filter::TokenDb`] owns a dense `Vec<TokenCounts>`, an
 //! `MmapDb` *is* the image: every count lookup is two little-endian
 //! `u32` reads at `HEADER_LEN + 8·id` into the (usually mapped) bytes.
-//! The only materialized state is the serving [`Interner`] — built once
+//! The only materialized state is the serving [`Interner`], built once
 //! at load by interning the arena strings in row order, so that
 //! **image row `i` ⇔ `TokenId(i)`** and ids can index the counts array
-//! directly — and a score cache.
+//! directly.
 //!
-//! The cache is a [`ScoreMemo`] stamped with the constant 1: a base model
-//! never mutates, so a slot is simply filled or not (stamp rules in
-//! [`sb_filter::memo`]).
+//! There is no score cache: `f(w)` is computed from the two counts on
+//! every lookup, and the `ln` pair only for δ(E) survivors. In serving,
+//! an `MmapDb` is read through tenant stacks, which add their layers'
+//! counts before scoring and so never consult a base-level cache (see
+//! [`sb_filter::memo`] for why the stacks carry none either).
 //!
-//! `FilterOptions` are fixed at construction for the same reason
-//! `TokenDb` invalidates on `set_options`: cached `f(w)` values bake the
-//! options in. Serving a different configuration means opening another
-//! `MmapDb` (cheap — the kernel shares the mapped pages).
+//! `FilterOptions` are fixed at construction: the image is opened for one
+//! configuration. Serving a different one means opening another `MmapDb`
+//! (cheap — the kernel shares the mapped pages).
 
 use crate::mmap::ImageBytes;
 use crate::ServeError;
 use sb_filter::image::{ImageView, HEADER_LEN};
 use sb_filter::score::token_score_from_counts;
-use sb_filter::{FilterOptions, ScoreDb, ScoreMemo, TokenCounts, TokenDb};
+use sb_filter::{ln_pair, FilterOptions, ScoreDb, TokenCounts, TokenDb};
 use sb_intern::{Interner, TokenId};
 use std::path::Path;
 
 /// What a tenant overlay stacks on: any read-only source of per-id
 /// counts and class totals sharing an [`Interner`].
 ///
-/// Implementations must be **immutable while served** — `StackView`
-/// memo slots and `MmapDb` cache slots are stamped once and trusted for
-/// the base's lifetime, so a mutating base would serve stale scores.
-/// The two implementations hold the invariant structurally: [`MmapDb`]
-/// has no mutating API at all, and a [`TokenDb`] base is owned by an
-/// `Arc` the registry never hands out mutably.
+/// Implementations must be **immutable while served**: every tenant
+/// shares the base, so a mutation would move every tenant's verdicts at
+/// once. The two implementations hold the invariant structurally:
+/// [`MmapDb`] has no mutating API at all, and a [`TokenDb`] base is owned
+/// by an `Arc` the registry never hands out mutably.
 pub trait BaseModel: ScoreDb + Send + Sync {
     /// Counts for a token id (zero if unseen).
     fn base_counts(&self, id: TokenId) -> TokenCounts;
@@ -68,7 +68,6 @@ pub struct MmapDb {
     n_spam: u32,
     n_ham: u32,
     n_tokens: usize,
-    cache: ScoreMemo,
 }
 
 impl std::fmt::Debug for MmapDb {
@@ -86,27 +85,19 @@ impl MmapDb {
     /// Map (or read) and validate a packed image file, building the
     /// serving interner.
     pub fn open(path: &Path, opts: FilterOptions) -> Result<Self, ServeError> {
+        // sb-lint: allow(taint-path, "SB_NO_MMAP only picks mmap or read; the bytes, and so the row order interning sorts, are identical either way")
         Self::from_bytes(ImageBytes::load(path)?, opts)
     }
 
     /// Serve an already-loaded image. Validates the full image
-    /// ([`ImageView::parse`]) and interns the arena in row order on a
+    /// ([`ImageView::parse`]) and interns the arena in one batch on a
     /// **fresh** interner, establishing `row i ⇔ TokenId(i)`.
     pub fn from_bytes(bytes: ImageBytes, opts: FilterOptions) -> Result<Self, ServeError> {
         let view = ImageView::parse(&bytes)?;
+        let (n_spam, n_ham, n_tokens) = (view.n_spam(), view.n_ham(), view.n_tokens());
+        let rows: Vec<&str> = (0..n_tokens).map(|i| view.token(i)).collect();
         let interner = Interner::new();
-        for i in 0..view.n_tokens() {
-            let id = interner.intern(view.token(i));
-            // A fresh interner hands out sequential ids and parse
-            // guarantees strictly sorted (hence unique) rows, so this
-            // only fires if one of those invariants breaks.
-            if id.index() != i {
-                return Err(ServeError::InternMismatch { row: i });
-            }
-        }
-        let n_tokens = view.n_tokens();
-        let (n_spam, n_ham) = (view.n_spam(), view.n_ham());
-        let cache = ScoreMemo::with_capacity(n_tokens);
+        intern_rows(&interner, &rows)?;
         Ok(Self {
             bytes,
             interner,
@@ -114,7 +105,6 @@ impl MmapDb {
             n_spam,
             n_ham,
             n_tokens,
-            cache,
         })
     }
 
@@ -124,7 +114,7 @@ impl MmapDb {
         &self.interner
     }
 
-    /// The options the cache was built for.
+    /// The options the image is served with.
     pub fn options(&self) -> &FilterOptions {
         &self.opts
     }
@@ -177,22 +167,26 @@ impl MmapDb {
             ham: u32::from_le_bytes(ham),
         }
     }
+}
 
-    /// The cached `f(w)` (Eq. 2) of a token under the fixed options —
-    /// lock-free, fill-once (the base is immutable; see module docs).
-    /// Ids past the image are unseen: zero counts make Eq. 2 collapse to
-    /// the prior `x`.
-    #[inline]
-    pub fn cached_f(&self, id: TokenId) -> f64 {
-        self.cache.f(id, 1, || {
-            token_score_from_counts(self.n_spam, self.n_ham, self.counts_by_id(id), &self.opts)
-        })
-    }
-
-    /// The cached `(ln f, ln(1 − f))` pair (same fill-once discipline).
-    #[inline]
-    pub fn cached_lns(&self, id: TokenId, f: f64) -> (f64, f64) {
-        self.cache.lns(id, 1, f)
+/// Intern an image's rows in one batch and check `row i ⇔ TokenId(i)`.
+///
+/// On a fresh interner a batch's new tokens get sequential ids in string
+/// order, and [`ImageView::parse`] guarantees strictly sorted (hence
+/// unique) rows, so the check only fails if one of those invariants
+/// breaks.
+fn intern_rows(interner: &Interner, rows: &[&str]) -> Result<(), ServeError> {
+    interner.intern_pieces(rows);
+    let len = interner.len();
+    let reader = interner.reader();
+    // `i < len` is checked first, and ids are `u32`, so the cast is exact.
+    match rows
+        .iter()
+        .enumerate()
+        .position(|(i, row)| i >= len || reader.resolve(TokenId(i as u32)) != *row)
+    {
+        Some(row) => Err(ServeError::InternMismatch { row }),
+        None => Ok(()),
     }
 }
 
@@ -206,12 +200,11 @@ impl ScoreDb for MmapDb {
             *opts == self.opts,
             "MmapDb serves the options it was opened with"
         );
-        let _ = opts;
-        self.cached_f(id)
+        token_score_from_counts(self.n_spam, self.n_ham, self.counts_by_id(id), opts)
     }
 
-    fn score_lns(&self, id: TokenId, f: f64) -> (f64, f64) {
-        self.cached_lns(id, f)
+    fn score_lns(&self, _id: TokenId, f: f64) -> (f64, f64) {
+        ln_pair(f)
     }
 }
 
@@ -281,6 +274,9 @@ mod tests {
         assert_eq!(got.n_clues, want.n_clues);
     }
 
+    /// The image computes every score from its counts; the source
+    /// `TokenDb` serves the same scores from its memo. Both agree bit for
+    /// bit, on first and repeated reads, for `f` and the `ln` pair.
     #[test]
     fn cached_and_uncached_scores_agree() {
         let opts = FilterOptions::default();
@@ -288,10 +284,14 @@ mod tests {
         let m = mmap_from(&db, opts);
         for (tok, _) in db.iter() {
             let id = m.interner().get(&tok).unwrap();
+            let src = db.interner().get(&tok).unwrap();
             let cold = token_score_from_counts(m.n_spam(), m.n_ham(), m.counts_by_id(id), &opts);
-            assert_eq!(m.cached_f(id).to_bits(), cold.to_bits());
-            // Second read comes from the cache.
-            assert_eq!(m.cached_f(id).to_bits(), cold.to_bits());
+            for _ in 0..2 {
+                let f = m.score_f(id, &opts);
+                assert_eq!(f.to_bits(), cold.to_bits());
+                assert_eq!(f.to_bits(), db.cached_f(src, &opts).to_bits());
+                assert_eq!(m.score_lns(id, f), db.cached_lns(src, f));
+            }
         }
     }
 
@@ -302,7 +302,28 @@ mod tests {
         let m = mmap_from(&db, opts);
         let fresh = m.interner().intern("brand-new-token");
         assert_eq!(m.counts_by_id(fresh), TokenCounts::default());
-        assert_eq!(m.cached_f(fresh), opts.unknown_word_prob);
+        assert_eq!(m.score_f(fresh, &opts), opts.unknown_word_prob);
+    }
+
+    /// The check is on the ids: rows that would not land on their own
+    /// ids (unsorted rows, or an interner already holding another token)
+    /// are refused.
+    #[test]
+    fn rows_off_their_ids_are_an_intern_mismatch() {
+        assert!(intern_rows(&Interner::new(), &["a", "b", "c"]).is_ok());
+        assert!(matches!(
+            intern_rows(&Interner::new(), &["b", "a"]),
+            Err(ServeError::InternMismatch { row: 0 })
+        ));
+        let used = Interner::new();
+        used.intern("a");
+        assert!(intern_rows(&used, &["a", "b"]).is_ok());
+        let used = Interner::new();
+        used.intern("zz");
+        assert!(matches!(
+            intern_rows(&used, &["a", "b"]),
+            Err(ServeError::InternMismatch { row: 0 })
+        ));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! [`crate::MmapDb`] over a packed image), an optional **org patch**
 //! layer shared read-only by every tenant (frozen at construction — the
 //! stacking middle layer, e.g. an org-wide correction batch shipped
-//! between image repacks), and a map of per-tenant [`Tenant`] states.
+//! between image repacks), and a map of per-tenant delta layers.
 //! A tenant's serving stack is therefore up to 2 layers deep:
 //!
 //! ```text
@@ -19,18 +19,24 @@
 //! Tenants live behind a registry-level `RwLock` map (tenant add/remove
 //! is rare) of per-tenant `RwLock`s: classification takes the tenant lock
 //! in *read* mode — many probe threads classify the same tenant
-//! concurrently, sharing its [`ScoreMemo`] lock-free — while train/untrain
-//! takes it in write mode and is the only writer of the delta. All lock
-//! poisoning surfaces as [`ServeError::Poisoned`] (a panicking writer may
-//! have left half-applied counts; serving them would violate the
-//! bit-identity contract), never as a propagated panic.
+//! concurrently — while train/untrain takes it in write mode and is the
+//! only writer of the delta. All lock poisoning surfaces as
+//! [`ServeError::Poisoned`] (a panicking writer may have left
+//! half-applied counts; serving them would violate the bit-identity
+//! contract), never as a propagated panic.
+//!
+//! ## Memory
+//!
+//! A tenant costs its own mail: the delta holds one entry per token the
+//! tenant trained, and nothing is sized by the shared interner. Stacks
+//! score from counts on every lookup (see [`crate::tenant`]).
 
 use crate::model::BaseModel;
 use crate::tenant::{OverlayLayer, StackView};
 use crate::ServeError;
 use sb_email::{parse_email, Label};
 use sb_filter::classify::{email_ids, score_token_ids};
-use sb_filter::{FilterOptions, ScoreMemo, Scored};
+use sb_filter::{FilterOptions, Scored};
 use sb_intern::{par, AsIdSlice, FxHashMap, Interner, TokenId};
 use sb_tokenizer::Tokenizer;
 use std::sync::{Arc, RwLock};
@@ -40,22 +46,6 @@ use std::sync::{Arc, RwLock};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(pub u32);
 
-/// One tenant's serving state: the private delta plus the score memo its
-/// probe threads share. Lives behind the registry's per-tenant lock.
-#[derive(Debug)]
-pub struct Tenant {
-    delta: OverlayLayer,
-    memo: ScoreMemo,
-}
-
-impl Tenant {
-    /// The tenant's private overlay delta (read-only; mutate through the
-    /// registry so memo capacity tracks the interner).
-    pub fn delta(&self) -> &OverlayLayer {
-        &self.delta
-    }
-}
-
 /// The multi-tenant serving registry (see module docs).
 pub struct TenantRegistry<B: BaseModel> {
     base: Arc<B>,
@@ -63,7 +53,8 @@ pub struct TenantRegistry<B: BaseModel> {
     /// contributes nothing, so the stack is effectively 1-deep then).
     org_patch: OverlayLayer,
     opts: FilterOptions,
-    tenants: RwLock<FxHashMap<u32, Arc<RwLock<Tenant>>>>,
+    /// Each tenant's private delta, behind its own lock.
+    tenants: RwLock<FxHashMap<u32, Arc<RwLock<OverlayLayer>>>>,
 }
 
 impl<B: BaseModel> std::fmt::Debug for TenantRegistry<B> {
@@ -119,17 +110,11 @@ impl<B: BaseModel> TenantRegistry<B> {
         if map.contains_key(&id.0) {
             return Err(ServeError::TenantExists(id.0));
         }
-        map.insert(
-            id.0,
-            Arc::new(RwLock::new(Tenant {
-                delta: OverlayLayer::new(),
-                memo: ScoreMemo::with_capacity(self.base.interner().len()),
-            })),
-        );
+        map.insert(id.0, Arc::new(RwLock::new(OverlayLayer::new())));
         Ok(())
     }
 
-    /// Drop a tenant (its delta and memo). Unknown ids are a typed error.
+    /// Drop a tenant (its delta). Unknown ids are a typed error.
     pub fn remove_tenant(&self, id: TenantId) -> Result<(), ServeError> {
         let mut map = self.tenants.write().map_err(|_| ServeError::Poisoned)?;
         match map.remove(&id.0) {
@@ -159,7 +144,7 @@ impl<B: BaseModel> TenantRegistry<B> {
         ids
     }
 
-    fn tenant(&self, id: TenantId) -> Result<Arc<RwLock<Tenant>>, ServeError> {
+    fn tenant(&self, id: TenantId) -> Result<Arc<RwLock<OverlayLayer>>, ServeError> {
         let map = self.tenants.read().map_err(|_| ServeError::Poisoned)?;
         map.get(&id.0)
             .cloned()
@@ -168,15 +153,11 @@ impl<B: BaseModel> TenantRegistry<B> {
 
     /// Train one message (a deduplicated id set against
     /// [`TenantRegistry::interner`]) into `id`'s private delta. The
-    /// shared base and org patch are never touched; the tenant's memo is
-    /// invalidated by the delta's generation bump and re-extended to the
-    /// interner's current length.
+    /// shared base and org patch are never touched.
     pub fn train(&self, id: TenantId, ids: &[TokenId], label: Label) -> Result<(), ServeError> {
         let tenant = self.tenant(id)?;
-        let mut t = tenant.write().map_err(|_| ServeError::Poisoned)?;
-        t.delta.train_ids(ids, label);
-        let want = self.base.interner().len();
-        t.memo.ensure_capacity(want);
+        let mut delta = tenant.write().map_err(|_| ServeError::Poisoned)?;
+        delta.train_ids(ids, label);
         Ok(())
     }
 
@@ -186,14 +167,14 @@ impl<B: BaseModel> TenantRegistry<B> {
     /// refusal that mutates nothing.
     pub fn untrain(&self, id: TenantId, ids: &[TokenId], label: Label) -> Result<(), ServeError> {
         let tenant = self.tenant(id)?;
-        let mut t = tenant.write().map_err(|_| ServeError::Poisoned)?;
-        t.delta
+        let mut delta = tenant.write().map_err(|_| ServeError::Poisoned)?;
+        delta
             .untrain_ids(ids, label)
             .map_err(|_| ServeError::Underflow { tenant: id.0 })
     }
 
     /// Run `f` against `id`'s current serving stack (org patch under user
-    /// delta, memo attached) under the tenant read lock — the primitive
+    /// delta) under the tenant read lock — the primitive
     /// `classify_ids_batch` and the bit-identity tests build on.
     pub fn with_stack<R>(
         &self,
@@ -201,9 +182,9 @@ impl<B: BaseModel> TenantRegistry<B> {
         f: impl FnOnce(&StackView<'_, B>) -> R,
     ) -> Result<R, ServeError> {
         let tenant = self.tenant(id)?;
-        let t = tenant.read().map_err(|_| ServeError::Poisoned)?;
-        let layers: [&OverlayLayer; 2] = [&self.org_patch, &t.delta];
-        let stack = StackView::with_memo(self.base.as_ref(), &layers, &t.memo);
+        let delta = tenant.read().map_err(|_| ServeError::Poisoned)?;
+        let layers: [&OverlayLayer; 2] = [&self.org_patch, &delta];
+        let stack = StackView::new(self.base.as_ref(), &layers);
         Ok(f(&stack))
     }
 
@@ -226,9 +207,8 @@ impl<B: BaseModel> TenantRegistry<B> {
 
     /// Classify a batch of pre-interned id sets through `id`'s stack, in
     /// parallel (scoped workers, results in input order, chunk sizing per
-    /// `SB_CHUNK`). The tenant's [`ScoreMemo`] is shared lock-free across
-    /// the workers, so each distinct token's score is computed once per
-    /// stack generation for the whole batch.
+    /// `SB_CHUNK`). The workers share the tenant's stack under one read
+    /// lock; each computes its messages' scores from the stack's counts.
     pub fn classify_ids_batch(
         &self,
         id: TenantId,
@@ -392,8 +372,8 @@ mod tests {
         ));
     }
 
-    /// Many probe threads classify one tenant concurrently through the
-    /// shared memo, bit-identically to a sequential run.
+    /// Many probe threads classify one tenant concurrently under its read
+    /// lock, bit-identically to a sequential run.
     #[test]
     fn concurrent_probes_share_one_tenant() {
         let interner = Interner::new();

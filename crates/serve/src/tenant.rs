@@ -1,6 +1,5 @@
 //! Overlay stacks: persistent per-tenant deltas over a shared read-only
-//! base, combined read-only by [`StackView`] and served to concurrent
-//! probe threads through a shared [`ScoreMemo`].
+//! base, combined read-only by [`StackView`].
 //!
 //! An [`OverlayLayer`] is the workspace's one count-delta type: it
 //! accumulates a tenant's whole personal training history (arbitrary
@@ -20,35 +19,32 @@
 //! same [`sb_filter::ln_pair`] clamp on equal `u32` inputs, and integer
 //! addition is associative — *which* layer a count lives in cannot move
 //! the sum. Property-tested in `tests/prop_serve.rs`
-//! (`stacked_overlays_equal_sequential_training`).
+//! (`two_deep_stack_equals_sequential_training`).
 //!
-//! ## Concurrency
+//! ## No score memo
 //!
-//! [`StackView`] is `Sync` when its base is: scoring is read-only, and
-//! the optional [`ScoreMemo`] is lock-free. Every layer mutation bumps
-//! that layer's generation, so a stack's *combined* generation (1 + Σ
-//! layer generations) stamps memo slots: a train/untrain anywhere in the
-//! stack invalidates every cached score in O(1). The stamp rules of every
-//! score cache are described in [`sb_filter::memo`].
+//! A stack computes `f(w)` from its summed counts on every lookup, and
+//! the `ln` pair only for δ(E) survivors. Tenants train as they serve,
+//! and any memo keyed on the stack's state would be invalidated by each
+//! train; [`sb_filter::memo`] records the measurement behind that
+//! choice. [`StackView`] is `Sync` when its base is: scoring is
+//! read-only.
 
 use crate::model::BaseModel;
 use sb_email::Label;
 use sb_filter::score::token_score_from_counts;
-use sb_filter::{ln_pair, FilterOptions, ScoreDb, ScoreMemo, TokenCounts};
+use sb_filter::{ln_pair, FilterOptions, ScoreDb, TokenCounts};
 use sb_intern::{FxHashMap, Interner, TokenId};
 
 /// A persistent training delta: the per-token counts and per-class
 /// message totals a tenant's own mail contributed on top of whatever it
 /// stacks on. Mutable only through [`OverlayLayer::train_ids`] /
-/// [`OverlayLayer::untrain_ids`]; every mutation bumps the generation
-/// that stamps downstream memo slots.
+/// [`OverlayLayer::untrain_ids`].
 #[derive(Debug, Clone, Default)]
 pub struct OverlayLayer {
     counts: FxHashMap<TokenId, TokenCounts>,
     d_spam: u32,
     d_ham: u32,
-    /// Bumped on every successful mutation (starts at 0).
-    generation: u64,
 }
 
 /// An untrain asked this layer to forget counts it never trained — the
@@ -101,7 +97,6 @@ impl OverlayLayer {
             Label::Spam => self.d_spam += multiplicity,
             Label::Ham => self.d_ham += multiplicity,
         }
-        self.generation += 1;
     }
 
     /// Exactly remove one previously trained message from *this layer*.
@@ -142,7 +137,6 @@ impl OverlayLayer {
             Label::Spam => self.d_spam -= 1,
             Label::Ham => self.d_ham -= 1,
         }
-        self.generation += 1;
         Ok(())
     }
 
@@ -166,12 +160,6 @@ impl OverlayLayer {
     pub fn is_empty(&self) -> bool {
         self.counts.is_empty() && self.d_spam == 0 && self.d_ham == 0
     }
-
-    /// Mutation counter (starts at 0; bumps on every successful
-    /// train/untrain). Feeds the stack's combined memo stamp.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
 }
 
 /// A read-only combined view over a base and an ordered overlay stack,
@@ -185,44 +173,27 @@ impl OverlayLayer {
 pub struct StackView<'a, B: BaseModel + ?Sized> {
     base: &'a B,
     layers: &'a [&'a OverlayLayer],
-    memo: Option<&'a ScoreMemo>,
     /// Effective per-class totals (base + every layer), entering Eq. 1
     /// for every token.
     n_spam: u32,
     n_ham: u32,
-    /// Memo stamp: 1 + Σ layer generations — monotone in any mutation.
-    stamp: u64,
 }
 
 impl<'a, B: BaseModel + ?Sized> StackView<'a, B> {
-    /// Combine `layers` (bottom-up) over `base`, unmemoized.
+    /// Combine `layers` (bottom-up) over `base`.
     pub fn new(base: &'a B, layers: &'a [&'a OverlayLayer]) -> Self {
         let mut n_spam = base.base_n_spam();
         let mut n_ham = base.base_n_ham();
-        let mut stamp = 1u64;
         for layer in layers {
             let (ds, dh) = layer.class_shift();
             n_spam += ds;
             n_ham += dh;
-            stamp += layer.generation();
         }
         Self {
             base,
             layers,
-            memo: None,
             n_spam,
             n_ham,
-            stamp,
-        }
-    }
-
-    /// [`StackView::new`] with a shared score memo. The memo must be
-    /// bound to **one** logical stack whose combined generation only
-    /// grows — the registry owns exactly one per tenant.
-    pub fn with_memo(base: &'a B, layers: &'a [&'a OverlayLayer], memo: &'a ScoreMemo) -> Self {
-        Self {
-            memo: Some(memo),
-            ..Self::new(base, layers)
         }
     }
 
@@ -257,12 +228,6 @@ impl<'a, B: BaseModel + ?Sized> StackView<'a, B> {
         }
         c
     }
-
-    /// The stack's uncached score — what the memo slots are filled with.
-    #[inline]
-    fn compute_f(&self, id: TokenId, opts: &FilterOptions) -> f64 {
-        token_score_from_counts(self.n_spam, self.n_ham, self.counts_by_id(id), opts)
-    }
 }
 
 impl<B: BaseModel + ?Sized> ScoreDb for StackView<'_, B> {
@@ -271,17 +236,11 @@ impl<B: BaseModel + ?Sized> ScoreDb for StackView<'_, B> {
     }
 
     fn score_f(&self, id: TokenId, opts: &FilterOptions) -> f64 {
-        match self.memo {
-            Some(memo) => memo.f(id, self.stamp, || self.compute_f(id, opts)),
-            None => self.compute_f(id, opts),
-        }
+        token_score_from_counts(self.n_spam, self.n_ham, self.counts_by_id(id), opts)
     }
 
-    fn score_lns(&self, id: TokenId, f: f64) -> (f64, f64) {
-        match self.memo {
-            Some(memo) => memo.lns(id, self.stamp, f),
-            None => ln_pair(f),
-        }
+    fn score_lns(&self, _id: TokenId, f: f64) -> (f64, f64) {
+        ln_pair(f)
     }
 }
 
@@ -349,45 +308,39 @@ mod tests {
         assert_eq!(via_stack, via_seq);
     }
 
-    /// Memoized and unmemoized stacks agree bit-for-bit, and a layer
-    /// mutation invalidates the memo (stamps move).
+    /// A stack scores from the layers' counts at the moment of the
+    /// lookup: after every mutation, and on repeated reads, `f` and the
+    /// `ln` pair equal a `TokenDb` trained the same way, bit for bit.
     #[test]
-    fn memo_agrees_and_invalidates_on_mutation() {
+    fn scores_follow_layer_mutations() {
         let opts = FilterOptions::default();
         let interner = Interner::new();
         let base = base_db(&interner);
+        let mut sequential = base.clone();
         let mut user = OverlayLayer::new();
         let mail = interner.intern_set(&toks(&["cheap", "offer"]));
-        user.train_ids(&mail, Label::Spam);
-
         let probe = interner.intern_set(&toks(&["cheap", "offer", "meeting"]));
-        let memo = ScoreMemo::with_capacity(interner.len());
 
-        {
-            let layers = [&user];
-            let plain = StackView::new(&base, &layers);
-            let memoized = StackView::with_memo(&base, &layers, &memo);
+        let check = |user: &OverlayLayer, sequential: &TokenDb| {
+            let layers = [user];
+            let stack = StackView::new(&base, &layers);
             for &id in &probe {
-                let want = plain.score_f(id, &opts);
-                assert_eq!(memoized.score_f(id, &opts).to_bits(), want.to_bits());
-                // Second read served from the filled slot.
-                assert_eq!(memoized.score_f(id, &opts).to_bits(), want.to_bits());
-                let lns = memoized.score_lns(id, want);
-                assert_eq!(lns, plain.score_lns(id, want));
+                for _ in 0..2 {
+                    let f = stack.score_f(id, &opts);
+                    assert_eq!(f.to_bits(), sequential.cached_f(id, &opts).to_bits());
+                    assert_eq!(stack.score_lns(id, f), sequential.cached_lns(id, f));
+                }
             }
+        };
+        check(&user, &sequential);
+        for label in [Label::Spam, Label::Spam, Label::Ham] {
+            user.train_ids(&mail, label);
+            sequential.train_ids(&mail, label);
+            check(&user, &sequential);
         }
-
-        // Mutate the layer: stale slots must not serve.
-        user.train_ids(&mail, Label::Spam);
-        let layers = [&user];
-        let plain = StackView::new(&base, &layers);
-        let memoized = StackView::with_memo(&base, &layers, &memo);
-        for &id in &probe {
-            assert_eq!(
-                memoized.score_f(id, &opts).to_bits(),
-                plain.score_f(id, &opts).to_bits()
-            );
-        }
+        user.untrain_ids(&mail, Label::Spam).unwrap();
+        sequential.untrain_ids(&mail, Label::Spam).unwrap();
+        check(&user, &sequential);
     }
 
     /// Untrain is exact and fail-closed: removing trained mail restores
@@ -419,28 +372,27 @@ mod tests {
         assert_eq!(layer.added(mail[0]), TokenCounts::default());
     }
 
-    /// Ids beyond the memo's capacity are computed directly — correctness
-    /// never depends on capacity.
+    /// Tokens interned after the stack was built score like any other:
+    /// nothing in a stack is sized by the interner.
     #[test]
-    fn memo_capacity_is_only_a_performance_knob() {
+    fn ids_interned_after_the_stack_score_from_counts() {
         let opts = FilterOptions::default();
         let interner = Interner::new();
         let base = base_db(&interner);
-        let user = OverlayLayer::new();
+        let mut user = OverlayLayer::new();
+        let mut sequential = base.clone();
+        let late = interner.intern_set(&toks(&["brand-new", "cheap"]));
+        user.train_ids(&late, Label::Spam);
+        sequential.train_ids(&late, Label::Spam);
         let layers = [&user];
-        let memo = ScoreMemo::with_capacity(1);
-        let memoized = StackView::with_memo(&base, &layers, &memo);
-        let plain = StackView::new(&base, &layers);
-        for tok in ["cheap", "meeting", "brand-new"] {
+        let stack = StackView::new(&base, &layers);
+        for tok in ["cheap", "meeting", "brand-new", "never-trained"] {
             let id = interner.intern(tok);
             assert_eq!(
-                memoized.score_f(id, &opts).to_bits(),
-                plain.score_f(id, &opts).to_bits()
+                stack.score_f(id, &opts).to_bits(),
+                sequential.cached_f(id, &opts).to_bits()
             );
         }
-        let mut memo = memo;
-        memo.ensure_capacity(interner.len());
-        assert_eq!(memo.capacity(), interner.len());
     }
 
     /// A stack over an empty layer list is exactly the base.

@@ -7,16 +7,19 @@
 //! any byte flip or truncation of an image is a typed error, never a
 //! panic, never a silently different model. And raw serving
 //! (`classify_raw`) never grows the interner, yet scores exactly as the
-//! interning path does.
+//! interning path does. Stacks keep no score memo, so the concurrent
+//! suite checks that every score reads the counts of the moment: tenants
+//! trained, untrained and classified from two threads at once score like
+//! standalone `TokenDb`s replaying each tenant's operations in order.
 
 use proptest::prelude::*;
 use sb_email::{parse_email, render_email, Email, Label};
 use sb_filter::classify::score_token_ids;
-use sb_filter::{image, FilterOptions, TokenDb};
+use sb_filter::{image, FilterOptions, Scored, TokenDb};
 use sb_intern::{Interner, TokenId};
 use sb_serve::{MmapDb, OverlayLayer, ServeError, TenantId, TenantRegistry};
 use sb_tokenizer::Tokenizer;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// Small alphabet keeps token collisions (shared counts) likely.
 fn token() -> impl Strategy<Value = String> {
@@ -47,6 +50,119 @@ fn train_all(db: &mut TokenDb, mail: &[(Vec<String>, bool)]) {
 
 fn intern(interner: &Interner, set: &[String]) -> Vec<TokenId> {
     interner.intern_set(set)
+}
+
+/// One tenant operation in the concurrent suite.
+#[derive(Debug, Clone)]
+enum Op {
+    /// Train a message into the tenant's delta.
+    Train(Vec<String>, bool),
+    /// Untrain one of the tenant's live messages (index modulo their
+    /// count; a no-op while there are none).
+    Untrain(usize),
+    /// Classify a probe through the tenant's stack.
+    Classify(Vec<String>),
+}
+
+/// A 12-token vocabulary, so that operations keep hitting the same
+/// tokens and a stale score could not hide.
+fn dense_set() -> impl Strategy<Value = Vec<String>> {
+    proptest::collection::btree_set("[a-c]{1,2}", 0..6).prop_map(|s| s.into_iter().collect())
+}
+
+fn dense_mail() -> impl Strategy<Value = Vec<(Vec<String>, bool)>> {
+    proptest::collection::vec((dense_set(), any::<bool>()), 0..8)
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    (0u8..3, dense_set(), any::<bool>(), any::<usize>()).prop_map(|(kind, set, spam, pick)| {
+        match kind {
+            0 => Op::Train(set, spam),
+            1 => Op::Untrain(pick),
+            _ => Op::Classify(set),
+        }
+    })
+}
+
+/// A tenant's standalone twin: a `TokenDb`, on another interner than the
+/// registry's, that replays the tenant's operations, plus the messages it
+/// may untrain.
+struct Twin {
+    db: TokenDb,
+    live: Vec<(Vec<String>, Label)>,
+}
+
+/// One worker's record, `(tenant, step, outcome)`: every classification
+/// with the registry's and the twin's scores, and every failed operation.
+/// Failures are recorded, not unwrapped, so a worker never leaves the
+/// other waiting at the barrier.
+type Observed = Vec<(usize, usize, Result<(Scored, Scored), String>)>;
+
+/// Apply one operation to tenant `id` and to its twin; a classification
+/// returns both scores.
+fn apply(
+    registry: &TenantRegistry<TokenDb>,
+    interner: &Interner,
+    id: TenantId,
+    op: &Op,
+    twin: &mut Twin,
+    opts: &FilterOptions,
+) -> Result<Option<(Scored, Scored)>, String> {
+    match op {
+        Op::Train(set, spam) => {
+            registry
+                .train(id, &intern(interner, set), label(*spam))
+                .map_err(|e| e.to_string())?;
+            twin.db.train(set, label(*spam));
+            twin.live.push((set.clone(), label(*spam)));
+        }
+        Op::Untrain(pick) => {
+            if !twin.live.is_empty() {
+                let (set, lab) = twin.live.swap_remove(pick % twin.live.len());
+                registry
+                    .untrain(id, &intern(interner, &set), lab)
+                    .map_err(|e| e.to_string())?;
+                twin.db.untrain(&set, lab).map_err(|e| e.to_string())?;
+            }
+        }
+        Op::Classify(set) => {
+            let got = registry
+                .classify_ids(id, &intern(interner, set))
+                .map_err(|e| e.to_string())?;
+            let want = score_token_ids(&intern(twin.db.interner(), set), &twin.db, opts);
+            return Ok(Some((got, want)));
+        }
+    }
+    Ok(None)
+}
+
+/// Apply the operations of the tenants in `mine` round-robin, step by
+/// step. Every step starts at `barrier`, so the two workers' steps run
+/// against each other.
+fn drive(
+    registry: &TenantRegistry<TokenDb>,
+    interner: &Interner,
+    scripts: &[Vec<Op>],
+    mine: &[usize],
+    mut twins: Vec<Twin>,
+    barrier: &Barrier,
+    opts: &FilterOptions,
+) -> (Observed, Vec<Twin>) {
+    let mut seen = Vec::new();
+    let steps = scripts.iter().map(Vec::len).max().unwrap_or(0);
+    for step in 0..steps {
+        barrier.wait();
+        for (&t, twin) in mine.iter().zip(twins.iter_mut()) {
+            let Some(op) = scripts[t].get(step) else {
+                continue;
+            };
+            let id = TenantId(t as u32);
+            if let Some(outcome) = apply(registry, interner, id, op, twin, opts).transpose() {
+                seen.push((t, step, outcome));
+            }
+        }
+    }
+    (seen, twins)
 }
 
 /// Write `bytes` to a unique temp file, run `f`, clean up.
@@ -120,8 +236,8 @@ proptest! {
     /// A 2-deep overlay stack (frozen org patch + mutable tenant delta)
     /// over a shared base serves verdicts bit-identical to a standalone
     /// TokenDb — with its own interner — that trained base mail, then
-    /// org mail, then the tenant's mail, sequentially. Repeat classify
-    /// exercises the memo; its bits must not move either.
+    /// org mail, then the tenant's mail, sequentially. A repeated
+    /// classify must not move a bit either.
     #[test]
     fn two_deep_stack_equals_sequential_training(
         base in mail(),
@@ -163,6 +279,75 @@ proptest! {
                 prop_assert_eq!(cold.verdict, want.verdict);
                 prop_assert_eq!(warm.score.to_bits(), want.score.to_bits());
                 prop_assert_eq!(warm.verdict, want.verdict);
+            }
+        }
+    }
+
+    /// Three or more tenants, each driven by one of two threads that
+    /// interleave train, untrain and classify across their tenants while
+    /// sharing the registry and its interner. Every classification, and
+    /// a final sweep of every tenant, equals a standalone `TokenDb` that
+    /// replayed that tenant's operations in order, bit for bit.
+    #[test]
+    fn concurrent_tenant_ops_equal_sequential_replay(
+        base in dense_mail(),
+        org in proptest::collection::vec(dense_set(), 0..3),
+        scripts in proptest::collection::vec(proptest::collection::vec(op(), 0..16), 3..6),
+        probes in proptest::collection::vec(dense_set(), 1..4),
+    ) {
+        let opts = FilterOptions::default();
+        let interner = Interner::new();
+        let mut shared = TokenDb::with_interner(interner.clone());
+        train_all(&mut shared, &base);
+        let mut org_patch = OverlayLayer::new();
+        for set in &org {
+            org_patch.train_ids(&intern(&interner, set), Label::Ham);
+        }
+        let registry = TenantRegistry::with_org_patch(Arc::new(shared), org_patch, opts);
+        let twin = || {
+            let mut db = TokenDb::new();
+            train_all(&mut db, &base);
+            for set in &org {
+                db.train(set, Label::Ham);
+            }
+            Twin { db, live: Vec::new() }
+        };
+        for t in 0..scripts.len() {
+            registry.add_tenant(TenantId(t as u32)).unwrap();
+        }
+        let halves: [Vec<usize>; 2] = [
+            (0..scripts.len()).step_by(2).collect(),
+            (1..scripts.len()).step_by(2).collect(),
+        ];
+        let barrier = Barrier::new(halves.len());
+        let runs: Vec<(Observed, Vec<Twin>)> = std::thread::scope(|s| {
+            let workers: Vec<_> = halves
+                .iter()
+                .map(|mine| {
+                    let twins = mine.iter().map(|_| twin()).collect();
+                    let (registry, interner, scripts) = (&registry, &interner, &scripts);
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        drive(registry, interner, scripts, mine, twins, barrier, &opts)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for (mine, (seen, twins)) in halves.iter().zip(&runs) {
+            for (t, step, outcome) in seen {
+                prop_assert!(outcome.is_ok(), "tenant {} step {}: {:?}", t, step, outcome);
+                let Ok((got, want)) = outcome else { continue };
+                prop_assert_eq!(got.score.to_bits(), want.score.to_bits(), "tenant {} step {}", t, step);
+                prop_assert_eq!(got, want);
+            }
+            for (&t, twin) in mine.iter().zip(twins) {
+                for probe in &probes {
+                    let got = registry.classify_ids(TenantId(t as u32), &intern(&interner, probe)).unwrap();
+                    let want = score_token_ids(&intern(twin.db.interner(), probe), &twin.db, &opts);
+                    prop_assert_eq!(got.score.to_bits(), want.score.to_bits());
+                    prop_assert_eq!(got.verdict, want.verdict);
+                }
             }
         }
     }
