@@ -21,38 +21,97 @@
 //! sweeps shared a δ-relevant token with the candidate. What a candidate
 //! changes is narrow, though. Training it as spam moves the totals to
 //! `NS + 1`, which is the same for every candidate, and moves the counts
-//! of its own tokens only. So each trial precomputes once, in flat CSR
-//! arrays (a values array plus an ends array):
+//! of its own tokens only, each by one spam count. A token's score
+//! depends on nothing but its counts, so each trial precomputes once, in
+//! flat CSR arrays (a values array plus an ends array):
 //!
 //! * a **rank** for every id of its validation vocabulary, numbering the
-//!   vocabulary in token-string order, and an `(id, rank)` table sorted by
-//!   id to intersect candidates with;
-//! * rank → validation-message postings;
-//! * each validation message's **shift-only δ(E)**: its clues scored at
-//!   `NS + 1` with no candidate counts, sorted by (|f − 0.5| desc, rank
-//!   asc), each with its `ln` pair, plus the score that δ(E) gives.
+//!   vocabulary in token-string order, and one flat open-addressed
+//!   id → rank table to look candidates up in;
+//! * a **count class** for every distinct pair of trial-set counts in the
+//!   vocabulary (at most `(train_size + 1)²`; on the org-scale scenario
+//!   5,800–7,000 ranks share 54–64 classes), each rank pointing at its
+//!   class. A class holds its tokens' clue without the candidate (the
+//!   *shift-only* score, at `NS + 1`) and with it (`c_s + 1`), each with
+//!   its `ln` pair when δ-eligible, and the change `(Δn, Δa, Δb)` that
+//!   makes to the clue count and `ln` sums of a δ(E) list holding the
+//!   token: `+1` and the candidate pair if eligible with the candidate,
+//!   `−1` and the shift-only pair if eligible without;
+//! * rank → validation-message postings, and each message's ranks, its
+//!   **shift-only δ(E)** first: the ranks whose shift-only clue is
+//!   eligible, sorted by (|f − 0.5| desc, rank asc);
+//! * each message's shift-only score, and the *full* (untruncated) clue
+//!   count `n₀` and sums `(Σ ln f, Σ ln(1 − f))` of its shift-only δ(E).
 //!
-//! Measuring a candidate on a trial intersects its ids with the
-//! vocabulary and scores each member once, at counts `(c_s + 1, c_h)` and
-//! totals `(NS + 1, NH)`. Each validation message holding a member merges
-//! its eligible members, sorted by the same key, into its precomputed
-//! δ(E) with the members removed, takes the first `max_discriminators`,
-//! Fisher-combines and thresholds. A message with no member eligible under
-//! either score keeps its shift-only verdict.
+//! Measuring a candidate on a trial scores no token: it looks up each of
+//! its ids, and each member whose class changes some δ(E) walks its
+//! postings once, adding the class's `(Δn, Δa, Δb)` to each message it
+//! is in. A message holding no such member keeps its shift-only verdict.
+//! For the rest, RONI needs only a verdict count — (ham, Ham) and
+//! (spam, Spam) per trial — so each message only has to learn which side
+//! of *one* cutoff its score `I(E)` falls on: `ham_cutoff` for ham
+//! (correct iff `I ≤ ham_cutoff`), the spam cutoff for spam (correct iff
+//! `I > spam_cutoff`). A **certificate** settles that side from the
+//! accumulated sums; when it cannot, the message takes the exact path:
+//! merge its members' candidate clues, sorted by the same key, into its
+//! shift-only δ(E) with the members removed, take the first
+//! `max_discriminators`, Fisher-combine and threshold. On the org-scale
+//! scenario (seed 2009, one whole run) the tail bounds below settled
+//! 87.6% of touched messages, `chi2q_even` 10.9%, and 1.5% took the
+//! exact path, nearly all of them for truncation.
 //!
 //! ## Exactness
 //!
 //! Measurement is bit-identical to training the candidate into a copy of
 //! each trial filter and classifying the validation set (property-tested
-//! below against exactly that reference):
+//! below against exactly that reference). The exact path gives the
+//! reference's score bit for bit:
 //!
 //! * within a trial, rank order is token-string order, δ(E)'s tie-break;
-//! * a non-member's score is its shift-only score: both come from
-//!   `token_score_from_counts` on the same counts and totals;
+//! * every clue, with or without the candidate, comes from
+//!   `token_score_from_counts` on the reference's counts and totals, so a
+//!   non-member keeps its shift-only clue;
 //! * merging two lists sorted by one total order gives their sorted
 //!   union, so the first `max_discriminators` entries are the reference's
 //!   δ(E);
 //! * Fisher sees the same `ln_pair` values in the same order.
+//!
+//! A certificate gives the same verdict as that score, because:
+//!
+//! * **No truncation.** It applies only when `n₀ ≤ K` and
+//!   `n₀ + Δn ≤ K` (`K = max_discriminators`). Then the reference's δ(E)
+//!   is every eligible clue, `n = n₀ + Δn` of them, and its `ln` sums are
+//!   the accumulated `(A, B) = (Σ₀ ln f + Δa, Σ₀ ln(1 − f) + Δb)` up to
+//!   rounding. `n = 0` gives `I = 0.5` exactly, as `fisher_combine` does.
+//! * **Error bound.** `ln_pair` clamps `f` to `[1e-12, 1 − 1e-12]`, so
+//!   every `ln` has magnitude at most `L = 27.64`. Let `c` bound the clue
+//!   count of any certified message: `K`, or the longest validation
+//!   message when that is shorter. A certified message's sums have at
+//!   most `n₀ + removed + added ≤ 3c` terms, formed with at most
+//!   `n₀ + 2·members ≤ 5c` roundings, each off by at most `u·3cL`
+//!   (`u = 2⁻⁵³`); the reference's sequential sum is off by at most
+//!   `c·u·cL`. So each accumulated sum is within `16·c²·L·u` of the
+//!   reference's. `I = (1 + H − S)/2` with `H = Q(−2A | 2n)`,
+//!   `S = Q(−2B | 2n)`, and `|∂Q/∂x| ≤ ½` (a Poisson probability), so the
+//!   sums move `I` by at most `16·c²·L·u`. The rounding inside
+//!   `chi2q_even` (at most about `6c·u` on the direct branch and
+//!   `2·c²·L·u` on the log-space one, per call), the final combine and the
+//!   tail-bound evaluation below fit in as much again:
+//!   `ε(c) = 32·c²·L·u`, about 2.2e-9 at `c = 150`.
+//! * **Margin.** A certificate settles a side only when `I` is farther
+//!   than `margin = max(1e-6, 1000·ε(c))` from the cutoff, 2.2e-6 at
+//!   `c = 150`: three orders of magnitude above the bound.
+//! * **Tail bounds.** `Q(2m | 2n) = P(Poisson(m) ≤ n − 1)`. For
+//!   `m > n − 1` the lower tail is at most
+//!   `e^{−m} m^{n−1}/(n−1)! / (1 − (n−1)/m)`; for `m < n + 1` the upper
+//!   tail `1 − Q` is at most `e^{−m} m^n/n! / (1 − m/(n+1))` (each sums a
+//!   geometric series dominating the Poisson terms), from a `ln k!` table
+//!   up to `c`. These bound `H` and `S`, hence `I`, in closed form and
+//!   decide first; `chi2q_even` runs only when the bounds straddle the
+//!   cutoff's margin band.
+//! * **Fallback.** A truncated list, or a score inside the margin band,
+//!   takes the exact path above. It is the only fallback and the path the
+//!   test oracle checks.
 //!
 //! The tables are immutable after construction, so every measurement API
 //! takes `&self`, batches fan candidates out over workers without cloning
@@ -60,10 +119,9 @@
 
 use sb_email::{Dataset, Label};
 use sb_filter::score::token_score_from_counts;
-use sb_filter::{
-    fisher_combine, ln_pair, verdict_for, FilterOptions, ScoreDb, SpamBayes, TokenCounts, Verdict,
-};
+use sb_filter::{fisher_combine, ln_pair, FilterOptions, ScoreDb, SpamBayes, TokenCounts, Verdict};
 use sb_intern::{par, AsIdSlice, TokenId};
+use sb_stats::chi2::chi2q_even;
 use sb_stats::rng::Xoshiro256pp;
 use sb_tokenizer::Tokenizer;
 use serde::{Deserialize, Serialize};
@@ -154,8 +212,26 @@ pub struct RoniDefense {
 /// An interned message and its label.
 type IdMessage = (Arc<Vec<TokenId>>, Label);
 
-/// One clue of a δ(E) list: its distance `|f − 0.5|`, its rank in the
-/// trial vocabulary and its Fisher `ln` pair.
+/// A token score's δ(E) distance `|f − 0.5|` and its Fisher `ln` pair.
+#[derive(Debug, Clone, Copy)]
+struct Clue {
+    dist: f64,
+    ln: (f64, f64),
+}
+
+impl Clue {
+    /// The clue of score `f`, when it is δ-eligible.
+    fn eligible(f: f64, opts: &FilterOptions) -> Option<Self> {
+        let dist = (f - 0.5).abs();
+        (dist >= opts.minimum_prob_strength).then(|| Self {
+            dist,
+            ln: ln_pair(f),
+        })
+    }
+}
+
+/// One clue of a δ(E) list and its token's rank in the trial
+/// vocabulary.
 #[derive(Debug, Clone, Copy)]
 struct RankedClue {
     dist: f64,
@@ -164,11 +240,11 @@ struct RankedClue {
 }
 
 impl RankedClue {
-    fn new(f: f64, rank: u32) -> Self {
+    fn new(clue: Clue, rank: u32) -> Self {
         Self {
-            dist: (f - 0.5).abs(),
+            dist: clue.dist,
             rank,
-            ln: ln_pair(f),
+            ln: clue.ln,
         }
     }
 
@@ -207,24 +283,219 @@ impl<T> Csr<T> {
     }
 }
 
+/// Fibonacci multiplier spreading an id over a [`RankTable`]'s index bits.
+const SPREAD: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// A trial vocabulary's id → rank map: one flat open-addressed array of
+/// `u64` slots, each `id << 32 | (rank + 1)` (0 marks an empty slot),
+/// probed linearly from the id's Fibonacci-spread home slot at load ≤ ½ —
+/// the interner's table shape, keyed by id instead of by string.
+struct RankTable {
+    /// The slots; the length is a power of two.
+    slots: Vec<u64>,
+    /// `64 - log2(slots.len())`: the shift taking a spread id to its home
+    /// slot.
+    shift: u32,
+}
+
+impl RankTable {
+    /// The table mapping `ids[rank]` to `rank`; the ids are distinct.
+    fn new(ids: &[TokenId]) -> Self {
+        let len = (ids.len() * 2).next_power_of_two().max(2);
+        let mut table = Self {
+            slots: vec![0; len],
+            shift: 64 - len.trailing_zeros(),
+        };
+        for (&id, rank) in ids.iter().zip(1u32..) {
+            let mut i = table.home(id);
+            while table.slots[i] != 0 {
+                i = (i + 1) & (len - 1);
+            }
+            table.slots[i] = u64::from(id.0) << 32 | u64::from(rank);
+        }
+        table
+    }
+
+    #[inline]
+    fn home(&self, id: TokenId) -> usize {
+        (u64::from(id.0).wrapping_mul(SPREAD) >> self.shift) as usize
+    }
+
+    /// The rank of `id`, if it is in the vocabulary.
+    #[inline]
+    fn get(&self, id: TokenId) -> Option<u32> {
+        let mut i = self.home(id);
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 {
+                return None;
+            }
+            if (slot >> 32) as u32 == id.0 {
+                return Some(slot as u32 - 1);
+            }
+            i = (i + 1) & (self.slots.len() - 1);
+        }
+    }
+}
+
+/// What training the candidate does to every token with one pair of
+/// trial-set counts: its clue without the candidate (the shift-only
+/// score, at `NS + 1`) and with it (one more spam count), each when
+/// δ-eligible, and the change `(Δn, Δa, Δb)` that makes to the clue
+/// count and `ln` sums of a δ(E) list holding the token.
+#[derive(Debug, Clone, Copy)]
+struct CountClass {
+    shift: Option<Clue>,
+    cand: Option<Clue>,
+    /// `None` when neither clue is δ-eligible: the token is in no δ(E),
+    /// with or without the candidate.
+    delta: Option<(i32, f64, f64)>,
+}
+
+impl CountClass {
+    fn new(shift: Option<Clue>, cand: Option<Clue>) -> Self {
+        let delta = (shift.is_some() || cand.is_some()).then(|| {
+            let (mut n, mut a, mut b) = (0, 0.0, 0.0);
+            if let Some(c) = cand {
+                (n, a, b) = (1, c.ln.0, c.ln.1);
+            }
+            if let Some(s) = shift {
+                (n, a, b) = (n - 1, a - s.ln.0, b - s.ln.1);
+            }
+            (n, a, b)
+        });
+        Self { shift, cand, delta }
+    }
+}
+
+/// A validation message's label and shift-only δ(E) summary.
+#[derive(Debug, Clone, Copy)]
+struct ValMessage {
+    label: Label,
+    /// `I(E)` of the shift-only δ(E), truncated to `max_discriminators`.
+    score: f64,
+    /// The full (untruncated) shift-only clue count.
+    n: u32,
+    /// The full shift-only `(Σ ln f, Σ ln(1 − f))`.
+    sums: (f64, f64),
+}
+
+/// What a candidate changes in one validation message's full clue count
+/// and `ln` sums.
+#[derive(Debug, Clone, Copy, Default)]
+struct Delta {
+    /// The message holds a member eligible under either score.
+    touched: bool,
+    n: i32,
+    a: f64,
+    b: f64,
+}
+
+/// `ln_pair`'s magnitude bound: it clamps `f` to `[1e-12, 1 − 1e-12]`.
+const LN_BOUND: f64 = 27.64;
+
+/// The verdict certificates of one trial (see the module docs).
+struct Certifier {
+    /// `ln k!` for `k ≤ c`, `c` the largest clue count certified.
+    ln_fact: Vec<f64>,
+    /// The half-width of the undecided band around a cutoff.
+    margin: f64,
+}
+
+impl Certifier {
+    /// Certificates for δ(E) lists of at most `c` clues.
+    fn new(c: usize) -> Self {
+        let ln_fact = std::iter::once(0.0)
+            .chain((1..=c).scan(0.0, |acc, k| {
+                *acc += (k as f64).ln();
+                Some(*acc)
+            }))
+            .collect();
+        let c = c as f64;
+        let eps = 32.0 * c * c * LN_BOUND * (f64::EPSILON / 2.0);
+        Self {
+            ln_fact,
+            margin: (1e3 * eps).max(1e-6),
+        }
+    }
+
+    /// An upper bound on `P(Poisson(m) ≤ n − 1) = Q(2m | 2n)`, for
+    /// `1 ≤ n ≤ c`.
+    fn lower_tail(&self, n: usize, m: f64) -> f64 {
+        let k = (n - 1) as f64;
+        if m <= k {
+            return 1.0;
+        }
+        let pmf = (-m + k * m.ln() - self.ln_fact[n - 1]).exp();
+        (pmf / (1.0 - k / m)).min(1.0)
+    }
+
+    /// An upper bound on `P(Poisson(m) ≥ n) = 1 − Q(2m | 2n)`, for
+    /// `1 ≤ n ≤ c`.
+    fn upper_tail(&self, n: usize, m: f64) -> f64 {
+        let k = (n + 1) as f64;
+        if m >= k {
+            return 1.0;
+        }
+        let pmf = (-m + n as f64 * m.ln() - self.ln_fact[n]).exp();
+        (pmf / (1.0 - m / k)).min(1.0)
+    }
+
+    /// Whether `I(E)` of `n ≥ 1` clues with `a = −Σ ln f ≥ 0` and
+    /// `b = −Σ ln(1 − f) ≥ 0` lies above `cutoff`, as the tail bounds
+    /// settle it. With `H = Q(2a | 2n)` and `S = Q(2b | 2n)`,
+    /// `I = (1 + H − S)/2` lies in
+    /// `[1 − (upper(a) + lower(b))/2, (lower(a) + upper(b))/2]`; the side
+    /// the sums lean to (`a > b` ⇔ `H < S` ⇔ `I < ½`) is tried first.
+    fn bound_side(&self, n: usize, a: f64, b: f64, cutoff: f64) -> Option<bool> {
+        let lean_below = a > b;
+        for below in [lean_below, !lean_below] {
+            if below {
+                let hi = (self.lower_tail(n, a) + self.upper_tail(n, b)) / 2.0;
+                if hi + self.margin < cutoff {
+                    return Some(false);
+                }
+            } else {
+                let lo = 1.0 - (self.upper_tail(n, a) + self.lower_tail(n, b)) / 2.0;
+                if lo - self.margin > cutoff {
+                    return Some(true);
+                }
+            }
+        }
+        None
+    }
+
+    /// [`Self::bound_side`] from `I(E)` itself.
+    fn chi2_side(&self, n: usize, a: f64, b: f64, cutoff: f64) -> Option<bool> {
+        let n = u32::try_from(n).unwrap_or(u32::MAX);
+        let i = (1.0 + chi2q_even(2.0 * a, n) - chi2q_even(2.0 * b, n)) / 2.0;
+        if i + self.margin < cutoff {
+            Some(false)
+        } else if i - self.margin > cutoff {
+            Some(true)
+        } else {
+            None
+        }
+    }
+}
+
 /// One trial's screening tables (see the module docs). Ranks index
-/// `counts`, `shift_eligible` and `postings`; validation messages index
-/// `clues` and `val`.
+/// `class_of` and `postings`; validation messages index `rows` and `val`.
 struct Trial {
-    /// The validation vocabulary as `(id, rank)`, sorted by id.
-    vocab: Vec<(TokenId, u32)>,
-    /// Training-set counts per rank.
-    counts: Vec<TokenCounts>,
-    /// Per rank: the shift-only score is δ-eligible.
-    shift_eligible: Vec<bool>,
+    /// The validation vocabulary's id → rank table.
+    index: RankTable,
+    /// Per rank: its index in `classes`.
+    class_of: Vec<u32>,
+    /// One per distinct pair of trial-set counts in the vocabulary.
+    classes: Vec<CountClass>,
     /// Rank → the validation messages holding it.
     postings: Csr<u32>,
-    /// Per validation message: its shift-only δ(E), in δ(E) order.
-    clues: Csr<RankedClue>,
-    /// Per validation message: its label and shift-only score.
-    val: Vec<(Label, f64)>,
-    /// The trained totals `(NS, NH)`.
-    totals: (u32, u32),
+    /// Per validation message: its ranks, the `n` of its shift-only δ(E)
+    /// first, in δ(E) order.
+    rows: Csr<u32>,
+    /// Per validation message: its label and shift-only summary.
+    val: Vec<ValMessage>,
+    certifier: Certifier,
     baseline_ham_correct: usize,
     baseline_spam_correct: usize,
     /// The trained filter and validation set the tables came from: the
@@ -233,19 +504,34 @@ struct Trial {
     reference: (SpamBayes, Vec<IdMessage>),
 }
 
+/// How often each way of settling a touched message's verdict ran.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct Branches {
+    /// Settled by the tail bounds (or `n = 0`).
+    tail: usize,
+    /// Settled by `chi2q_even`.
+    chi2: usize,
+    /// Exact path: the δ(E) list is or was longer than `K`.
+    truncated: usize,
+    /// Exact path: the score lies within the margin of its cutoff.
+    near_cutoff: usize,
+}
+
 /// Per-worker buffers, reused across candidates and trials.
 #[derive(Default)]
 struct Scratch {
     /// The candidate's ranks in the current trial's vocabulary.
     ranks: Vec<u32>,
-    /// Members eligible under the candidate score, in δ(E) order.
-    members: Vec<RankedClue>,
     /// Per rank: a member that can change some δ(E).
     is_member: Vec<bool>,
-    /// Per validation message: holds a member that can change its δ(E).
-    touched: Vec<bool>,
-    /// Per validation message: indices into `members`, in δ(E) order.
-    held: Vec<Vec<u32>>,
+    /// Per validation message: the candidate's change.
+    deltas: Vec<Delta>,
+    /// One message's members with a candidate clue, in δ(E) order (exact
+    /// path).
+    held: Vec<RankedClue>,
+    #[cfg(test)]
+    branches: Branches,
 }
 
 impl Trial {
@@ -275,62 +561,80 @@ impl Trial {
             keyed.sort_unstable();
             by_str = keyed.into_iter().map(|(_, id)| id).collect();
         }
-        let mut vocab: Vec<(TokenId, u32)> = by_str
-            .iter()
-            .zip(0u32..)
-            .map(|(&id, rank)| (id, rank))
-            .collect();
-        vocab.sort_unstable_by_key(|&(id, _)| id);
-        let counts: Vec<TokenCounts> = by_str.iter().map(|&id| db.counts_by_id(id)).collect();
+        let index = RankTable::new(&by_str);
 
-        // Each rank's shift-only clue, where it is δ-eligible.
-        let totals = (db.n_spam(), db.n_ham());
-        let shift: Vec<Option<RankedClue>> = (0u32..)
-            .zip(&counts)
-            .map(|(rank, &c)| {
-                let f = token_score_from_counts(totals.0 + 1, totals.1, c, &opts);
-                ((f - 0.5).abs() >= opts.minimum_prob_strength).then(|| RankedClue::new(f, rank))
+        // One count class per distinct pair of trial-set counts.
+        let counts: Vec<(u32, u32)> = by_str
+            .iter()
+            .map(|&id| {
+                let c = db.counts_by_id(id);
+                (c.spam, c.ham)
             })
             .collect();
-        let shift_eligible: Vec<bool> = shift.iter().map(Option::is_some).collect();
-
-        let val_ranks: Vec<Vec<u32>> = val
+        let mut pairs = counts.clone();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let class_of: Vec<u32> = counts
             .iter()
-            .map(|(ids, _)| ids.iter().filter_map(|&id| rank_of(&vocab, id)).collect())
+            .map(|c| pairs.partition_point(|p| p < c) as u32)
             .collect();
+        let (n_spam, n_ham) = (db.n_spam() + 1, db.n_ham());
+        let clue = |spam, ham| {
+            let f = token_score_from_counts(n_spam, n_ham, TokenCounts { spam, ham }, &opts);
+            Clue::eligible(f, &opts)
+        };
+        let classes: Vec<CountClass> = pairs
+            .iter()
+            .map(|&(spam, ham)| CountClass::new(clue(spam, ham), clue(spam + 1, ham)))
+            .collect();
+        let shift_of = |r: u32| classes[class_of[r as usize] as usize].shift;
+
+        // Each message's ranks, its shift-only δ(E) first, and its summary.
+        let mut rows = Vec::with_capacity(val.len());
+        let mut val_msgs = Vec::with_capacity(val.len());
+        for (ids, label) in &val {
+            let mut delta = Vec::new();
+            let mut rest = Vec::new();
+            for r in ids.iter().filter_map(|&id| index.get(id)) {
+                match shift_of(r) {
+                    Some(c) => delta.push(RankedClue::new(c, r)),
+                    None => rest.push(r),
+                }
+            }
+            delta.sort_unstable_by(RankedClue::cmp);
+            let lns = delta.iter().take(opts.max_discriminators).map(|c| c.ln);
+            val_msgs.push(ValMessage {
+                label: *label,
+                score: fisher_combine(lns),
+                n: u32::try_from(delta.len()).unwrap_or(u32::MAX),
+                sums: delta
+                    .iter()
+                    .fold((0.0, 0.0), |(a, b), c| (a + c.ln.0, b + c.ln.1)),
+            });
+            rows.push(
+                delta
+                    .iter()
+                    .map(|c| c.rank)
+                    .chain(rest)
+                    .collect::<Vec<u32>>(),
+            );
+        }
         let mut postings: Vec<Vec<u32>> = vec![Vec::new(); by_str.len()];
-        for (v, ranks) in (0u32..).zip(&val_ranks) {
-            for &r in ranks {
+        for (v, row) in (0u32..).zip(&rows) {
+            for &r in row {
                 postings[r as usize].push(v);
             }
         }
-        let clues = Csr::from_rows(val_ranks.iter().map(|ranks| {
-            let mut delta: Vec<RankedClue> =
-                ranks.iter().filter_map(|&r| shift[r as usize]).collect();
-            delta.sort_unstable_by(RankedClue::cmp);
-            delta
-        }));
-        let val_scores = val
-            .iter()
-            .enumerate()
-            .map(|(v, (_, label))| {
-                let lns = clues
-                    .row(v)
-                    .iter()
-                    .take(opts.max_discriminators)
-                    .map(|c| c.ln);
-                (*label, fisher_combine(lns))
-            })
-            .collect();
+        let longest = rows.iter().map(Vec::len).max().unwrap_or(0);
 
         Self {
-            vocab,
-            counts,
-            shift_eligible,
+            index,
+            class_of,
+            classes,
             postings: Csr::from_rows(postings),
-            clues,
-            val: val_scores,
-            totals,
+            rows: Csr::from_rows(rows),
+            val: val_msgs,
+            certifier: Certifier::new(opts.max_discriminators.min(longest)),
             baseline_ham_correct,
             baseline_spam_correct,
             #[cfg(test)]
@@ -338,27 +642,48 @@ impl Trial {
         }
     }
 
+    /// Rank `r`'s count class.
+    #[inline]
+    fn class(&self, r: u32) -> &CountClass {
+        &self.classes[self.class_of[r as usize] as usize]
+    }
+
     /// Measure one candidate (a sorted, deduplicated id set) against this
     /// trial: the `(ham, spam)` decrease in correctly classified
     /// validation messages.
     fn measure(&self, candidate: &[TokenId], opts: &FilterOptions, s: &mut Scratch) -> (f64, f64) {
+        self.accumulate(candidate, s);
+        // Ham counts iff `I ≤ ham_cutoff`, spam iff `I > spam_cutoff`
+        // (and not `≤ ham_cutoff`, which `verdict_for` checks first).
+        let spam_cutoff = opts.spam_cutoff.max(opts.ham_cutoff);
         let mut ham_ok = 0usize;
         let mut spam_ok = 0usize;
-        self.scores(candidate, opts, s, |label, score| {
-            match (label, verdict_for(score, opts)) {
-                (Label::Ham, Verdict::Ham) => ham_ok += 1,
-                (Label::Spam, Verdict::Spam) => spam_ok += 1,
+        for v in 0..self.val.len() {
+            let label = self.val[v].label;
+            let cutoff = match label {
+                Label::Ham => opts.ham_cutoff,
+                Label::Spam => spam_cutoff,
+            };
+            let above = match self.settle(v, opts.max_discriminators, cutoff, s) {
+                Some(above) => above,
+                None => self.exact_score(v, opts, s) > cutoff,
+            };
+            match (label, above) {
+                (Label::Ham, false) => ham_ok += 1,
+                (Label::Spam, true) => spam_ok += 1,
                 _ => {}
             }
-        });
+        }
+        self.clear(s);
         (
             self.baseline_ham_correct as f64 - ham_ok as f64,
             self.baseline_spam_correct as f64 - spam_ok as f64,
         )
     }
 
-    /// Each validation message's label and score `I(E)` with the
+    /// Each validation message's label and exact score `I(E)` with the
     /// candidate (a sorted, deduplicated id set) trained, in order.
+    #[cfg(test)]
     fn scores(
         &self,
         candidate: &[TokenId],
@@ -366,120 +691,127 @@ impl Trial {
         s: &mut Scratch,
         mut each: impl FnMut(Label, f64),
     ) {
-        let strength = opts.minimum_prob_strength;
-        let (n_spam, n_ham) = (self.totals.0 + 1, self.totals.1);
-        s.is_member.resize(self.counts.len(), false);
-        s.touched.clear();
-        s.touched.resize(self.val.len(), false);
-        s.held.resize_with(self.val.len(), Vec::new);
+        self.accumulate(candidate, s);
+        for (v, m) in self.val.iter().enumerate() {
+            let score = if s.deltas[v].touched {
+                self.exact_score(v, opts, s)
+            } else {
+                m.score
+            };
+            each(m.label, score);
+        }
+        self.clear(s);
+    }
 
-        intersect(candidate, &self.vocab, &mut s.ranks);
-        s.members.clear();
+    /// Look the candidate up and accumulate each validation message's
+    /// [`Delta`] from its members' count classes.
+    fn accumulate(&self, candidate: &[TokenId], s: &mut Scratch) {
+        s.is_member.resize(self.class_of.len(), false);
+        s.deltas.clear();
+        s.deltas.resize(self.val.len(), Delta::default());
+        s.ranks.clear();
+        s.ranks
+            .extend(candidate.iter().filter_map(|&id| self.index.get(id)));
         for &r in &s.ranks {
-            let c = self.counts[r as usize];
-            let f = token_score_from_counts(
-                n_spam,
-                n_ham,
-                TokenCounts {
-                    spam: c.spam + 1,
-                    ham: c.ham,
-                },
-                opts,
-            );
-            let eligible = (f - 0.5).abs() >= strength;
-            // A member ineligible under both scores is in no δ(E), with
-            // or without the candidate.
-            if !eligible && !self.shift_eligible[r as usize] {
+            let Some((n, a, b)) = self.class(r).delta else {
                 continue;
-            }
+            };
             s.is_member[r as usize] = true;
             for &v in self.postings.row(r as usize) {
-                s.touched[v as usize] = true;
+                let acc = &mut s.deltas[v as usize];
+                acc.touched = true;
+                acc.n += n;
+                acc.a += a;
+                acc.b += b;
             }
-            if eligible {
-                s.members.push(RankedClue::new(f, r));
-            }
-        }
-        s.members.sort_unstable_by(RankedClue::cmp);
-        for (i, m) in (0u32..).zip(&s.members) {
-            for &v in self.postings.row(m.rank as usize) {
-                s.held[v as usize].push(i);
-            }
-        }
-
-        for (v, &(label, shift_score)) in self.val.iter().enumerate() {
-            let score = if s.touched[v] {
-                let kept = self
-                    .clues
-                    .row(v)
-                    .iter()
-                    .filter(|c| !s.is_member[c.rank as usize]);
-                let added = s.held[v].iter().map(|&i| &s.members[i as usize]);
-                fisher_combine(
-                    merge(kept, added)
-                        .take(opts.max_discriminators)
-                        .map(|c| c.ln),
-                )
-            } else {
-                shift_score
-            };
-            each(label, score);
-        }
-
-        for &r in &s.ranks {
-            s.is_member[r as usize] = false;
-        }
-        for held in &mut s.held {
-            held.clear();
         }
     }
-}
 
-/// The rank of `id` in a trial vocabulary, if it is in it.
-fn rank_of(vocab: &[(TokenId, u32)], id: TokenId) -> Option<u32> {
-    vocab
-        .binary_search_by_key(&id, |&(v, _)| v)
-        .ok()
-        .map(|k| vocab[k].1)
-}
-
-/// The ranks of the candidate's ids in a trial vocabulary, written to
-/// `out`. Both lists are sorted by id: each id of the shorter one is
-/// binary-searched in the rest of the longer one.
-fn intersect(candidate: &[TokenId], vocab: &[(TokenId, u32)], out: &mut Vec<u32>) {
-    out.clear();
-    if candidate.len() <= vocab.len() {
-        let mut rest = vocab;
-        for &id in candidate {
-            rest = &rest[rest.partition_point(|&(v, _)| v < id)..];
-            match rest.first() {
-                Some(&(v, rank)) if v == id => out.push(rank),
-                Some(_) => {}
-                None => break,
-            }
+    /// Whether validation message `v`'s score with the candidate lies
+    /// above `cutoff`, when its shift-only score or a certificate settles
+    /// it; `None` sends it down the exact path.
+    fn settle(&self, v: usize, k: usize, cutoff: f64, s: &mut Scratch) -> Option<bool> {
+        let m = &self.val[v];
+        let d = s.deltas[v];
+        if !d.touched {
+            return Some(m.score > cutoff);
         }
-    } else {
-        let mut rest = candidate;
-        for &(v, rank) in vocab {
-            rest = &rest[rest.partition_point(|&id| id < v)..];
-            match rest.first() {
-                Some(&id) if id == v => out.push(rank),
-                Some(_) => {}
-                None => break,
+        let n = usize::try_from(i64::from(m.n) + i64::from(d.n)).unwrap_or(usize::MAX);
+        if m.n as usize > k || n > k {
+            #[cfg(test)]
+            {
+                s.branches.truncated += 1;
             }
+            return None;
+        }
+        if n == 0 {
+            #[cfg(test)]
+            {
+                s.branches.tail += 1;
+            }
+            return Some(0.5 > cutoff);
+        }
+        let a = (-(m.sums.0 + d.a)).max(0.0);
+        let b = (-(m.sums.1 + d.b)).max(0.0);
+        if let Some(above) = self.certifier.bound_side(n, a, b, cutoff) {
+            #[cfg(test)]
+            {
+                s.branches.tail += 1;
+            }
+            return Some(above);
+        }
+        let settled = self.certifier.chi2_side(n, a, b, cutoff);
+        #[cfg(test)]
+        match settled {
+            Some(_) => s.branches.chi2 += 1,
+            None => s.branches.near_cutoff += 1,
+        }
+        settled
+    }
+
+    /// Validation message `v`'s exact score with the candidate: its
+    /// members' candidate clues, in δ(E) order, merged into its
+    /// shift-only δ(E) with the members removed, truncated and
+    /// Fisher-combined.
+    fn exact_score(&self, v: usize, opts: &FilterOptions, s: &mut Scratch) -> f64 {
+        let row = self.rows.row(v);
+        let is_member = &s.is_member;
+        let clue_of = |r: u32, clue: Option<Clue>| clue.map(|c| RankedClue::new(c, r));
+        s.held.clear();
+        s.held.extend(
+            row.iter()
+                .filter(|&&r| is_member[r as usize])
+                .filter_map(|&r| clue_of(r, self.class(r).cand)),
+        );
+        s.held.sort_unstable_by(RankedClue::cmp);
+        let kept = row[..self.val[v].n as usize]
+            .iter()
+            .filter(|&&r| !is_member[r as usize])
+            .filter_map(|&r| clue_of(r, self.class(r).shift));
+        fisher_combine(
+            merge(kept, s.held.iter().copied())
+                .take(opts.max_discriminators)
+                .map(|c| c.ln),
+        )
+    }
+
+    /// Reset the per-rank scratch the last candidate set.
+    fn clear(&self, s: &mut Scratch) {
+        for &r in &s.ranks {
+            s.is_member[r as usize] = false;
         }
     }
 }
 
 /// Merge two clue lists, each in δ(E) order, into one in δ(E) order.
-fn merge<'a>(
-    mut a: impl Iterator<Item = &'a RankedClue>,
-    mut b: impl Iterator<Item = &'a RankedClue>,
-) -> impl Iterator<Item = &'a RankedClue> {
+fn merge(
+    mut a: impl Iterator<Item = RankedClue>,
+    mut b: impl Iterator<Item = RankedClue>,
+) -> impl Iterator<Item = RankedClue> {
     let mut x = a.next();
     let mut y = b.next();
     std::iter::from_fn(move || match (x, y) {
-        (Some(p), Some(q)) if q.cmp(p).is_lt() => {
+        (Some(p), Some(q)) if q.cmp(&p).is_lt() => {
             y = b.next();
             Some(q)
         }
@@ -978,14 +1310,10 @@ mod tests {
         });
         assert_eq!(s.ranks.len(), 2, "both pool tokens are members");
         assert!(
-            s.touched.iter().all(|t| !t),
+            s.deltas.iter().all(|d| !d.touched),
             "an ineligible member touched a message"
         );
-        let shift_only: Vec<u64> = trial
-            .val
-            .iter()
-            .map(|&(_, score)| score.to_bits())
-            .collect();
+        let shift_only: Vec<u64> = trial.val.iter().map(|m| m.score.to_bits()).collect();
         assert_eq!(scores, shift_only);
         let (got, want) = message_scores(&trial, &candidate, &opts);
         assert_eq!(got, want);
@@ -1148,6 +1476,79 @@ mod tests {
             let (got, want) = message_scores(&roni.trials[0], &candidate, &opts);
             prop_assert_eq!(got, want);
             prop_assert_eq!(roni.measure_ids(&candidate), reference_measure(&roni, &candidate));
+        }
+
+        /// Both exact-path fallbacks of the verdict certificate, forced.
+        /// `max_discriminators` in 1..=8 makes `n₀ + Δn > K` common
+        /// (truncation). Cutoffs set to validation messages' own exact
+        /// scores with the candidate put those messages inside the margin
+        /// band (near-cutoff). Each branch must run, and the measurement
+        /// must equal the reference's.
+        #[test]
+        fn certificate_fallbacks_match_reference(
+            seed in 1u64..500,
+            max_discriminators in 1usize..9,
+            from_pool in 5usize..80,
+        ) {
+            let cfg = RoniConfig {
+                train_size: 10,
+                val_size: 20,
+                trials: 3,
+                reject_threshold: 5.1,
+            };
+            let corpus = TrecCorpus::generate(&CorpusConfig::with_size(60, 0.5), 31);
+            let pool = corpus.dataset().clone();
+            let build = |opts| RoniDefense::new(cfg, &pool, opts, &mut Xoshiro256pp::new(seed));
+            let words: Vec<String> = Tokenizer::new()
+                .token_set(&pool.emails()[seed as usize % pool.len()].email)
+                .into_iter()
+                .take(from_pool)
+                .collect();
+            let candidate = interned(&words);
+
+            let roni = build(FilterOptions {
+                max_discriminators,
+                ..FilterOptions::default()
+            });
+            let mut s = Scratch::default();
+            prop_assert_eq!(
+                roni.measure_one(&candidate, &mut s),
+                reference_measure(&roni, &candidate)
+            );
+            prop_assert!(s.branches.truncated > 0, "{:?}", s.branches);
+
+            // A certifiable message of each label in trial 0, and its exact
+            // score with the candidate.
+            let roni = build(FilterOptions::default());
+            let (trial, k) = (&roni.trials[0], roni.opts.max_discriminators);
+            let mut s = Scratch::default();
+            let mut exact = Vec::new();
+            trial.scores(&candidate, &roni.opts, &mut s, |label, score| {
+                exact.push((label, score))
+            });
+            let pick = |label: Label| {
+                (0..exact.len())
+                    .find(|&v| {
+                        let (m, d) = (&trial.val[v], s.deltas[v]);
+                        let n = i64::from(m.n) + i64::from(d.n);
+                        exact[v].0 == label && d.touched && m.n as usize <= k && (1..=k as i64).contains(&n)
+                    })
+                    .map(|v| exact[v].1)
+            };
+            let (Some(ham_cutoff), Some(spam_cutoff)) = (pick(Label::Ham), pick(Label::Spam)) else {
+                return Ok(());
+            };
+            let roni = build(FilterOptions {
+                ham_cutoff,
+                spam_cutoff,
+                ..FilterOptions::default()
+            });
+            let mut s = Scratch::default();
+            prop_assert_eq!(
+                roni.measure_one(&candidate, &mut s),
+                reference_measure(&roni, &candidate)
+            );
+            prop_assert!(s.branches.near_cutoff > 0, "{:?}", s.branches);
         }
     }
 

@@ -388,10 +388,10 @@ impl<'a> ImageView<'a> {
 }
 
 /// Read image bytes into an existing database (clearing it first, like
-/// the text loader): interns every token and replays the counts. This is
-/// the *migration* path — `persist::load_db_into` lands here when it sees
-/// the image magic — not the serving path, which keeps the bytes mapped
-/// (see `sb-serve`).
+/// the text loader): interns every token in one batch and replays the
+/// counts. This is the *migration* path — `persist::load_db_into` lands
+/// here when it sees the image magic — not the serving path, which keeps
+/// the bytes mapped (see `sb-serve`).
 ///
 /// On error the target is left cleared, and the cache invalidated, with
 /// the same semantics as the text loader.
@@ -400,8 +400,9 @@ pub fn read_image_into(db: &mut TokenDb, bytes: &[u8]) -> Result<(), ImageError>
     let res = (|| -> Result<(), ImageError> {
         let view = ImageView::parse(bytes)?;
         db.set_message_counts_for_load(view.n_spam(), view.n_ham());
-        for i in 0..view.n_tokens() {
-            let id = db.interner().intern(view.token(i));
+        let rows: Vec<&str> = (0..view.n_tokens()).map(|i| view.token(i)).collect();
+        let ids = db.interner().intern_each(&rows);
+        for (i, id) in ids.into_iter().enumerate() {
             db.add_counts_for_load(id, view.counts(i));
         }
         Ok(())

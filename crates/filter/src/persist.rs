@@ -183,6 +183,9 @@ fn load_rows<R: BufRead>(db: &mut TokenDb, r: R) -> Result<(), PersistError> {
     let n_ham = parse_count(&l, ln, "nham")?;
     db.set_message_counts_for_load(n_spam, n_ham);
 
+    // Parse every row first, then intern them in one batch.
+    let mut tokens = Vec::new();
+    let mut counts = Vec::new();
     for (i, line) in lines {
         let ln = i + 1;
         let line = line.map_err(|e| PersistError::Format {
@@ -223,8 +226,12 @@ fn load_rows<R: BufRead>(db: &mut TokenDb, r: R) -> Result<(), PersistError> {
                 ),
             });
         }
-        let id = db.interner().intern(tok);
-        db.add_counts_for_load(id, TokenCounts { spam, ham });
+        tokens.push(tok.to_string());
+        counts.push(TokenCounts { spam, ham });
+    }
+    let ids = db.interner().intern_each(&tokens);
+    for (id, c) in ids.into_iter().zip(counts) {
+        db.add_counts_for_load(id, c);
     }
     Ok(())
 }
@@ -376,6 +383,43 @@ mod tests {
         assert_eq!(db.counts("gone"), TokenCounts::default());
         assert_eq!(db.n_tokens(), fresh.n_tokens());
         assert_eq!(db.n_messages(), fresh.n_messages());
+    }
+
+    /// Both loaders intern their rows in one batch. Into an interner that
+    /// is shared and already holds some of the dump's tokens (and others),
+    /// that must give every string the counts, and every token the id,
+    /// that interning row by row gives.
+    #[test]
+    fn load_into_a_used_shared_interner_matches_per_row_interning() {
+        use sb_intern::Interner;
+        let src = sample_db();
+        let mut text = Vec::new();
+        save_db(&src, &mut text).unwrap();
+        let image = crate::image::pack(&src);
+        let history = |interner: &Interner| {
+            for tok in ["zz-before", "cheap", "aa-before", "skip:a 20"] {
+                interner.intern(tok);
+            }
+        };
+        let mut rows: Vec<(String, TokenCounts)> = src.iter().collect();
+        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        for dump in [text, image] {
+            let shared = Interner::new();
+            history(&shared);
+            let mut db = TokenDb::with_interner(shared.clone());
+            load_db_into(&mut db, Cursor::new(dump)).unwrap();
+
+            let per_row = Interner::new();
+            history(&per_row);
+            for (tok, counts) in &rows {
+                let id = per_row.intern(tok);
+                assert_eq!(db.counts(tok), *counts, "token {tok:?}");
+                assert_eq!(shared.get(tok), Some(id), "token {tok:?}");
+            }
+            assert_eq!(shared.len(), per_row.len());
+            assert_eq!(db.n_tokens(), src.n_tokens());
+            assert_eq!((db.n_spam(), db.n_ham()), (src.n_spam(), src.n_ham()));
+        }
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //!   `Vec<u32>` of end offsets indexed by id.
 //!
 //! Interning is bound by memory latency, not by hashing, so the batch
-//! entry points ([`Interner::intern_pieces`], [`Interner::lookup_pieces`]
-//! and their wrapper [`Interner::intern_set`]) work in four steps: hash
+//! entry points ([`Interner::intern_pieces`], [`Interner::lookup_pieces`],
+//! their wrapper [`Interner::intern_set`] and the per-piece
+//! [`Interner::intern_each`]) work in four steps: hash
 //! every piece; read every piece's home slot in one pass, so their cache
 //! misses overlap; probe and verify against the arena, all under one read
 //! guard; then sort the misses by string and insert them under one write
@@ -51,6 +52,20 @@ impl TokenId {
         self.0 as usize
     }
 }
+
+/// What a batch probe returns.
+#[derive(Debug, Clone, Copy)]
+enum Batch {
+    /// The ids of the pieces already interned, in no particular order.
+    Lookup,
+    /// Every piece's id, interning the misses, in no particular order.
+    Intern,
+    /// Every piece's id, interning the misses, in input order.
+    InternEach,
+}
+
+/// [`Batch::InternEach`]'s placeholder for a miss until it is interned.
+const MISSING: TokenId = TokenId(u32::MAX);
 
 /// Slots a fresh table starts with (a power of two).
 const MIN_SLOTS: usize = 16;
@@ -266,19 +281,34 @@ impl Interner {
     /// return the batch's distinct ids, sorted by id. New tokens get ids
     /// in string order.
     pub fn intern_pieces<S: AsRef<str>>(&self, pieces: &[S]) -> Vec<TokenId> {
-        self.probe(pieces, true)
+        let mut ids = self.probe(pieces, Batch::Intern);
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    /// Intern every piece of a batch and return each piece's id, in input
+    /// order: the per-row form of [`Interner::intern_pieces`] for loaders
+    /// that pair row `i` with its id. New tokens get ids in string order,
+    /// inserted under one write guard.
+    pub fn intern_each<S: AsRef<str>>(&self, pieces: &[S]) -> Vec<TokenId> {
+        self.probe(pieces, Batch::InternEach)
     }
 
     /// The read-only twin of [`Interner::intern_pieces`]: the sorted,
     /// distinct ids of the batch's already-interned pieces. Never grows
     /// the table, so it is the entry point for untrusted input.
     pub fn lookup_pieces<S: AsRef<str>>(&self, pieces: &[S]) -> Vec<TokenId> {
-        self.probe(pieces, false)
+        let mut ids = self.probe(pieces, Batch::Lookup);
+        ids.sort_unstable();
+        ids.dedup();
+        ids
     }
 
-    /// The batch probe behind [`Interner::intern_pieces`] and
-    /// [`Interner::lookup_pieces`] (see module docs).
-    fn probe<S: AsRef<str>>(&self, pieces: &[S], insert: bool) -> Vec<TokenId> {
+    /// The batch probe behind [`Interner::intern_pieces`],
+    /// [`Interner::intern_each`] and [`Interner::lookup_pieces`] (see
+    /// module docs and [`Batch`]).
+    fn probe<S: AsRef<str>>(&self, pieces: &[S], batch: Batch) -> Vec<TokenId> {
         let tags: Vec<u32> = pieces
             .iter()
             .map(|p| tag_of(p.as_ref().as_bytes()))
@@ -306,23 +336,36 @@ impl Interner {
                     Some(id) if &table.text.as_bytes()[start..end] == bytes => Ok(id as u32),
                     _ => table.find(bytes, tag, slot),
                 };
-                match found {
-                    Ok(id) => ids.push(TokenId(id)),
-                    Err(_) if insert => misses.push(k),
-                    Err(_) => {}
+                match (found, batch) {
+                    (Ok(id), _) => ids.push(TokenId(id)),
+                    (Err(_), Batch::Lookup) => {}
+                    (Err(_), Batch::Intern) => misses.push(k),
+                    (Err(_), Batch::InternEach) => {
+                        ids.push(MISSING);
+                        misses.push(k);
+                    }
                 }
             }
         }
         if !misses.is_empty() {
             misses.sort_unstable_by(|&a, &b| pieces[a].as_ref().cmp(pieces[b].as_ref()));
-            misses.dedup_by(|a, b| pieces[*a].as_ref() == pieces[*b].as_ref());
             let mut table = self.write();
+            let mut prev: Option<(usize, TokenId)> = None;
             for k in misses {
-                ids.push(TokenId(table.find_or_insert(pieces[k].as_ref(), tags[k])));
+                // A repeated miss takes the id its first copy was given.
+                let repeat = prev.filter(|&(j, _)| pieces[j].as_ref() == pieces[k].as_ref());
+                let id = match repeat {
+                    Some((_, id)) => id,
+                    None => TokenId(table.find_or_insert(pieces[k].as_ref(), tags[k])),
+                };
+                match batch {
+                    Batch::InternEach => ids[k] = id,
+                    _ if repeat.is_none() => ids.push(id),
+                    _ => {}
+                }
+                prev = Some((k, id));
             }
         }
-        ids.sort_unstable();
-        ids.dedup();
         ids
     }
 
@@ -477,6 +520,23 @@ mod tests {
         assert_eq!(i.resolve(TokenId(1)), "");
         assert_eq!(i.resolve(TokenId(2)), "a");
         assert_eq!(i.resolve(TokenId(3)), "z");
+    }
+
+    #[test]
+    fn intern_each_gives_ids_in_input_order() {
+        let i = Interner::new();
+        let old = i.intern("m");
+        let ids = i.intern_each(&["z", "m", "a", "z", ""]);
+        assert_eq!(ids[1], old);
+        assert_eq!(ids[0], ids[3]);
+        // The misses get new ids in string order: "", "a", "z".
+        assert_eq!(ids[4], TokenId(1));
+        assert_eq!(ids[2], TokenId(2));
+        assert_eq!(ids[0], TokenId(3));
+        for (id, piece) in ids.iter().zip(["z", "m", "a", "z", ""]) {
+            assert_eq!(i.resolve(*id), piece);
+        }
+        assert_eq!(i.len(), 4);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * [`TokenId`] + [`Interner`] — a concurrent, append-only string
 //!   interner with cheap cloneable handles: one flat open-addressed slot
 //!   table plus one string arena, probed a whole token batch at a time
-//!   ([`intern::Interner::intern_pieces`], and the read-only
+//!   ([`intern::Interner::intern_pieces`], its per-piece form
+//!   [`intern::Interner::intern_each`], and the read-only
 //!   [`intern::Interner::lookup_pieces`] for untrusted input);
 //! * [`fxhash`] — the FxHash function (the rustc hasher) plus
 //!   [`FxHashMap`] / [`FxHashSet`] aliases for the token-keyed maps that

@@ -61,6 +61,8 @@ pub struct TaintFinding {
 const DERIVE_METHODS: &[&str] = &["child", "index", "seeded", "seed_from_u64"];
 const RNG_TYPES: &[&str] = &["SeedTree", "Xoshiro256pp", "SplitMix64"];
 const RNG_CTORS: &[&str] = &["new", "seed_from_u64", "from_seed"];
+/// Keywords opening a block-like statement (one a `}` can end).
+const BLOCK_LIKE: &[&str] = &["if", "match", "loop", "for", "while", "unsafe"];
 const COMPARATORS: &[&str] = &[
     "sort_by",
     "sort_by_key",
@@ -278,16 +280,37 @@ fn extract_syntax(graph: &CallGraph, f: usize) -> FnSyntax {
             }
             i += 1;
         }
-        // tail expression: everything after the last `;` at body depth 0
+        // tail expression: everything after the last statement at body
+        // depth 0. A statement ends at a `;`, or at the `}` closing a
+        // block-like statement (`if`/`match`/`loop`/`for`/`while`/
+        // `unsafe`/a block, labelled or not) unless it is last or an
+        // `else` continues it; an outer attribute ends at its `]`.
         let mut tail = open + 1;
         let mut depth = 0i32;
+        let mut block_like = false;
+        let mut attribute = false;
         let mut i = open + 1;
         while i < close {
             let t = &code[i];
+            if depth == 0 && i == tail {
+                let label = t.kind == TokKind::Lit
+                    && t.text.starts_with('\'')
+                    && code.get(i + 1).is_some_and(|n| n.is_punct(':'));
+                block_like = label || t.is_punct('{') || BLOCK_LIKE.iter().any(|k| t.is_ident(k));
+                attribute = t.is_punct('#');
+            }
             if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
                 depth += 1;
             } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
                 depth -= 1;
+                let ends = (attribute && t.is_punct(']'))
+                    || (block_like
+                        && t.is_punct('}')
+                        && i + 1 < close
+                        && !code[i + 1].is_ident("else"));
+                if depth == 0 && ends {
+                    tail = i + 1;
+                }
             } else if depth == 0 && t.is_punct(';') {
                 tail = i + 1;
             }

@@ -8,6 +8,11 @@
 //! * `recover::restore_counter` reaches an `unwrap()` three frames down
 //!   its helper chain — the recovery path `panic-path` must report with
 //!   the full call chain.
+//!
+//! `loader::load` reads the environment only to pick a mechanism, in an
+//! `if` before its tail expression; `taint-path` must not report the
+//! sort over what it returns.
 
+pub mod loader;
 pub mod recover;
 pub mod seeding;

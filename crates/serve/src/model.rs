@@ -85,7 +85,6 @@ impl MmapDb {
     /// Map (or read) and validate a packed image file, building the
     /// serving interner.
     pub fn open(path: &Path, opts: FilterOptions) -> Result<Self, ServeError> {
-        // sb-lint: allow(taint-path, "SB_NO_MMAP only picks mmap or read; the bytes, and so the row order interning sorts, are identical either way")
         Self::from_bytes(ImageBytes::load(path)?, opts)
     }
 

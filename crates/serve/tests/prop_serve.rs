@@ -21,9 +21,11 @@ use sb_serve::{MmapDb, OverlayLayer, ServeError, TenantId, TenantRegistry};
 use sb_tokenizer::Tokenizer;
 use std::sync::{Arc, Barrier};
 
-/// Small alphabet keeps token collisions (shared counts) likely.
+/// A fixed 27-token vocabulary (every 3-letter word over `a`–`c`), so
+/// probes keep sharing tokens with trained mail and score through real
+/// δ(E) lists instead of the prior.
 fn token() -> impl Strategy<Value = String> {
-    "[a-e]{3,5}"
+    "[a-c]{3}"
 }
 
 fn token_set() -> impl Strategy<Value = Vec<String>> {
@@ -401,7 +403,7 @@ proptest! {
         tenant_mail in mail(),
         messages in proptest::collection::vec(
             (
-                proptest::collection::vec("([a-e]{3,5}|[f-z]{3,9}|http://[f-z]{2,6}\\.com/[a-z]{1,5})", 0..12),
+                proptest::collection::vec("([a-c]{3}|[f-z]{3,9}|http://[f-z]{2,6}\\.com/[a-z]{1,5})", 0..12),
                 "[A-Za-z ]{0,20}",
             ),
             1..6,
