@@ -13,7 +13,7 @@
 //! | Optimal attack function, knowledge spectrum (§3.4) | [`optimal`] |
 //! | Optimal *constrained* attack (§3.4 future work) | [`constrained`] |
 //! | Ham-labeled integrity attack (§2.2 closing remark) | [`ham_attack`] |
-//! | Periodic retraining loop (§2.1–§2.2) | [`pipeline`] |
+//! | Periodic retraining loop (§2.1–§2.2) | `sb_mailflow::org::MailOrg` |
 //! | Declarative multi-campaign composition (scenario engine) | [`campaign`] |
 //! | RONI defense (§5.1) | [`roni`] |
 //! | Dynamic threshold defense (§5.2) | [`threshold`] |
@@ -44,7 +44,6 @@ pub mod dictionary;
 pub mod focused;
 pub mod ham_attack;
 pub mod optimal;
-pub mod pipeline;
 pub mod roni;
 pub mod taxonomy;
 pub mod threshold;
@@ -60,7 +59,6 @@ pub use dictionary::{attack_count_for_fraction, DictionaryAttack, DictionaryKind
 pub use focused::FocusedAttack;
 pub use ham_attack::HamLabelAttack;
 pub use optimal::WordKnowledge;
-pub use pipeline::{AdmitAll, EpochReport, RetrainingPipeline, RoniScreen, ScreeningPolicy};
 pub use roni::{RoniConfig, RoniDefense, RoniError, RoniMeasurement};
 pub use taxonomy::{AttackClass, Influence, Specificity, Violation};
 pub use threshold::{calibrate, CalibratedFilter, ThresholdConfig, TrainItem};

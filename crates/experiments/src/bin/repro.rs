@@ -3,7 +3,6 @@
 //! ```text
 //! repro run [--tier lite|full] [--only STEM] [--update-golden]
 //!           [--seed N] [--threads N] [--out DIR] [--scenarios DIR]
-//! repro serve-bench [--tenants N] [--seed N] [--threads N] [--out DIR]
 //! repro model pack <in> <out>
 //! repro model inspect <img>
 //! repro lint [--deep]
@@ -22,12 +21,6 @@
 //!             `<out>/<tier>/`, next to the paper's Table 1 and
 //!             `rig_summary.csv`. `--only STEM` selects one target;
 //!             `--update-golden` rewrites the tier's committed digests.
-//!   serve-bench  pack a paper-scale model image, time image-load vs
-//!             text-parse-load, register `--tenants N` tenant overlay
-//!             stacks over the shared mmap base, audit every tenant's
-//!             verdicts bit-for-bit against standalone TokenDbs, then
-//!             drive threaded classify traffic and append one JSON line
-//!             to `BENCH_pr10.json` (non-zero exit on any mismatch)
 //!   model pack <in> <out>     convert a model (text dump or image —
 //!             the loader sniffs magic bytes) to a packed image
 //!   model inspect <img>       print an image's header, checksum
@@ -39,11 +32,11 @@
 //! ```
 //!
 //! ASCII tables go to stdout; CSVs and `.txt` renderings go to `--out`
-//! (default `reports/`).
+//! (default `reports/`). Nothing here measures performance: the one
+//! performance harness is `perfbench/` (`python3 perfbench/run.py`).
 
 use sb_experiments::config::ScenarioSuiteConfig;
-use sb_experiments::default_threads;
-use sb_experiments::report::{f, Table};
+use sb_experiments::report::Table;
 use sb_experiments::rig;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -63,9 +56,6 @@ struct Args {
     only: Option<String>,
     /// `run --update-golden`: rewrite the tier's committed digests.
     update_golden: bool,
-    /// `serve-bench --tenants N`: overlay stacks registered over the
-    /// shared image (the acceptance floor is 4).
-    tenants: u32,
     /// Positional operands (`model pack <in> <out>` and friends).
     positional: Vec<String>,
 }
@@ -74,7 +64,6 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: repro run [--tier lite|full] [--only STEM] [--update-golden]\n\
          \x20                [--seed N] [--threads N] [--out DIR] [--scenarios DIR]\n\
-         \x20      repro serve-bench [--tenants N] [--seed N] [--threads N] [--out DIR]\n\
          \x20      repro model pack <in> <out>\n\
          \x20      repro model inspect <img>\n\
          \x20      repro lint [--deep]"
@@ -85,20 +74,19 @@ fn usage() -> ExitCode {
 fn parse_args() -> Result<Args, String> {
     let mut argv = std::env::args().skip(1);
     let command = argv.next().ok_or("missing command")?;
-    if !matches!(command.as_str(), "run" | "serve-bench" | "model" | "lint") {
+    if !matches!(command.as_str(), "run" | "model" | "lint") {
         return Err(format!("unknown command {command:?}"));
     }
     let mut args = Args {
         command,
         seed: 2008,
         out: PathBuf::from("reports"),
-        threads: default_threads(),
+        threads: sb_intern::par::default_threads(),
         scenarios_dir: ScenarioSuiteConfig::default().dir,
         deep: false,
         tier: rig::Tier::Lite,
         only: None,
         update_golden: false,
-        tenants: 8,
         positional: Vec::new(),
     };
     while let Some(flag) = argv.next() {
@@ -117,18 +105,12 @@ fn parse_args() -> Result<Args, String> {
             }
             "--only" => args.only = Some(take()?),
             "--update-golden" => args.update_golden = true,
-            "--tenants" => {
-                args.tenants = take()?.parse().map_err(|e| format!("bad tenants: {e}"))?
-            }
             other if !other.starts_with("--") => args.positional.push(other.to_string()),
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
     if args.threads == 0 {
         return Err("--threads must be >= 1".into());
-    }
-    if args.tenants == 0 {
-        return Err("--tenants must be >= 1".into());
     }
     Ok(args)
 }
@@ -155,7 +137,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let report_dir = args.out.join(summary.tier.name());
     let mut t = Table::new(
         format!("Reproduction rig — {} tier", summary.tier.name()),
-        &["target", "status", "wall_ms", "messages", "msgs/s", "claims"],
+        &["target", "status", "messages", "claims"],
     );
     for r in &summary.targets {
         for (name, table) in &r.tables {
@@ -165,9 +147,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         t.row(vec![
             r.stem.clone(),
             r.status.name().to_string(),
-            r.wall_ms.to_string(),
             r.messages.to_string(),
-            f(r.msgs_per_sec(), 1),
             format!("{passed}/{}", r.claims.len()),
         ]);
     }
@@ -186,57 +166,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     );
     if failures > 0 {
         return Err(format!("{failures} rig target(s) failed"));
-    }
-    Ok(())
-}
-
-/// `repro serve-bench` — the sb-serve end-to-end benchmark: pack, load
-/// both ways, serve `--tenants` stacked overlays over the shared image,
-/// audit bit-identity, and report throughput into `BENCH_pr10.json`.
-fn cmd_serve_bench(args: &Args) -> Result<(), String> {
-    let cfg = sb_serve::ServeBenchConfig {
-        tenants: args.tenants,
-        threads: args.threads,
-        out: args.out.clone(),
-        ..sb_serve::ServeBenchConfig::new(args.seed)
-    };
-    eprintln!(
-        "[serve-bench] base={} msgs, tenants={} (org patch + {} msgs each), probes={}/tenant, threads={}",
-        cfg.base_messages, cfg.tenants, cfg.tenant_messages, cfg.probe_messages, cfg.threads
-    );
-    let r = sb_serve::run_serve_bench(&cfg).map_err(|e| e.to_string())?;
-    let mut t = Table::new(
-        "sb-serve: shared-image multi-tenant serving",
-        &["metric", "value"],
-    );
-    t.row(vec!["base tokens".into(), r.base_tokens.to_string()]);
-    t.row(vec!["image bytes".into(), r.image_bytes.to_string()]);
-    t.row(vec!["mmap served".into(), r.mapped.to_string()]);
-    t.row(vec!["text parse load (ms)".into(), f(r.text_load_ms, 1)]);
-    t.row(vec!["image load (ms)".into(), f(r.image_load_ms, 1)]);
-    t.row(vec![
-        "load speedup".into(),
-        if r.image_load_ms > 0.0 {
-            format!("{}x", f(r.text_load_ms / r.image_load_ms, 1))
-        } else {
-            "-".into()
-        },
-    ]);
-    t.row(vec!["tenants x threads".into(), format!("{} x {}", r.tenants, r.threads)]);
-    t.row(vec!["messages served".into(), r.messages.to_string()]);
-    t.row(vec!["msgs/sec".into(), f(r.msgs_per_sec, 1)]);
-    t.row(vec![
-        "bit-identity audit".into(),
-        format!("{} verdicts, {} mismatches", r.verdicts_checked, r.mismatches),
-    ]);
-    t.write_files(&args.out, "serve_bench")
-        .map_err(|e| format!("writing serve_bench under {}: {e}", args.out.display()))?;
-    print_table(&t, &args.out, "serve_bench");
-    if r.mismatches > 0 {
-        return Err(format!(
-            "{} of {} stacked-overlay verdicts diverged from the standalone TokenDb",
-            r.mismatches, r.verdicts_checked
-        ));
     }
     Ok(())
 }
@@ -353,7 +282,6 @@ fn main() -> ExitCode {
     let started = std::time::Instant::now();
     let result = match args.command.as_str() {
         "run" => cmd_run(&args),
-        "serve-bench" => cmd_serve_bench(&args),
         "model" => cmd_model(&args),
         "lint" => return cmd_lint(args.deep),
         _ => return usage(),

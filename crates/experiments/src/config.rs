@@ -2,9 +2,9 @@
 //!
 //! Every figure generator takes one of these configs. `full(seed)`
 //! reproduces the paper's parameters verbatim, while `quick(seed)` shrinks
-//! sizes ~10× so integration tests and Criterion benches exercise the
-//! identical code paths in seconds. The rig (`repro run`) runs `quick` at
-//! its lite tier and `full` at its full tier.
+//! sizes ~10× so integration tests exercise the identical code paths in
+//! seconds. The rig (`repro run`) runs `quick` at its lite tier and
+//! `full` at its full tier.
 
 use sb_core::DictionaryKind;
 use serde::{Deserialize, Serialize};

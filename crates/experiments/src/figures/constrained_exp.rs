@@ -20,11 +20,12 @@
 
 use crate::config::ConstrainedConfig;
 use crate::metrics::{Confusion, RateSummary};
-use crate::runner::{parallel_map, TokenizedDataset};
+use crate::runner::TokenizedDataset;
 use sb_core::{attack_count_for_fraction, estimate_knowledge, AttackContext, ConstrainedAttack};
 use sb_corpus::{CorpusConfig, KFold, TrecCorpus};
 use sb_email::Label;
 use sb_filter::SpamBayes;
+use sb_intern::par::parallel_map;
 use sb_stats::rng::SeedTree;
 use sb_tokenizer::Tokenizer;
 use serde::{Deserialize, Serialize};

@@ -20,7 +20,6 @@
 
 use crate::config::DefenseMatrixConfig;
 use crate::metrics::Confusion;
-use crate::runner::parallel_map;
 use sb_core::{
     attack_count_for_fraction, calibrate, defend, CombinedConfig, DictionaryAttack,
     DictionaryKind, FocusedAttack, RoniConfig, RoniDefense, ThresholdConfig, TrainItem,
@@ -29,6 +28,7 @@ use sb_core::attack::AttackGenerator;
 use sb_corpus::{CorpusConfig, TrecCorpus};
 use sb_email::{Dataset, Email, Label, LabeledEmail};
 use sb_filter::{FilterOptions, SpamBayes, Verdict};
+use sb_intern::par::parallel_map;
 use sb_stats::rng::{SeedTree, Xoshiro256pp};
 use sb_tokenizer::Tokenizer;
 use serde::{Deserialize, Serialize};

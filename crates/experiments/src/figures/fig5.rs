@@ -9,7 +9,7 @@
 
 use crate::config::Fig5Config;
 use crate::metrics::{Confusion, RateSummary};
-use crate::runner::{parallel_map, TokenizedDataset};
+use crate::runner::TokenizedDataset;
 use sb_core::{
     attack_count_for_fraction, calibrate, DictionaryAttack, DictionaryKind, ThresholdConfig,
     TrainItem,
@@ -17,6 +17,7 @@ use sb_core::{
 use sb_corpus::{CorpusConfig, KFold, TrecCorpus};
 use sb_email::Label;
 use sb_filter::{FilterOptions, SpamBayes};
+use sb_intern::par::parallel_map;
 use sb_stats::rng::SeedTree;
 use sb_tokenizer::Tokenizer;
 use serde::{Deserialize, Serialize};

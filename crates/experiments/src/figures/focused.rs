@@ -7,11 +7,12 @@
 //! clones are needed.
 
 use crate::config::FocusedConfig;
-use crate::runner::{parallel_map, TokenizedDataset};
+use crate::runner::TokenizedDataset;
 use sb_core::{attack_count_for_fraction, AttackGenerator, FocusedAttack};
 use sb_corpus::{CorpusConfig, TrecCorpus};
 use sb_email::Label;
 use sb_filter::{SpamBayes, Verdict};
+use sb_intern::par::parallel_map;
 use sb_stats::rng::SeedTree;
 use sb_tokenizer::Tokenizer;
 use serde::{Deserialize, Serialize};

@@ -14,11 +14,11 @@
 
 use crate::config::HamAttackConfig;
 use crate::metrics::RateSummary;
-use crate::runner::parallel_map;
 use sb_core::{estimate_knowledge, HamLabelAttack};
 use sb_corpus::{CorpusConfig, TrecCorpus};
 use sb_email::Label;
 use sb_filter::{SpamBayes, Verdict};
+use sb_intern::par::parallel_map;
 use sb_stats::rng::SeedTree;
 use sb_tokenizer::Tokenizer;
 use serde::{Deserialize, Serialize};

@@ -4,10 +4,10 @@
 //! non-attack ≤ 4.4, → 100% detection with zero false positives).
 
 use crate::config::RoniExperimentConfig;
-use crate::runner::parallel_map;
 use sb_core::{DictionaryAttack, DictionaryKind, RoniConfig, RoniDefense};
 use sb_corpus::{CorpusConfig, TrecCorpus};
 use sb_filter::FilterOptions;
+use sb_intern::par::parallel_map;
 use sb_stats::rng::SeedTree;
 use sb_stats::Summary;
 use sb_tokenizer::Tokenizer;

@@ -23,11 +23,11 @@
 //!   ham (see `sb_variants::nb` for the analysis).
 
 use crate::config::TransferConfig;
-use crate::runner::parallel_map;
 use sb_core::{attack_count_for_fraction, DictionaryAttack, DictionaryKind};
 use sb_corpus::{CorpusConfig, TrecCorpus};
 use sb_email::Label;
 use sb_filter::{SpamBayes, Verdict};
+use sb_intern::par::parallel_map;
 use sb_stats::rng::SeedTree;
 use sb_variants::{BogoFilter, GrahamFilter, MultinomialNb, SaBayes, SaFull, StatFilter};
 use serde::{Deserialize, Serialize};

@@ -7,7 +7,7 @@
 //!   Table 1 verbatim, and every `full(…)` config is test-pinned to it.
 //! * [`metrics`] — three-way confusion tables and the ham-as-spam /
 //!   ham-as-unsure rates the paper plots.
-//! * [`runner`] — pre-tokenized datasets and deterministic parallel fan-out.
+//! * [`runner`] — datasets tokenized and interned once up front.
 //! * [`figures`] — one generator per paper artifact (Fig. 1–5, the §5.1
 //!   RONI experiment, the §4.2 token-volume claim).
 //! * [`report`] — ASCII/CSV rendering.
@@ -43,5 +43,5 @@ pub use config::{
 };
 pub use metrics::{Confusion, RateSummary};
 pub use report::Table;
-pub use runner::{default_threads, parallel_map, TokenizedDataset};
+pub use runner::TokenizedDataset;
 pub use scenario::{fnv1a64, golden_digest, ScenarioError, ScenarioSpec};

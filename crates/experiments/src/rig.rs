@@ -22,13 +22,13 @@
 //! result value it digests. Artifacts land under `reports/<tier>/`: per
 //! target the digest `<stem>.golden.csv` and each table as `<name>.csv`
 //! plus its ASCII rendering `<name>.txt`; per run the paper's Table 1
-//! (`table1.csv`/`.txt`) and `rig_summary.csv` (status, wall-clock and
-//! messages/sec per target).
+//! (`table1.csv`/`.txt`) and `rig_summary.csv` (status, message count,
+//! claim tallies and seal per target). The rig reads no clock, so every
+//! file it writes is deterministic; `perfbench/` does the timing.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use crate::config::{
     table1, ConstrainedConfig, DefenseMatrixConfig, Fig1Config, Fig5Config, FocusedConfig,
@@ -347,8 +347,8 @@ pub struct TargetOutput {
     pub claims: Vec<ClaimResult>,
     /// Messages processed — exact for scenario targets (sum of weekly
     /// `offered` over every run, one per lite-tier shard count), a
-    /// documented coarse workload estimate for figures —
-    /// used only for messages/sec telemetry trend lines.
+    /// documented coarse workload estimate for figures. Reported in
+    /// `rig_summary.csv` and the summary table.
     pub messages: u64,
     /// Human-readable tables rendered from the digested result, each with
     /// the file name (no extension) it is written under.
@@ -426,8 +426,6 @@ pub struct TargetReport {
     pub stem: String,
     /// Outcome.
     pub status: TargetStatus,
-    /// Wall-clock milliseconds (telemetry only; never feeds a digest).
-    pub wall_ms: u128,
     /// Workload proxy (see [`TargetOutput::messages`]).
     pub messages: u64,
     /// FNV seal line of the fresh digest (empty if the target errored).
@@ -440,17 +438,6 @@ pub struct TargetReport {
     pub warnings: Vec<String>,
     /// The target's tables (see [`TargetOutput::tables`]).
     pub tables: Vec<(String, Table)>,
-}
-
-impl TargetReport {
-    /// Messages per wall-clock second (0 when the target took under 1 ms).
-    pub fn msgs_per_sec(&self) -> f64 {
-        if self.wall_ms == 0 {
-            0.0
-        } else {
-            self.messages as f64 * 1000.0 / self.wall_ms as f64
-        }
-    }
 }
 
 /// Whole-run summary.
@@ -1651,26 +1638,25 @@ fn compare_golden(
     }
 }
 
-fn summary_csv(summary: &RigSummary) -> String {
-    let mut csv =
-        String::from("stem,status,wall_ms,messages,msgs_per_sec,claims_passed,claims_failed,seal\n");
+/// `rig_summary.csv`: one row per target. The seal cell is the digest's
+/// `fnv1a64,0x…` line, which the CSV writer quotes.
+fn summary_table(summary: &RigSummary) -> Table {
+    let mut table = Table::new(
+        "Reproduction rig summary",
+        &["stem", "status", "messages", "claims_passed", "claims_failed", "seal"],
+    );
     for t in &summary.targets {
         let passed = t.claims.iter().filter(|c| c.passed()).count();
-        let failed = t.claims.len() - passed;
-        let _ = writeln!(
-            csv,
-            "{},{},{},{},{:.1},{},{},{}",
-            t.stem,
-            t.status.name(),
-            t.wall_ms,
-            t.messages,
-            t.msgs_per_sec(),
-            passed,
-            failed,
-            t.seal
-        );
+        table.row(vec![
+            t.stem.clone(),
+            t.status.name().to_string(),
+            t.messages.to_string(),
+            passed.to_string(),
+            (t.claims.len() - passed).to_string(),
+            t.seal.clone(),
+        ]);
     }
-    csv
+    table
 }
 
 /// The paper's Table 1, verbatim from [`table1`].
@@ -1721,16 +1707,10 @@ pub fn run_rig(opts: &RigOptions) -> Result<RigSummary, String> {
     };
 
     for target in selected {
-        // sb-lint: allow(wall-clock, "per-target telemetry for rig_summary.csv; never feeds a golden digest or simulation state")
-        let t0 = Instant::now();
-        let outcome = run_target(target, opts);
-        let wall_ms = t0.elapsed().as_millis();
-
-        let mut record = match outcome {
+        let mut record = match run_target(target, opts) {
             Err(e) => TargetReport {
                 stem: target.stem.clone(),
                 status: TargetStatus::Failed,
-                wall_ms,
                 messages: 0,
                 seal: String::new(),
                 claims: Vec::new(),
@@ -1762,7 +1742,6 @@ pub fn run_rig(opts: &RigOptions) -> Result<RigSummary, String> {
                 TargetReport {
                     stem: target.stem.clone(),
                     status,
-                    wall_ms,
                     messages: out.messages,
                     seal: last_line(&out.digest),
                     claims: out.claims,
@@ -1780,11 +1759,10 @@ pub fn run_rig(opts: &RigOptions) -> Result<RigSummary, String> {
             format!(", claims {passed}/{}", record.claims.len())
         };
         eprintln!(
-            "rig[{}] {} — {} in {} ms{claims_note}",
+            "rig[{}] {} — {}{claims_note}",
             opts.tier.name(),
             record.stem,
-            record.status.name(),
-            record.wall_ms
+            record.status.name()
         );
         for w in &record.warnings {
             eprintln!("  warning: {w}");
@@ -1799,9 +1777,9 @@ pub fn run_rig(opts: &RigOptions) -> Result<RigSummary, String> {
     table1_table()
         .write_files(&report_dir, "table1")
         .map_err(|e| format!("writing table1 under {}: {e}", report_dir.display()))?;
-    let csv = summary_csv(&summary);
-    let summary_path = report_dir.join("rig_summary.csv");
-    fs::write(&summary_path, &csv).map_err(|e| format!("writing {}: {e}", summary_path.display()))?;
+    summary_table(&summary)
+        .write_csv(&report_dir, "rig_summary")
+        .map_err(|e| format!("writing rig_summary under {}: {e}", report_dir.display()))?;
 
     Ok(summary)
 }

@@ -1,9 +1,9 @@
-//! Execution plumbing: pre-tokenized datasets and deterministic parallel
-//! fan-out over folds/repetitions.
+//! Execution plumbing: datasets tokenized and interned once up front.
 //!
-//! CPU-bound fan-out uses plain scoped threads (`sb_intern::par`), not an
-//! async runtime. Results are collected in input order, so parallel and
-//! single-threaded runs produce *identical* output for the same seed.
+//! Fan-out over folds and repetitions calls `sb_intern::par` directly:
+//! plain scoped threads whose results come back in input order, so
+//! parallel and single-threaded runs produce *identical* output for the
+//! same seed.
 
 use sb_email::{Dataset, Label};
 use sb_intern::{Interner, TokenId};
@@ -86,49 +86,10 @@ impl TokenizedDataset {
     }
 }
 
-/// Map `f` over `0..n` jobs on up to `threads` worker threads, returning
-/// results in job order. `f` must be deterministic per job index for
-/// reproducibility (all experiment closures are: they derive their RNG from
-/// the job index).
-pub fn parallel_map<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    sb_intern::par::parallel_map(n, threads, f)
-}
-
-/// Default worker count: physical parallelism, at least 1. Honors the
-/// `SB_THREADS` override (see `sb_intern::par::default_threads`) — CI's
-/// single-threaded job sets `SB_THREADS=1` to force every experiment
-/// fan-out onto the sequential single-core path.
-pub fn default_threads() -> usize {
-    sb_intern::par::default_threads()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sb_email::{Email, LabeledEmail};
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map(100, 8, |i| i * i);
-        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_single_thread_matches_multi() {
-        let a = parallel_map(37, 1, |i| i as u64 + 1);
-        let b = parallel_map(37, 7, |i| i as u64 + 1);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn parallel_map_empty() {
-        let out: Vec<u32> = parallel_map(0, 4, |_| unreachable!());
-        assert!(out.is_empty());
-    }
 
     #[test]
     fn tokenized_dataset_matches_tokenizer() {

@@ -134,7 +134,6 @@
 //! SB_UPDATE_GOLDEN=1 cargo test --test golden_scenarios
 //! ```
 
-use crate::runner::default_threads;
 use sb_core::campaign::{validate_campaigns, AttackKind, CampaignShape, CampaignSpec, Intensity};
 use sb_corpus::CorpusConfig;
 use sb_mailflow::{
@@ -955,7 +954,7 @@ impl ScenarioSpec {
 
     /// Run with the spec's shard hint and the host's default worker count.
     pub fn run(&self) -> Result<OrgReport, ScenarioError> {
-        self.run_with_threads(default_threads())
+        self.run_with_threads(sb_intern::par::default_threads())
     }
 
     /// Evaluate every `expect` assertion against a report. The returned

@@ -154,10 +154,10 @@ where
 /// integer (read once per process), or `None` to use the adaptive default
 /// of ~4 chunks per worker.
 ///
-/// Exposed for throughput tuning on multi-core hosts (`repro serve-bench`
-/// sweeps, CI runners): smaller chunks balance uneven per-item costs at
-/// more coordination overhead, larger chunks amortize the per-chunk
-/// channel send. Like `SB_THREADS`, this only moves work *scheduling* —
+/// Exposed for throughput tuning on multi-core hosts (benchmark runs, CI
+/// runners): smaller chunks balance uneven per-item costs at more
+/// coordination overhead, larger chunks amortize the per-chunk channel
+/// send. Like `SB_THREADS`, this only moves work *scheduling* —
 /// chunk boundaries never feed seeds, RNG, or merge order, so results
 /// stay bit-identical under any value (`chunks_flatten_under_any_size`
 /// pins this).

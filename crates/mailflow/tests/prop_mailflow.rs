@@ -182,28 +182,42 @@ proptest! {
         prop_assert!(accepted >= report.delivered);
     }
 
-    /// On a reliable pipe, delivery is lossless and content-preserving for
-    /// arbitrary printable bodies.
+    /// On a reliable pipe, delivery of a batch is lossless and
+    /// content-preserving for arbitrary printable bodies: every envelope
+    /// is delivered, and the server accepts each body intact, in order.
     #[test]
-    fn reliable_delivery_preserves_content(body in "[ -~\n]{0,300}") {
+    fn reliable_delivery_preserves_content(
+        bodies in proptest::collection::vec("[ -~\n]{0,300}", 1..21),
+    ) {
         let mut pipe = FaultyPipe::reliable();
         let mut server = SmtpServer::new("mx");
         let client = SmtpClient::new("out");
-        let email = Email::builder().subject("prop").body(body.clone()).build();
-        let env = Envelope::to_one("a@b", "c@d", email);
-        let report = client.deliver_all(&mut pipe, &mut server, &[env]);
-        prop_assert_eq!(report.delivered, 1);
-        let events = server.take_events();
-        let got = events
+        let envs: Vec<Envelope> = bodies
             .iter()
-            .find_map(|e| match e {
-                sb_mailflow::ServerEvent::MessageAccepted(m) => Some(&m.email),
+            .enumerate()
+            .map(|(i, body)| {
+                let email = Email::builder().subject("prop").body(body.clone()).build();
+                Envelope::to_one(format!("s{i}@b"), "c@d", email)
+            })
+            .collect();
+        let report = client.deliver_all(&mut pipe, &mut server, &envs);
+        prop_assert_eq!(report.delivered, envs.len());
+        prop_assert!(report.failed.is_empty());
+        let got: Vec<_> = server
+            .take_events()
+            .into_iter()
+            .filter_map(|e| match e {
+                sb_mailflow::ServerEvent::MessageAccepted(m) => Some(m),
                 _ => None,
             })
-            .expect("accepted");
-        // Render normalizes trailing whitespace; compare trimmed.
-        let expect = body.replace("\r\n", "\n");
-        prop_assert_eq!(got.body().trim_end(), expect.trim_end());
+            .collect();
+        prop_assert_eq!(got.len(), bodies.len());
+        for (i, (got, body)) in got.iter().zip(&bodies).enumerate() {
+            prop_assert_eq!(&got.mail_from, &format!("s{i}@b"));
+            // Render normalizes trailing whitespace; compare trimmed.
+            let expect = body.replace("\r\n", "\n");
+            prop_assert_eq!(got.email.body().trim_end(), expect.trim_end());
+        }
     }
 }
 

@@ -49,13 +49,11 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod mmap;
 pub mod model;
 pub mod registry;
 pub mod tenant;
 
-pub use bench::{run_serve_bench, ServeBenchConfig, ServeBenchReport};
 pub use mmap::ImageBytes;
 pub use model::{BaseModel, MmapDb};
 pub use registry::{TenantId, TenantRegistry};

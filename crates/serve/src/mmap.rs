@@ -136,8 +136,8 @@ impl ImageBytes {
         }
     }
 
-    /// True when the bytes are served by a live mapping (telemetry for
-    /// `repro serve-bench` and `model inspect`).
+    /// True when the bytes are served by a live mapping (reported by
+    /// `repro model inspect`).
     pub fn is_mapped(&self) -> bool {
         match self {
             ImageBytes::Owned(_) => false,
