@@ -3,7 +3,6 @@
 //! ```text
 //! repro run [--tier lite|full] [--only STEM] [--update-golden]
 //!           [--seed N] [--threads N] [--out DIR] [--scenarios DIR]
-//! repro model pack <in> <out>
 //! repro model inspect <img>
 //! repro lint [--deep]
 //!
@@ -21,10 +20,9 @@
 //!             `<out>/<tier>/`, next to the paper's Table 1 and
 //!             `rig_summary.csv`. `--only STEM` selects one target;
 //!             `--update-golden` rewrites the tier's committed digests.
-//!   model pack <in> <out>     convert a model (text dump or image —
-//!             the loader sniffs magic bytes) to a packed image
-//!   model inspect <img>       print an image's header, checksum
-//!             verdict, and load mechanism (mmap vs read)
+//!   model inspect <img>       print a model image's header, checksum
+//!             verdict, and load mechanism (mmap vs read); a corrupt
+//!             image is an error naming the defect
 //!   lint      run the workspace determinism/invariant linter in deny
 //!             mode (same gate as CI's `cargo run -p sb-lint -- --deny`);
 //!             non-zero exit on any deny-severity finding; `--deep` adds
@@ -56,7 +54,7 @@ struct Args {
     only: Option<String>,
     /// `run --update-golden`: rewrite the tier's committed digests.
     update_golden: bool,
-    /// Positional operands (`model pack <in> <out>` and friends).
+    /// Positional operands (`model inspect <img>`).
     positional: Vec<String>,
 }
 
@@ -64,7 +62,6 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: repro run [--tier lite|full] [--only STEM] [--update-golden]\n\
          \x20                [--seed N] [--threads N] [--out DIR] [--scenarios DIR]\n\
-         \x20      repro model pack <in> <out>\n\
          \x20      repro model inspect <img>\n\
          \x20      repro lint [--deep]"
     );
@@ -170,31 +167,9 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `repro model pack|inspect` — model image utilities.
+/// `repro model inspect` — validate and describe a model image.
 fn cmd_model(args: &Args) -> Result<(), String> {
     match args.positional.first().map(String::as_str) {
-        Some("pack") => {
-            let [input, output] = &args.positional[1..] else {
-                return Err("usage: repro model pack <in> <out>".into());
-            };
-            let file = std::fs::File::open(input).map_err(|e| format!("{input}: {e}"))?;
-            // `load_db` sniffs magic bytes, so <in> may be a text dump or
-            // an existing image (re-pack normalizes either to canonical).
-            let db = sb_filter::load_db(std::io::BufReader::new(file))
-                .map_err(|e| format!("{input}: {e}"))?;
-            let bytes = sb_filter::image::pack(&db);
-            std::fs::write(output, &bytes).map_err(|e| format!("{output}: {e}"))?;
-            println!(
-                "packed {} -> {} ({} tokens, {} spam / {} ham msgs, {} bytes)",
-                input,
-                output,
-                db.n_tokens(),
-                db.n_spam(),
-                db.n_ham(),
-                bytes.len()
-            );
-            Ok(())
-        }
         Some("inspect") => {
             let [input] = &args.positional[1..] else {
                 return Err("usage: repro model inspect <img>".into());
@@ -212,8 +187,8 @@ fn cmd_model(args: &Args) -> Result<(), String> {
             println!("  checksum     ok (validated on parse)");
             Ok(())
         }
-        Some(other) => Err(format!("unknown model subcommand {other:?} (pack|inspect)")),
-        None => Err("usage: repro model <pack|inspect> ...".into()),
+        Some(other) => Err(format!("unknown model subcommand {other:?} (inspect)")),
+        None => Err("usage: repro model inspect <img>".into()),
     }
 }
 

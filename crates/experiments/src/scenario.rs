@@ -1092,16 +1092,10 @@ fn format_fault_event(ev: &FaultEvent) -> String {
     }
 }
 
-/// FNV-1a 64 over raw bytes — the digest seal. Stable, dependency-free,
-/// and byte-exact: any change to the canonical CSV changes the hash.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+/// FNV-1a 64 over raw bytes — the digest seal, the same function that
+/// checksums model images. Byte-exact: any change to the canonical CSV
+/// changes the hash.
+pub use sb_filter::image::fnv1a64;
 
 /// Exact `f64` rendering: Rust's `{:?}` prints the shortest string that
 /// round-trips, so equal digests imply bit-equal rates.

@@ -2,7 +2,8 @@
 //! front-end, so a target's digest and tables land under `--out`, nothing
 //! in the committed tree is touched, and the retired commands (the
 //! per-figure ones and `serve-bench`) and flags (`--scale`, `--tenants`)
-//! are usage errors.
+//! are usage errors. `repro model inspect` validates a model image —
+//! the one model format — and `repro model pack` is gone.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -84,4 +85,43 @@ fn retired_commands_and_scale_flag_are_usage_errors() {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "repro {args:?}");
     }
+}
+
+#[test]
+fn model_inspect_validates_an_image_and_pack_is_gone() {
+    use sb_email::Label;
+    let mut db = sb_filter::TokenDb::new();
+    db.train(&["cheap".into(), "pills".into(), "now".into()], Label::Spam);
+    db.train(&["agenda".into(), "now".into()], Label::Ham);
+    let image = sb_filter::image::pack(&db);
+    let dir = std::env::temp_dir().join(format!("sb-repro-model-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let good = dir.join("good.img");
+    std::fs::write(&good, &image).expect("write image");
+    let mut flipped = image.clone();
+    let last = flipped.len() - 1;
+    flipped[last] ^= 0x01;
+    let bad = dir.join("bad.img");
+    std::fs::write(&bad, &flipped).expect("write image");
+    let path = |p: &Path| p.to_str().expect("utf-8 temp dir").to_string();
+
+    let ok = repro(&["model", "inspect", &path(&good)]);
+    let stdout = String::from_utf8_lossy(&ok.stdout);
+    let stderr = String::from_utf8_lossy(&ok.stderr);
+    assert!(ok.status.success(), "inspect failed: {stderr}");
+    assert!(
+        stdout.contains("tokens       4"),
+        "unexpected output: {stdout}"
+    );
+
+    let corrupt = repro(&["model", "inspect", &path(&bad)]);
+    let stderr = String::from_utf8_lossy(&corrupt.stderr);
+    assert!(!corrupt.status.success(), "a flipped byte was accepted");
+    let mismatch = stderr.contains("checksum mismatch");
+    assert!(mismatch, "unexpected error: {stderr}");
+
+    let pack = repro(&["model", "pack", &path(&good), &path(&dir.join("out.img"))]);
+    assert!(!pack.status.success(), "repro model pack still runs");
+    assert!(!dir.join("out.img").exists());
+    let _ = std::fs::remove_dir_all(&dir);
 }

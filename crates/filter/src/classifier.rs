@@ -57,7 +57,8 @@ impl SpamBayes {
     }
 
     /// Wrap an already-trained database (e.g. one restored from a
-    /// `persist` checkpoint image) with default options and tokenizer.
+    /// `persist` checkpoint, a model image) with default options and
+    /// tokenizer.
     pub fn from_db(db: TokenDb) -> Self {
         Self {
             db,

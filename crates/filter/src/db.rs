@@ -130,7 +130,7 @@ pub struct CachedScore {
 /// Deliberately **not** serde-serializable: raw `TokenId`s are positions
 /// in the owning interner and are meaningless to another process (and a
 /// skipped cache/interner would misattribute every count). The durable
-/// format is the string-resolved dump in [`crate::persist`].
+/// format is the string-resolved model image of [`crate::image`].
 #[derive(Debug)]
 pub struct TokenDb {
     interner: Interner,
@@ -220,15 +220,15 @@ impl TokenDb {
     /// untouched. Callers must invoke this when anything *outside* the
     /// counts that scores depend on changes — i.e. the `FilterOptions`
     /// (see `SpamBayes::set_options`), or after a bulk load that bypassed
-    /// the training APIs (see `persist::load_db_into`).
+    /// the training APIs (see `image::read_image_into`).
     pub fn invalidate_cache(&mut self) {
         self.bump_generation();
     }
 
     /// Remove every count and trained message, keeping the interner
     /// handle, count/cache allocations, and invalidating all cached
-    /// scores. The reload entry point: `persist::load_db_into` clears a
-    /// warm database before replaying a dump into it.
+    /// scores. The reload entry point: `image::read_image_into` clears a
+    /// warm database before replaying an image into it.
     pub fn clear(&mut self) {
         self.bump_generation();
         self.n_spam = 0;
@@ -245,8 +245,8 @@ impl TokenDb {
         self.n_ham = n_ham;
     }
 
-    /// Bulk-add one token's counts during a load (additive, matching the
-    /// training semantics for duplicate dump rows). Does **not** bump the
+    /// Bulk-add one token's counts during an image load (additive, like
+    /// training). Does **not** bump the
     /// generation — see [`TokenDb::set_message_counts_for_load`].
     pub(crate) fn add_counts_for_load(&mut self, id: TokenId, counts: TokenCounts) {
         if counts.is_zero() {

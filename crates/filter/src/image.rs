@@ -1,16 +1,15 @@
-//! The packed model image: a versioned, checksummed binary layout for a
-//! trained [`TokenDb`], loadable by offset instead of by parsing.
+//! The packed model image: the one model format — a versioned,
+//! checksummed binary layout for a trained [`TokenDb`], loadable by
+//! offset instead of by parsing.
 //!
-//! [`crate::persist`]'s text dump is the *archival* format — diffable,
-//! greppable, stable since PR 2 — but loading it costs a line parse per
-//! token. Serving wants the opposite trade: a layout whose two big arrays
-//! (the dense `TokenCounts` table and the token string arena) are
-//! **offset-indexable in place**, so a server can `mmap` the file and
-//! answer count lookups without materializing anything (see the
-//! `sb-serve` crate's `MmapDb`). This module owns the format itself:
-//! the header, the checksum, the pack step, and the validated read-only
-//! view; it performs no I/O beyond `Read`/`Write` and no `unsafe` (the
-//! mapping lives in `sb-serve`, outside this crate's
+//! The two big arrays (the dense `TokenCounts` table and the token string
+//! arena) are **offset-indexable in place**, so a server can `mmap` the
+//! file and answer count lookups without materializing anything (see the
+//! `sb-serve` crate's `MmapDb`), while [`read_image_into`] loads an image
+//! into a [`TokenDb`] — the checkpoint path of [`crate::persist`]. This
+//! module owns the format itself: the header, the checksum, the pack
+//! step, and the validated read-only view; it performs no I/O and no
+//! `unsafe` (the mapping lives in `sb-serve`, outside this crate's
 //! `#![forbid(unsafe_code)]`).
 //!
 //! ## Layout (version 1, all integers little-endian)
@@ -35,23 +34,22 @@
 //!
 //! Rows are sorted by token string bytes, ascending — the image of a
 //! given set of counts is **canonical** (pack twice, byte-identical),
-//! exactly like the sorted text dump. Zero-count tokens are skipped.
+//! and `parse` → load → `pack` is a fixpoint. Zero-count tokens are
+//! skipped.
 //!
 //! ## Integrity
 //!
 //! [`ImageView::parse`] validates everything up front — magic, version,
-//! declared sizes vs. actual length, the checksum, end-offset
-//! monotonicity, UTF-8 of every token, sort order, and the
-//! counts-vs-totals invariant the text loader enforces — and returns a
+//! the zero reserved field, declared sizes vs. actual length, the
+//! checksum, end-offset monotonicity, UTF-8 of every token, sort order,
+//! and live counts within the class totals — and returns a
 //! typed [`ImageError`], never panicking on corrupt bytes (the serve
 //! crate property-tests truncations and bit flips against this). After
 //! `parse` succeeds, the per-row accessors are infallible.
 
 use crate::db::{TokenCounts, TokenDb};
-use std::io::Write;
 
-/// Magic bytes opening every packed model image. Disjoint from the text
-/// dump's `sbdb 1` header (`persist::load_db_into` dispatches on this).
+/// Magic bytes opening every packed model image.
 pub const IMAGE_MAGIC: [u8; 8] = *b"SBMIMG1\n";
 
 /// Current (only) format version.
@@ -60,11 +58,9 @@ pub const IMAGE_VERSION: u32 = 1;
 /// Fixed header length in bytes; the counts array starts here.
 pub const HEADER_LEN: usize = 48;
 
-/// Errors from packing or reading a model image.
+/// Errors from reading a model image.
 #[derive(Debug)]
 pub enum ImageError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
     /// Structural problem in the image bytes.
     Format {
         /// Byte offset of the defect (0 for whole-file problems).
@@ -77,7 +73,6 @@ pub enum ImageError {
 impl std::fmt::Display for ImageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ImageError::Io(e) => write!(f, "I/O error: {e}"),
             ImageError::Format { offset, reason } => {
                 write!(f, "bad model image at byte {offset}: {reason}")
             }
@@ -87,14 +82,8 @@ impl std::fmt::Display for ImageError {
 
 impl std::error::Error for ImageError {}
 
-impl From<std::io::Error> for ImageError {
-    fn from(e: std::io::Error) -> Self {
-        ImageError::Io(e)
-    }
-}
-
-/// FNV-1a over a byte slice — same function family as the golden-digest
-/// seals, duplicated here so the core format stays dependency-free.
+/// FNV-1a over a byte slice — the image checksum's hash, and (re-exported
+/// as `sb_experiments::fnv1a64`) the golden-digest seal.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_step(0xCBF2_9CE4_8422_2325, bytes)
 }
@@ -113,19 +102,6 @@ fn fnv1a64_step(mut h: u64, bytes: &[u8]) -> u64 {
 fn image_checksum(bytes: &[u8]) -> u64 {
     let h = fnv1a64_step(0xCBF2_9CE4_8422_2325, &bytes[..40]);
     fnv1a64_step(h, &bytes[HEADER_LEN..])
-}
-
-/// True when `bytes` begins with (a prefix of) the image magic — the
-/// dispatch test `persist::load_db_into` applies to its first buffered
-/// bytes. A prefix match on fewer than 8 bytes still routes to the image
-/// loader, which then reports the truncation as a typed error.
-pub fn looks_like_image(bytes: &[u8]) -> bool {
-    if bytes.is_empty() {
-        return false;
-    }
-    let n = bytes.len().min(IMAGE_MAGIC.len());
-    // sb-lint: allow(panic-path, "n = min(len, magic len) bounds both slices by construction")
-    bytes[..n] == IMAGE_MAGIC[..n]
 }
 
 fn err(offset: usize, reason: impl Into<String>) -> ImageError {
@@ -187,13 +163,6 @@ pub fn pack(db: &TokenDb) -> Vec<u8> {
     buf
 }
 
-/// Pack a database and write the image to `w` — the `repro model pack`
-/// entry point.
-pub fn write_image<W: Write>(db: &TokenDb, mut w: W) -> Result<(), ImageError> {
-    w.write_all(&pack(db))?;
-    Ok(())
-}
-
 /// A validated, read-only view over image bytes: every accessor after a
 /// successful [`ImageView::parse`] is pure offset arithmetic, which is
 /// what makes the format `mmap`-servable.
@@ -228,6 +197,12 @@ impl<'a> ImageView<'a> {
         let version = u32_at(bytes, 8);
         if version != IMAGE_VERSION {
             return Err(err(8, format!("unsupported version {version}")));
+        }
+        // `pack` writes 0; any other value would load like the canonical
+        // image but re-pack to different bytes.
+        let reserved = u32_at(bytes, 12);
+        if reserved != 0 {
+            return Err(err(12, format!("reserved field is {reserved}, must be 0")));
         }
         let n_spam = u32_at(bytes, 16);
         let n_ham = u32_at(bytes, 20);
@@ -387,14 +362,19 @@ impl<'a> ImageView<'a> {
     }
 }
 
-/// Read image bytes into an existing database (clearing it first, like
-/// the text loader): interns every token in one batch and replays the
-/// counts. This is the *migration* path — `persist::load_db_into` lands
-/// here when it sees the image magic — not the serving path, which keeps
-/// the bytes mapped (see `sb-serve`).
+/// Read image bytes into an existing database, replacing its contents:
+/// interns every token in one batch and replays the counts. This is the
+/// checkpoint path ([`crate::persist::restore`]) and the warm-reload
+/// path, not the serving path, which keeps the bytes mapped (see
+/// `sb-serve`).
 ///
-/// On error the target is left cleared, and the cache invalidated, with
-/// the same semantics as the text loader.
+/// The target keeps its interner handle and allocations. Any previously
+/// cached scores are **invalidated**: the counts are written through the
+/// bulk path, which bypasses the per-mutation generation bump, so serving
+/// pre-load `f(w)` entries afterwards would silently misclassify
+/// (`read_into_warm_db_invalidates_cache` pins this).
+///
+/// On error the target is left cleared (never with a half-applied image).
 pub fn read_image_into(db: &mut TokenDb, bytes: &[u8]) -> Result<(), ImageError> {
     db.clear();
     let res = (|| -> Result<(), ImageError> {
@@ -427,6 +407,74 @@ mod tests {
         );
         db.train(&["agenda".into(), "cheap".into()], Label::Ham);
         db
+    }
+
+    /// The offset of `bytes`' `Format` error; panics if they parse.
+    fn format_offset(bytes: &[u8]) -> usize {
+        match ImageView::parse(bytes) {
+            Err(ImageError::Format { offset, .. }) => offset,
+            Ok(_) => panic!("corrupt image parsed"),
+        }
+    }
+
+    /// `img` with `edit` applied and its checksum recomputed, so the
+    /// defect reaches the checks that sit behind the checksum.
+    fn rechecksummed(mut img: Vec<u8>, edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        edit(&mut img);
+        let sum = image_checksum(&img);
+        img[40..48].copy_from_slice(&sum.to_le_bytes());
+        img
+    }
+
+    /// Rows `aa`, `bb`, `cc`, each trained into one spam message: counts
+    /// at 48..72, ends `[2, 4, 6]` at 72..96, arena `aabbcc` at 96..102.
+    fn three_rows() -> Vec<u8> {
+        let mut db = TokenDb::new();
+        db.train(&["aa".into(), "bb".into(), "cc".into()], Label::Spam);
+        let img = pack(&db);
+        assert_eq!(&img[96..], b"aabbcc");
+        img
+    }
+
+    #[test]
+    fn nonzero_reserved_field_rejected() {
+        let img = rechecksummed(pack(&sample_db()), |b| b[12] = 1);
+        assert_eq!(format_offset(&img), 12);
+    }
+
+    #[test]
+    fn row_counts_above_totals_rejected() {
+        // sample_db has NS = NH = 1; row 1 is `cheap` (1, 1).
+        let spam = rechecksummed(pack(&sample_db()), |b| b[HEADER_LEN + 8] = 2);
+        assert_eq!(format_offset(&spam), HEADER_LEN + 8);
+        let ham = rechecksummed(pack(&sample_db()), |b| b[HEADER_LEN + 12] = 2);
+        assert_eq!(format_offset(&ham), HEADER_LEN + 8);
+    }
+
+    #[test]
+    fn zero_count_row_rejected() {
+        let img = rechecksummed(three_rows(), |b| b[HEADER_LEN + 16] = 0);
+        assert_eq!(format_offset(&img), HEADER_LEN + 16);
+    }
+
+    #[test]
+    fn unsorted_and_duplicate_rows_rejected() {
+        let swapped = rechecksummed(three_rows(), |b| b[96..100].copy_from_slice(b"bbaa"));
+        assert_eq!(format_offset(&swapped), 98);
+        let duplicate = rechecksummed(three_rows(), |b| b[96..100].copy_from_slice(b"aaaa"));
+        assert_eq!(format_offset(&duplicate), 98);
+    }
+
+    #[test]
+    fn invalid_utf8_rejected() {
+        let img = rechecksummed(three_rows(), |b| b[100] = 0xFF);
+        assert_eq!(format_offset(&img), 100);
+    }
+
+    #[test]
+    fn decreasing_end_offsets_rejected() {
+        let img = rechecksummed(three_rows(), |b| b[80] = 1);
+        assert_eq!(format_offset(&img), 80);
     }
 
     #[test]
@@ -524,10 +572,17 @@ mod tests {
 
     #[test]
     fn magic_prefix_detection() {
-        assert!(looks_like_image(&pack(&TokenDb::new())));
-        assert!(looks_like_image(b"SBM")); // prefix routes to image loader
-        assert!(!looks_like_image(b"sbdb 1\n"));
-        assert!(!looks_like_image(b""));
+        let img = pack(&TokenDb::new());
+        assert!(ImageView::parse(&img).is_ok());
+        // A magic prefix alone, or a header-sized file behind one, is not
+        // an image; neither is a foreign header.
+        let mut prefix_only = b"SBM".to_vec();
+        prefix_only.resize(HEADER_LEN, 0);
+        let mut foreign = b"sbdb 1\nnspam 0\nnham 0\n".to_vec();
+        foreign.resize(HEADER_LEN, b' ');
+        for bytes in [&b"SBM"[..], &prefix_only, &foreign] {
+            assert_eq!(format_offset(bytes), 0, "{bytes:?}");
+        }
     }
 
     #[test]
@@ -540,5 +595,87 @@ mod tests {
         assert!(read_image_into(&mut db, &img).is_err());
         assert_eq!(db.n_messages(), 0);
         assert_eq!(db.n_tokens(), 0);
+    }
+
+    /// Reading into a warm database must not serve pre-load cached
+    /// scores: the bulk row writes bypass the per-mutation generation
+    /// bump, so `read_image_into` has to invalidate explicitly.
+    #[test]
+    fn read_into_warm_db_invalidates_cache() {
+        use crate::options::FilterOptions;
+        let opts = FilterOptions::default();
+
+        // Warm database: "win" is spam-leaning and its score is cached.
+        let mut warm = TokenDb::new();
+        warm.train(&["win".into()], Label::Spam);
+        warm.train(&["win".into()], Label::Ham);
+        warm.train(&["other".into()], Label::Spam);
+        let id = warm.interner().get("win").unwrap();
+        let stale = warm.cached_score(id, &opts);
+
+        // An image in which "win" has very different counts and totals.
+        let mut other = TokenDb::new();
+        for _ in 0..5 {
+            other.train(&["win".into(), "meet".into()], Label::Ham);
+        }
+        other.train(&["win".into()], Label::Spam);
+        let img = pack(&other);
+
+        read_image_into(&mut warm, &img).unwrap();
+        assert_eq!(warm.n_spam(), other.n_spam());
+        assert_eq!(warm.n_ham(), other.n_ham());
+        assert_eq!(warm.counts("win"), other.counts("win"));
+        // The reloaded score must match a cold load of the same image,
+        // bit for bit — not the pre-load cached value.
+        let mut cold = TokenDb::new();
+        read_image_into(&mut cold, &img).unwrap();
+        let got = warm.cached_score(id, &opts);
+        let cold_id = cold.interner().get("win").unwrap();
+        let want = cold.cached_score(cold_id, &opts);
+        assert_eq!(got.f.to_bits(), want.f.to_bits(), "stale f(w) served");
+        assert_ne!(got.f.to_bits(), stale.f.to_bits(), "test not probative");
+    }
+
+    #[test]
+    fn read_into_replaces_rather_than_merges() {
+        let mut db = TokenDb::new();
+        db.train(&["gone".into()], Label::Spam);
+        let fresh = sample_db();
+        read_image_into(&mut db, &pack(&fresh)).unwrap();
+        assert_eq!(db.counts("gone"), TokenCounts::default());
+        assert_eq!(db.n_tokens(), fresh.n_tokens());
+        assert_eq!(db.n_messages(), fresh.n_messages());
+    }
+
+    /// The loader interns its rows in one batch. Into an interner that is
+    /// shared and already holds some of the image's tokens (and others),
+    /// that must give every string the counts, and every token the id,
+    /// that interning row by row gives.
+    #[test]
+    fn read_into_a_used_shared_interner_matches_per_row_interning() {
+        use sb_intern::Interner;
+        let src = sample_db();
+        let history = |interner: &Interner| {
+            for tok in ["zz-before", "cheap", "aa-before", "skip:a 20"] {
+                interner.intern(tok);
+            }
+        };
+        let shared = Interner::new();
+        history(&shared);
+        let mut db = TokenDb::with_interner(shared.clone());
+        read_image_into(&mut db, &pack(&src)).unwrap();
+
+        let per_row = Interner::new();
+        history(&per_row);
+        let mut rows: Vec<(String, TokenCounts)> = src.iter().collect();
+        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        for (tok, counts) in &rows {
+            let id = per_row.intern(tok);
+            assert_eq!(db.counts(tok), *counts, "token {tok:?}");
+            assert_eq!(shared.get(tok), Some(id), "token {tok:?}");
+        }
+        assert_eq!(shared.len(), per_row.len());
+        assert_eq!(db.n_tokens(), src.n_tokens());
+        assert_eq!((db.n_spam(), db.n_ham()), (src.n_spam(), src.n_ham()));
     }
 }

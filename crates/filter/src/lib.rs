@@ -56,5 +56,4 @@ pub use db::{ln_pair, CachedScore, ScoreDb, TokenCounts, TokenDb, UntrainError};
 pub use image::{ImageError, ImageView};
 pub use memo::ScoreMemo;
 pub use options::FilterOptions;
-pub use persist::{load_db, load_db_into, save_db, PersistError};
 pub use sb_intern::{Interner, TokenId};

@@ -148,15 +148,15 @@ proptest! {
         for (set, is_spam) in &base {
             db.train(set, if *is_spam { Label::Spam } else { Label::Ham });
         }
-        let mut buf = Vec::new();
-        sb_filter::save_db(&db, &mut buf).unwrap();
-        let back = sb_filter::load_db(std::io::Cursor::new(buf)).unwrap();
+        let image = sb_filter::persist::snapshot(&db);
+        let back = sb_filter::persist::restore(&image).unwrap();
         prop_assert_eq!(back.n_spam(), db.n_spam());
         prop_assert_eq!(back.n_ham(), db.n_ham());
         prop_assert_eq!(back.n_tokens(), db.n_tokens());
         for (tok, c) in db.iter() {
             prop_assert_eq!(back.counts(tok), c);
         }
+        prop_assert_eq!(sb_filter::persist::snapshot(&back), image);
     }
 
     #[test]

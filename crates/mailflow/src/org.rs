@@ -48,7 +48,7 @@
 //!   filter (read immutably); its id set then rides the fresh pool into
 //!   the retrain. Ids are therefore assigned in shard-concurrent order,
 //!   but token scoring breaks δ(E) ties by resolved token string (never
-//!   raw `TokenId`) and model dumps sort rows by string, so interning
+//!   raw `TokenId`) and model images sort rows by string, so interning
 //!   order cannot leak into a verdict or a digest;
 //! * week metrics are sums of per-shard counters — the §2.1 cost model
 //!   reads a folder × truth [`FolderCounts`] matrix — so shard-merge order
@@ -77,7 +77,7 @@ use sb_core::{
 };
 use sb_corpus::{CorpusConfig, EmailGenerator};
 use sb_email::{Dataset, Email, Label, LabeledEmail};
-use sb_filter::{FilterOptions, SpamBayes, Verdict};
+use sb_filter::{FilterOptions, ImageError, ImageView, SpamBayes, Verdict};
 use sb_intern::{par, AsIdSlice, FxHashMap, Interner, TokenId};
 use sb_stats::rng::SeedTree;
 use sb_tokenizer::Tokenizer;
@@ -274,6 +274,14 @@ pub enum OrgConfigError {
         /// Users in this configuration.
         users: usize,
     },
+    /// A checkpoint's filter or last-good model image failed validation
+    /// (see [`sb_filter::ImageError`]).
+    CorruptCheckpoint {
+        /// Which image: `"filter"` or `"checkpoint"`.
+        image: &'static str,
+        /// What was wrong.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for OrgConfigError {
@@ -294,6 +302,9 @@ impl std::fmt::Display for OrgConfigError {
                 f,
                 "checkpoint references user {user} but this configuration has {users} users"
             ),
+            OrgConfigError::CorruptCheckpoint { image, reason } => {
+                write!(f, "corrupt checkpoint {image} image: {reason}")
+            }
         }
     }
 }
@@ -493,11 +504,11 @@ fn intern_email(tokenizer: &Tokenizer, interner: &Interner, email: &Email) -> Ar
     Arc::new(tokenizer.intern_ids(email, interner))
 }
 
-/// Capture a filter as a last-good checkpoint: the `persist` dump image of
-/// its counts plus the θ0/θ1 cutoffs its verdicts use. A calibrated filter
-/// delegates classification to its inner `SpamBayes` whose options already
-/// carry the calibrated cutoffs, so the image + cutoff pair reproduces
-/// either variant's verdicts exactly.
+/// Capture a filter as a last-good checkpoint: the model image of its
+/// counts (`persist::snapshot`) plus the θ0/θ1 cutoffs its verdicts use.
+/// A calibrated filter delegates classification to its inner `SpamBayes`
+/// whose options already carry the calibrated cutoffs, so the image +
+/// cutoff pair reproduces either variant's verdicts exactly.
 fn filter_image(filter: &ActiveFilter) -> (Vec<u8>, (f64, f64)) {
     let f = filter.model();
     let opts = f.options();
@@ -510,13 +521,10 @@ fn filter_image(filter: &ActiveFilter) -> (Vec<u8>, (f64, f64)) {
 /// Rebuild a serving filter from a checkpoint image. Counts are exact
 /// `u32`s and token scoring tie-breaks by resolved string, so the restored
 /// filter classifies bit-identically to the captured one.
-fn filter_from(image: &[u8], (t0, t1): (f64, f64)) -> ActiveFilter {
-    let db = sb_filter::persist::restore(image)
-        // sb-lint: allow(fail-closed, "the image came from persist::snapshot in this same process; a parse failure is a program bug, not a recoverable fault, and serving without a model is worse than stopping")
-        .expect("checkpoint images are self-produced and must parse");
-    let mut f = SpamBayes::from_db(db);
+fn filter_from(image: &[u8], (t0, t1): (f64, f64)) -> Result<ActiveFilter, ImageError> {
+    let mut f = SpamBayes::from_db(sb_filter::persist::restore(image)?);
     f.set_options(FilterOptions::default().with_cutoffs(t0, t1));
-    ActiveFilter::Plain(f)
+    Ok(ActiveFilter::Plain(f))
 }
 
 /// One week of user-visible outcomes.
@@ -1054,7 +1062,7 @@ impl Shard {
 ///
 /// Valid only at week boundaries ([`MailOrg::step_week`] granularity):
 /// mid-period shard state (fresh pools) is deliberately not captured. The
-/// filter travels as a `persist` dump image plus its θ0/θ1 cutoffs, which
+/// filter travels as a checksummed model image plus its θ0/θ1 cutoffs, which
 /// reproduces classification exactly (counts are exact `u32`s and token
 /// scoring tie-breaks by resolved string, so interner state is
 /// irrelevant). The checkpoint holds no `TokenId`: pool and replay
@@ -1131,7 +1139,7 @@ pub struct MailOrg {
     /// The active filter is a restored checkpoint, not this week's
     /// retrain product.
     serving_stale: bool,
-    /// Last-good model image (`persist` dump) + its θ0/θ1 cutoffs.
+    /// Last-good model image (`persist::snapshot`) + its θ0/θ1 cutoffs.
     checkpoint_image: Vec<u8>,
     checkpoint_cutoffs: (f64, f64),
 }
@@ -1424,7 +1432,16 @@ impl MailOrg {
         org.total_bounced = ckpt.total_bounced;
         org.total_redelivered = ckpt.total_redelivered;
         org.fault_stats = ckpt.fault_stats;
-        org.filter = filter_from(&ckpt.filter_image, ckpt.filter_cutoffs);
+        // Both images fail closed too: the filter loads here, and the
+        // last-good image is validated now, so a retrain fallback never
+        // meets a corrupt one.
+        let corrupt = |image, e: ImageError| OrgConfigError::CorruptCheckpoint {
+            image,
+            reason: e.to_string(),
+        };
+        org.filter = filter_from(&ckpt.filter_image, ckpt.filter_cutoffs)
+            .map_err(|e| corrupt("filter", e))?;
+        ImageView::parse(&ckpt.checkpoint_image).map_err(|e| corrupt("checkpoint", e))?;
         org.serving_stale = ckpt.serving_stale;
         org.checkpoint_image = ckpt.checkpoint_image.clone();
         org.checkpoint_cutoffs = ckpt.checkpoint_cutoffs;
@@ -1522,6 +1539,18 @@ impl MailOrg {
         total
     }
 
+    /// A retrain fallback: serve the last-good checkpoint until the next
+    /// retrain. The image was packed by this organization or validated
+    /// by [`MailOrg::restore`], so it loads; were it not to, the
+    /// installed filter keeps serving.
+    fn serve_last_good(&mut self, outcome: &mut RetrainOutcome) {
+        if let Ok(filter) = filter_from(&self.checkpoint_image, self.checkpoint_cutoffs) {
+            self.filter = filter;
+        }
+        self.serving_stale = true;
+        outcome.recovered = true;
+    }
+
     /// Retrain from the pool, applying the configured defense and the
     /// fault plan's retrain-time events. Reports what the screen rejected,
     /// what a crash quarantined, what a recovery replayed, and whether the
@@ -1567,9 +1596,7 @@ impl MailOrg {
             self.replay.extend(held);
             self.replay.extend(fresh);
             self.replay.sort_unstable_by_key(|f| (f.day, f.pos));
-            self.filter = filter_from(&self.checkpoint_image, self.checkpoint_cutoffs);
-            self.serving_stale = true;
-            outcome.recovered = true;
+            self.serve_last_good(&mut outcome);
             return outcome;
         }
 
@@ -1678,9 +1705,7 @@ impl MailOrg {
         // corrupt at load time — fall back to the last-good checkpoint
         // until the next retrain rebuilds from the intact pool.
         if self.cfg.fault_plan.model_corrupts(week) {
-            self.filter = filter_from(&self.checkpoint_image, self.checkpoint_cutoffs);
-            self.serving_stale = true;
-            outcome.recovered = true;
+            self.serve_last_good(&mut outcome);
         } else {
             let (image, cutoffs) = filter_image(&self.filter);
             self.checkpoint_image = image;
@@ -2088,6 +2113,37 @@ mod tests {
         drop(org);
         let resumed = MailOrg::restore(make(), &ckpt).expect("restore");
         assert_eq!(resumed.run(), uninterrupted);
+    }
+
+    /// A checkpoint with one byte flipped in either model image is refused
+    /// with a typed error: restore neither panics nor loads another model.
+    #[test]
+    fn corrupt_checkpoint_images_are_typed_errors() {
+        let mut org = MailOrg::new(base_config(79));
+        org.step_week().expect("week 1");
+        let ckpt = org.checkpoint();
+        drop(org);
+        let len = ckpt.filter_image.len().min(ckpt.checkpoint_image.len());
+        // Magic, reserved field, class totals, checksum, counts array,
+        // mid-file, arena tail.
+        let positions = [0, 12, 17, 44, 51, len / 2, len - 1];
+        for image in ["filter", "checkpoint"] {
+            for pos in positions {
+                let mut bad = ckpt.clone();
+                let bytes = match image {
+                    "filter" => &mut bad.filter_image,
+                    _ => &mut bad.checkpoint_image,
+                };
+                bytes[pos] ^= 0x10;
+                match MailOrg::restore(base_config(79), &bad) {
+                    Err(OrgConfigError::CorruptCheckpoint { image: got, .. }) => {
+                        assert_eq!(got, image, "byte {pos}")
+                    }
+                    Err(other) => panic!("{image} byte {pos}: unexpected error {other}"),
+                    Ok(_) => panic!("{image} image with byte {pos} flipped was restored"),
+                }
+            }
+        }
     }
 
     /// Borrow-friendly test harness: run one day across all shards
