@@ -11,9 +11,9 @@
 //! experiment quantifies where the stack beats each component.
 
 use crate::roni::{RoniConfig, RoniDefense};
-use crate::threshold::{calibrate, CalibratedFilter, ThresholdConfig, TrainItem};
+use crate::threshold::{calibrate, ThresholdConfig, TrainItem};
 use sb_email::{Dataset, Label, LabeledEmail};
-use sb_filter::FilterOptions;
+use sb_filter::{FilterOptions, SpamBayes};
 use sb_intern::TokenId;
 use sb_stats::rng::Xoshiro256pp;
 use sb_tokenizer::Tokenizer;
@@ -45,7 +45,7 @@ pub struct CombinedOutcome {
     /// Indices rejected by the RONI screen.
     pub rejected: Vec<usize>,
     /// The calibrated filter trained on trusted + admitted messages.
-    pub filter: CalibratedFilter,
+    pub filter: SpamBayes,
 }
 
 impl CombinedOutcome {

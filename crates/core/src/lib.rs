@@ -61,4 +61,4 @@ pub use ham_attack::HamLabelAttack;
 pub use optimal::WordKnowledge;
 pub use roni::{RoniConfig, RoniDefense, RoniError, RoniMeasurement};
 pub use taxonomy::{AttackClass, Influence, Specificity, Violation};
-pub use threshold::{calibrate, CalibratedFilter, ThresholdConfig, TrainItem};
+pub use threshold::{calibrate, ThresholdConfig, TrainItem};

@@ -14,10 +14,12 @@
 //!
 //! The deployed classifier is `F` with the recalibrated thresholds, exactly
 //! as the paper describes (the filter itself is not retrained on the full
-//! set).
+//! set): [`calibrate`] returns that `SpamBayes`, with θ0/θ1 as the
+//! `ham_cutoff`/`spam_cutoff` of its [`FilterOptions`]. It classifies,
+//! checkpoints and restores like any other filter.
 
 use sb_email::Label;
-use sb_filter::{FilterOptions, Scored, SpamBayes};
+use sb_filter::{FilterOptions, SpamBayes};
 use sb_intern::{FxHashMap, TokenId};
 use sb_stats::rng::Xoshiro256pp;
 use serde::{Deserialize, Serialize};
@@ -68,56 +70,15 @@ impl ThresholdConfig {
     }
 }
 
-/// A filter with dynamically calibrated thresholds.
-#[derive(Debug, Clone)]
-pub struct CalibratedFilter {
-    filter: SpamBayes,
-    theta0: f64,
-    theta1: f64,
-}
-
-impl CalibratedFilter {
-    /// The dynamic ham cutoff θ0.
-    pub fn theta0(&self) -> f64 {
-        self.theta0
-    }
-
-    /// The dynamic spam cutoff θ1.
-    pub fn theta1(&self) -> f64 {
-        self.theta1
-    }
-
-    /// The underlying half-trained filter.
-    pub fn filter(&self) -> &SpamBayes {
-        &self.filter
-    }
-
-    /// Classify a pre-tokenized message under the dynamic thresholds.
-    /// (The held filter's options already carry θ0/θ1 — see [`calibrate`].)
-    pub fn classify_tokens(&self, token_set: &[String]) -> Scored {
-        self.filter.classify_tokens(token_set)
-    }
-
-    /// Classify a pre-interned message under the dynamic thresholds.
-    pub fn classify_ids(&self, ids: &[TokenId]) -> Scored {
-        self.filter.classify_ids(ids)
-    }
-
-    /// Classify an email under the dynamic thresholds.
-    pub fn classify(&self, email: &sb_email::Email) -> Scored {
-        let set = self.filter.token_set(email);
-        self.classify_tokens(&set)
-    }
-}
-
 /// Calibrate a dynamic-threshold filter from (possibly contaminated)
-/// training items.
+/// training items: `F`, trained on one half, with `opts`' cutoffs
+/// replaced by the θ0/θ1 its scores on the other half select.
 pub fn calibrate(
     items: &[TrainItem],
     cfg: ThresholdConfig,
     opts: FilterOptions,
     rng: &mut Xoshiro256pp,
-) -> CalibratedFilter {
+) -> SpamBayes {
     assert!(items.len() >= 4, "need at least 4 training items to split");
     assert!((0.0..0.5).contains(&cfg.g_low), "g_low must be in (0, 0.5)");
     let (train_half, val_half) = sb_corpus::split_half(items.len(), rng);
@@ -174,11 +135,7 @@ pub fn calibrate(
 
     let (theta0, theta1) = select_thresholds(&scored, cfg.g_low);
     filter.set_options(opts.with_cutoffs(theta0, theta1));
-    CalibratedFilter {
-        filter,
-        theta0,
-        theta1,
-    }
+    filter
 }
 
 /// Evaluate `g(t)` on candidate thresholds and pick (θ0, θ1).
@@ -263,9 +220,10 @@ mod tests {
         let items = items_from_corpus(400, 5);
         let mut rng = Xoshiro256pp::new(1);
         let cal = calibrate(&items, ThresholdConfig::strict(), FilterOptions::default(), &mut rng);
-        assert!(cal.theta0() <= cal.theta1());
-        assert!((0.0..=1.0).contains(&cal.theta0()));
-        assert!((0.0..=1.0).contains(&cal.theta1()));
+        let (t0, t1) = (cal.options().ham_cutoff, cal.options().spam_cutoff);
+        assert!(t0 <= t1);
+        assert!((0.0..=1.0).contains(&t0));
+        assert!((0.0..=1.0).contains(&t1));
     }
 
     #[test]
@@ -341,8 +299,8 @@ mod tests {
             FilterOptions::default(),
             &mut Xoshiro256pp::new(3),
         );
-        let strict_band = strict.theta1() - strict.theta0();
-        let loose_band = loose.theta1() - loose.theta0();
+        let strict_band = strict.options().spam_cutoff - strict.options().ham_cutoff;
+        let loose_band = loose.options().spam_cutoff - loose.options().ham_cutoff;
         assert!(
             strict_band >= loose_band - 1e-9,
             "strict band {strict_band} vs loose {loose_band}"

@@ -189,11 +189,6 @@ fn leetify(word: &mut String) {
     *word = replaced;
 }
 
-/// All words of a stratum in local-index order.
-pub fn stratum_words(s: Stratum) -> Vec<String> {
-    s.range().map(|id| word_for(id as WordId)).collect()
-}
-
 /// The optimal attack lexicon of §3.4: every word in the universe.
 pub fn all_words() -> Vec<String> {
     (0..UNIVERSE).map(|id| word_for(id as WordId)).collect()

@@ -68,11 +68,6 @@ impl Email {
         &self.body
     }
 
-    /// Mutable access to the body.
-    pub fn body_mut(&mut self) -> &mut String {
-        &mut self.body
-    }
-
     /// Replace the body.
     pub fn set_body(&mut self, body: impl Into<String>) {
         self.body = body.into();

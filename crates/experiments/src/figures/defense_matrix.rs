@@ -26,7 +26,7 @@ use sb_core::{
 };
 use sb_core::attack::AttackGenerator;
 use sb_corpus::{CorpusConfig, TrecCorpus};
-use sb_email::{Dataset, Email, Label, LabeledEmail};
+use sb_email::{Dataset, Label, LabeledEmail};
 use sb_filter::{FilterOptions, SpamBayes, Verdict};
 use sb_intern::par::parallel_map;
 use sb_stats::rng::{SeedTree, Xoshiro256pp};
@@ -136,30 +136,17 @@ impl MatrixResult {
     }
 }
 
-/// What one defended training run produces.
-enum Defended {
-    Plain(SpamBayes),
-    Calibrated(sb_core::CalibratedFilter),
-}
-
-impl Defended {
-    fn classify(&self, email: &Email) -> Verdict {
-        match self {
-            Defended::Plain(f) => f.classify(email).verdict,
-            Defended::Calibrated(c) => c.classify(email).verdict,
-        }
-    }
-}
-
 /// Train under a defense: `trusted` is clean; `candidates` may contain
-/// attack mail (flagged in `is_attack` for detection accounting).
+/// attack mail (flagged in `is_attack` for detection accounting). Returns
+/// the filter (under a threshold defense it carries the calibrated
+/// cutoffs) and the screen's rejected and rejected-attack counts.
 fn train_defended(
     trusted: &Dataset,
     candidates: &[LabeledEmail],
     is_attack: &[bool],
     defense: MatrixDefense,
     rng: &mut Xoshiro256pp,
-) -> (Defended, usize, usize) {
+) -> (SpamBayes, usize, usize) {
     let opts = FilterOptions::default();
     let tokenizer = Tokenizer::new();
     match defense {
@@ -168,7 +155,7 @@ fn train_defended(
             for m in trusted.emails().iter().chain(candidates) {
                 f.train(&m.email, m.label);
             }
-            (Defended::Plain(f), 0, 0)
+            (f, 0, 0)
         }
         MatrixDefense::Roni => {
             // Tokenize + intern every message once: the trusted ids build
@@ -198,7 +185,7 @@ fn train_defended(
             for &i in &kept {
                 f.train_ids(&candidate_ids[i], candidates[i].label, 1);
             }
-            (Defended::Plain(f), out, out_atk)
+            (f, out, out_atk)
         }
         MatrixDefense::Threshold => {
             let mut items: Vec<TrainItem> = trusted
@@ -210,8 +197,7 @@ fn train_defended(
             // calibrate() splits in half internally; items order is
             // irrelevant but keep deterministic.
             items.shrink_to_fit();
-            let cal = calibrate(&items, ThresholdConfig::loose(), opts, rng);
-            (Defended::Calibrated(cal), 0, 0)
+            (calibrate(&items, ThresholdConfig::loose(), opts, rng), 0, 0)
         }
         MatrixDefense::Combined => {
             let out = defend(trusted, candidates, &CombinedConfig::default(), opts, rng);
@@ -221,7 +207,7 @@ fn train_defended(
                 .filter(|&&i| is_attack[i])
                 .count();
             let n_rejected = out.rejected.len();
-            (Defended::Calibrated(out.filter), n_rejected, screened_attack)
+            (out.filter, n_rejected, screened_attack)
         }
     }
 }
@@ -281,13 +267,13 @@ pub fn run(cfg: &DefenseMatrixConfig, threads: usize) -> MatrixResult {
                         train_defended(&trusted, &candidates, &is_attack, defense, &mut t_rng);
                     out_total += out;
                     out_atk_total += out_atk;
-                    if filter.classify(&target) != Verdict::Ham {
+                    if filter.verdict(&target) != Verdict::Ham {
                         flips += 1;
                     }
                     // Collateral metrics from a slice of the test set (full
                     // sweep per target would be folds × targets × test).
                     for m in test.iter().take(cfg.test_size / cfg.focused_targets) {
-                        conf.record(m.label, filter.classify(&m.email));
+                        conf.record(m.label, filter.verdict(&m.email));
                     }
                 }
                 MatrixCell {
@@ -321,7 +307,7 @@ pub fn run(cfg: &DefenseMatrixConfig, threads: usize) -> MatrixResult {
                     train_defended(&trusted, &candidates, &is_attack, defense, &mut rng);
                 let mut conf = Confusion::new();
                 for m in test {
-                    conf.record(m.label, filter.classify(&m.email));
+                    conf.record(m.label, filter.verdict(&m.email));
                 }
                 MatrixCell {
                     attack,

@@ -133,16 +133,6 @@ impl SpamBayes {
         self.db.untrain_ids(&ids, label)
     }
 
-    /// Exactly undo a previous [`SpamBayes::train_tokens`].
-    pub fn untrain_tokens(
-        &mut self,
-        token_set: &[String],
-        label: Label,
-        multiplicity: u32,
-    ) -> Result<(), UntrainError> {
-        self.db.untrain_many(token_set, label, multiplicity)
-    }
-
     /// Exactly undo a previous [`SpamBayes::train_ids`].
     pub fn untrain_ids(
         &mut self,

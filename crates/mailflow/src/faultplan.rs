@@ -70,15 +70,16 @@ pub enum FaultEvent {
     },
     /// The retrain job for `week` dies before admitting anything: the
     /// week's fresh pool is quarantined for replay and the organization
-    /// serves the last-good checkpoint model instead of fail-closing.
+    /// keeps serving its installed filter, the last-good model, instead
+    /// of fail-closing.
     RetrainFailure {
         /// Retrain week (1-based).
         week: u32,
     },
     /// The retrain for `week` succeeds (the pool is updated), but the new
-    /// model image is corrupt at load time: the organization falls back to
-    /// the last-good checkpoint until the next retrain rebuilds from the
-    /// (intact) pool.
+    /// model is corrupt at load time: it is never installed, and the
+    /// last-good model keeps serving until the next retrain rebuilds from
+    /// the (intact) pool.
     ModelCorruption {
         /// Retrain week (1-based).
         week: u32,
@@ -309,8 +310,8 @@ impl FaultPlan {
             .any(|ev| matches!(*ev, FaultEvent::RetrainFailure { week: w } if w == week))
     }
 
-    /// Whether the model image built at `week`'s retrain is corrupt at
-    /// load time.
+    /// Whether the model built at `week`'s retrain is corrupt at load
+    /// time.
     pub fn model_corrupts(&self, week: u32) -> bool {
         self.events
             .iter()

@@ -77,7 +77,7 @@ use sb_core::{
 };
 use sb_corpus::{CorpusConfig, EmailGenerator};
 use sb_email::{Dataset, Email, Label, LabeledEmail};
-use sb_filter::{FilterOptions, ImageError, ImageView, SpamBayes, Verdict};
+use sb_filter::{FilterOptions, SpamBayes, Verdict};
 use sb_intern::{par, AsIdSlice, FxHashMap, Interner, TokenId};
 use sb_stats::rng::SeedTree;
 use sb_tokenizer::Tokenizer;
@@ -274,11 +274,9 @@ pub enum OrgConfigError {
         /// Users in this configuration.
         users: usize,
     },
-    /// A checkpoint's filter or last-good model image failed validation
-    /// (see [`sb_filter::ImageError`]).
+    /// A checkpoint's model image failed validation (see
+    /// [`sb_filter::ImageError`]).
     CorruptCheckpoint {
-        /// Which image: `"filter"` or `"checkpoint"`.
-        image: &'static str,
         /// What was wrong.
         reason: String,
     },
@@ -302,8 +300,8 @@ impl std::fmt::Display for OrgConfigError {
                 f,
                 "checkpoint references user {user} but this configuration has {users} users"
             ),
-            OrgConfigError::CorruptCheckpoint { image, reason } => {
-                write!(f, "corrupt checkpoint {image} image: {reason}")
+            OrgConfigError::CorruptCheckpoint { reason } => {
+                write!(f, "corrupt checkpoint model image: {reason}")
             }
         }
     }
@@ -467,64 +465,12 @@ impl OrgConfig {
     }
 }
 
-/// Filter state: plain thresholds or a calibrated pair.
-enum ActiveFilter {
-    Plain(SpamBayes),
-    Calibrated(sb_core::CalibratedFilter),
-}
-
-impl ActiveFilter {
-    /// Classify an interned token set. Ids interned at delivery may name
-    /// tokens the model never trained; they score the prior, which the
-    /// δ(E) strength band excludes, so the verdict equals the read-only
-    /// [`sb_filter::classify::lookup_ids`] path's (property-tested in
-    /// `sb-filter`'s `tests/prop_intern.rs`).
-    fn classify_ids(&self, ids: &[TokenId]) -> Verdict {
-        match self {
-            ActiveFilter::Plain(f) => f.classify_ids(ids).verdict,
-            ActiveFilter::Calibrated(c) => c.classify_ids(ids).verdict,
-        }
-    }
-
-    /// The `SpamBayes` that classifies. A calibrated filter's inner filter
-    /// already carries the calibrated cutoffs in its options.
-    fn model(&self) -> &SpamBayes {
-        match self {
-            ActiveFilter::Plain(f) => f,
-            ActiveFilter::Calibrated(c) => c.filter(),
-        }
-    }
-}
-
 /// Tokenize and intern one message: the id set it is classified, screened
 /// and trained by. The organization calls this once per delivered message
 /// (on the delivering shard) and again only to rebuild ids it does not
 /// keep — the bootstrap in `try_new`, the pool and replay in `restore`.
 fn intern_email(tokenizer: &Tokenizer, interner: &Interner, email: &Email) -> Arc<Vec<TokenId>> {
     Arc::new(tokenizer.intern_ids(email, interner))
-}
-
-/// Capture a filter as a last-good checkpoint: the model image of its
-/// counts (`persist::snapshot`) plus the θ0/θ1 cutoffs its verdicts use.
-/// A calibrated filter delegates classification to its inner `SpamBayes`
-/// whose options already carry the calibrated cutoffs, so the image +
-/// cutoff pair reproduces either variant's verdicts exactly.
-fn filter_image(filter: &ActiveFilter) -> (Vec<u8>, (f64, f64)) {
-    let f = filter.model();
-    let opts = f.options();
-    (
-        sb_filter::persist::snapshot(f.db()),
-        (opts.ham_cutoff, opts.spam_cutoff),
-    )
-}
-
-/// Rebuild a serving filter from a checkpoint image. Counts are exact
-/// `u32`s and token scoring tie-breaks by resolved string, so the restored
-/// filter classifies bit-identically to the captured one.
-fn filter_from(image: &[u8], (t0, t1): (f64, f64)) -> Result<ActiveFilter, ImageError> {
-    let mut f = SpamBayes::from_db(sb_filter::persist::restore(image)?);
-    f.set_options(FilterOptions::default().with_cutoffs(t0, t1));
-    Ok(ActiveFilter::Plain(f))
 }
 
 /// One week of user-visible outcomes.
@@ -571,11 +517,12 @@ pub struct WeekReport {
     pub quarantined: usize,
     /// Previously quarantined entries admitted back at this week's retrain.
     pub replayed: usize,
-    /// The week was served by a stale checkpoint model (the previous
-    /// week's retrain failed or its model image was corrupt).
+    /// The week was served by a stale last-good model (the previous
+    /// week's retrain failed or its model was corrupt).
     pub degraded: bool,
-    /// This week's retrain fell back to the last-good checkpoint instead
-    /// of installing a fresh model.
+    /// This week's retrain installed no fresh model: the job failed or
+    /// its product was corrupt, so the last-good model, which the
+    /// organization was already serving, keeps serving.
     pub recovered_from_checkpoint: bool,
     /// Wire fault counters for this week alone (deterministic shard-merge
     /// of the per-shard counters).
@@ -723,7 +670,7 @@ struct DayCtx<'a> {
     generator: &'a EmailGenerator,
     tokenizer: &'a Tokenizer,
     interner: &'a Interner,
-    filter: &'a ActiveFilter,
+    filter: &'a SpamBayes,
     /// Effective per-user daily rates ([`OrgConfig::per_user_rates`]).
     rates: &'a [TrafficMix],
     /// Organization-wide daily totals (sums over `rates`).
@@ -981,7 +928,11 @@ impl Shard {
             return false;
         };
         let ids = intern_email(ctx.tokenizer, ctx.interner, &mail.email);
-        let verdict = ctx.filter.classify_ids(&ids);
+        // Ids interned at delivery may name tokens the model never
+        // trained; they score the prior, which the δ(E) strength band
+        // excludes, so the verdict equals the read-only lookup path's
+        // (property-tested in `sb-filter`'s `tests/prop_intern.rs`).
+        let verdict = ctx.filter.classify_ids(&ids).verdict;
         tally.record_verdict(mail.label, verdict);
         mbox.deliver(mail.email.clone(), mail.label, verdict, day);
         tally.delivered += 1;
@@ -1062,11 +1013,13 @@ impl Shard {
 ///
 /// Valid only at week boundaries ([`MailOrg::step_week`] granularity):
 /// mid-period shard state (fresh pools) is deliberately not captured. The
-/// filter travels as a checksummed model image plus its θ0/θ1 cutoffs, which
-/// reproduces classification exactly (counts are exact `u32`s and token
-/// scoring tie-breaks by resolved string, so interner state is
-/// irrelevant). The checkpoint holds no `TokenId`: pool and replay
-/// entries are stored as messages and re-interned on restore.
+/// serving filter is also the last-good model a retrain fallback keeps,
+/// so the one model the checkpoint carries is that filter: a checksummed
+/// model image, packed by [`MailOrg::checkpoint`], plus its θ0/θ1
+/// cutoffs. That reproduces classification exactly (counts are exact
+/// `u32`s and token scoring tie-breaks by resolved string, so interner
+/// state is irrelevant). The checkpoint holds no `TokenId`: pool and
+/// replay entries are stored as messages and re-interned on restore.
 #[derive(Clone, Serialize, Deserialize)]
 pub struct OrgCheckpoint {
     next_week: u32,
@@ -1079,8 +1032,6 @@ pub struct OrgCheckpoint {
     filter_image: Vec<u8>,
     filter_cutoffs: (f64, f64),
     serving_stale: bool,
-    checkpoint_image: Vec<u8>,
-    checkpoint_cutoffs: (f64, f64),
     pool: Dataset,
     /// Canonically ordered by `(day, pos)`.
     replay: Vec<ReplayMail>,
@@ -1106,7 +1057,7 @@ pub struct MailOrg {
     seeds: SeedTree,
     generator: EmailGenerator,
     tokenizer: Tokenizer,
-    filter: ActiveFilter,
+    filter: SpamBayes,
     /// Interned trusted bootstrap messages (never contaminated; RONI's
     /// yardstick), sharing their id sets with the head of `pool_ids`.
     bootstrap_ids: Vec<(Arc<Vec<TokenId>>, Label)>,
@@ -1136,12 +1087,9 @@ pub struct MailOrg {
     fault_stats: FaultStats,
     /// Quarantined fresh entries awaiting replay at the next retrain.
     replay: Vec<FreshMail>,
-    /// The active filter is a restored checkpoint, not this week's
-    /// retrain product.
+    /// The installed filter is the last-good model kept through a
+    /// retrain fallback, not this week's retrain product.
     serving_stale: bool,
-    /// Last-good model image (`persist::snapshot`) + its θ0/θ1 cutoffs.
-    checkpoint_image: Vec<u8>,
-    checkpoint_cutoffs: (f64, f64),
 }
 
 impl MailOrg {
@@ -1219,10 +1167,8 @@ impl MailOrg {
 
         let pool = bootstrap;
 
-        let filter = ActiveFilter::Plain(filter);
-        // The initial last-good checkpoint is the bootstrap-trained model:
-        // even a retrain failure in week 1 has something to fall back to.
-        let (checkpoint_image, checkpoint_cutoffs) = filter_image(&filter);
+        // The bootstrap-trained filter is the first last-good model: even
+        // a retrain failure in week 1 has something to serve.
         Ok(Self {
             cfg,
             seeds,
@@ -1246,8 +1192,6 @@ impl MailOrg {
             fault_stats: FaultStats::default(),
             replay: Vec::new(),
             serving_stale: false,
-            checkpoint_image,
-            checkpoint_cutoffs,
         })
     }
 
@@ -1289,7 +1233,7 @@ impl MailOrg {
         }
         let week = self.next_week;
         self.next_week += 1;
-        // Whether *this* week was served by a stale checkpoint model is
+        // Whether *this* week was served by a stale last-good model is
         // decided by the previous retrain, before any of this week's mail.
         let degraded = self.serving_stale;
         let first_day = (week - 1) * self.cfg.retrain_every + 1;
@@ -1367,7 +1311,7 @@ impl MailOrg {
             self.shards.iter().all(|s| s.fresh.is_empty()),
             "checkpoints are valid only at week boundaries"
         );
-        let (filter_image, filter_cutoffs) = filter_image(&self.filter);
+        let opts = self.filter.options();
         let mailboxes: Vec<(usize, Mailbox)> = self
             .cfg
             .users
@@ -1395,11 +1339,9 @@ impl MailOrg {
             total_bounced: self.total_bounced,
             total_redelivered: self.total_redelivered,
             fault_stats: self.fault_stats,
-            filter_image,
-            filter_cutoffs,
+            filter_image: sb_filter::persist::snapshot(self.filter.db()),
+            filter_cutoffs: (opts.ham_cutoff, opts.spam_cutoff),
             serving_stale: self.serving_stale,
-            checkpoint_image: self.checkpoint_image.clone(),
-            checkpoint_cutoffs: self.checkpoint_cutoffs,
             pool: self.pool.clone(),
             replay,
             mailboxes,
@@ -1432,19 +1374,15 @@ impl MailOrg {
         org.total_bounced = ckpt.total_bounced;
         org.total_redelivered = ckpt.total_redelivered;
         org.fault_stats = ckpt.fault_stats;
-        // Both images fail closed too: the filter loads here, and the
-        // last-good image is validated now, so a retrain fallback never
-        // meets a corrupt one.
-        let corrupt = |image, e: ImageError| OrgConfigError::CorruptCheckpoint {
-            image,
-            reason: e.to_string(),
-        };
-        org.filter = filter_from(&ckpt.filter_image, ckpt.filter_cutoffs)
-            .map_err(|e| corrupt("filter", e))?;
-        ImageView::parse(&ckpt.checkpoint_image).map_err(|e| corrupt("checkpoint", e))?;
+        // The image fails closed too. Counts are exact `u32`s and token
+        // scoring tie-breaks by resolved string, so the restored filter
+        // classifies bit-identically to the captured one.
+        let db = sb_filter::persist::restore(&ckpt.filter_image)
+            .map_err(|e| OrgConfigError::CorruptCheckpoint { reason: e.to_string() })?;
+        let (t0, t1) = ckpt.filter_cutoffs;
+        org.filter = SpamBayes::from_db(db);
+        org.filter.set_options(FilterOptions::default().with_cutoffs(t0, t1));
         org.serving_stale = ckpt.serving_stale;
-        org.checkpoint_image = ckpt.checkpoint_image.clone();
-        org.checkpoint_cutoffs = ckpt.checkpoint_cutoffs;
         // Pool and replay ids are recomputed by re-tokenizing: the interner
         // is shared process-global state, so the id *values* may differ
         // from the original run's, but screening, training and scoring
@@ -1495,7 +1433,7 @@ impl MailOrg {
         // Delivery classifies ids from `self.interner` against the filter's
         // counts, so both must resolve ids through the same table.
         debug_assert!(
-            self.filter.model().interner().same_table(&self.interner),
+            self.filter.interner().same_table(&self.interner),
             "delivery interner and serving filter must share one table"
         );
         let ctx = DayCtx {
@@ -1539,14 +1477,9 @@ impl MailOrg {
         total
     }
 
-    /// A retrain fallback: serve the last-good checkpoint until the next
-    /// retrain. The image was packed by this organization or validated
-    /// by [`MailOrg::restore`], so it loads; were it not to, the
-    /// installed filter keeps serving.
+    /// A retrain fallback: the installed filter is the last-good model,
+    /// so it keeps serving until the next retrain.
     fn serve_last_good(&mut self, outcome: &mut RetrainOutcome) {
-        if let Ok(filter) = filter_from(&self.checkpoint_image, self.checkpoint_cutoffs) {
-            self.filter = filter;
-        }
         self.serving_stale = true;
         outcome.recovered = true;
     }
@@ -1554,7 +1487,7 @@ impl MailOrg {
     /// Retrain from the pool, applying the configured defense and the
     /// fault plan's retrain-time events. Reports what the screen rejected,
     /// what a crash quarantined, what a recovery replayed, and whether the
-    /// week fell back to the last-good checkpoint.
+    /// week kept the last-good model.
     fn retrain(&mut self, week: u32, first_day: u32, last_day: u32) -> RetrainOutcome {
         let week_seeds = self.seeds.child("retrain").index(u64::from(week));
         // The merge barrier: per-shard fresh pools combine into the
@@ -1589,7 +1522,7 @@ impl MailOrg {
         // Injected retrain failure: the job dies before admitting
         // anything. The whole fresh batch is quarantined for replay (mail
         // trains late, never silently vanishes) and the organization
-        // serves the last-good checkpoint — a stale-model week, not a
+        // keeps serving the last-good model — a stale-model week, not a
         // fail-closed one.
         if self.cfg.fault_plan.retrain_fails(week) {
             outcome.quarantined += fresh.len();
@@ -1671,7 +1604,7 @@ impl MailOrg {
             self.cfg.defense,
             DefensePolicy::DynamicThreshold { .. } | DefensePolicy::RoniPlusThreshold
         );
-        self.filter = if wants_threshold && self.pool.len() >= 4 {
+        let filter = if wants_threshold && self.pool.len() >= 4 {
             let items: Vec<TrainItem> = self
                 .pool
                 .emails()
@@ -1689,27 +1622,25 @@ impl MailOrg {
                 ThresholdConfig::loose()
             };
             let mut rng = week_seeds.child("calibrate").rng();
-            ActiveFilter::Calibrated(calibrate(&items, cfg, FilterOptions::default(), &mut rng))
+            calibrate(&items, cfg, FilterOptions::default(), &mut rng)
         } else {
             let mut f = SpamBayes::new();
             for (m, ids) in self.pool.emails().iter().zip(&self.pool_ids) {
                 f.train_ids(ids, m.label, 1);
             }
-            ActiveFilter::Plain(f)
+            f
         };
         outcome.screened_out = screened_out;
         outcome.screen_error = screen_error;
 
         // Model-load corruption: the retrain itself succeeded (the pool
-        // keeps this week's admissions), but the freshly built image is
-        // corrupt at load time — fall back to the last-good checkpoint
-        // until the next retrain rebuilds from the intact pool.
+        // keeps this week's admissions), but the freshly built model is
+        // corrupt at load time — it is never installed, and the last-good
+        // model serves until the next retrain rebuilds from the intact pool.
         if self.cfg.fault_plan.model_corrupts(week) {
             self.serve_last_good(&mut outcome);
         } else {
-            let (image, cutoffs) = filter_image(&self.filter);
-            self.checkpoint_image = image;
-            self.checkpoint_cutoffs = cutoffs;
+            self.filter = filter;
             self.serving_stale = false;
         }
         outcome
@@ -2115,33 +2046,24 @@ mod tests {
         assert_eq!(resumed.run(), uninterrupted);
     }
 
-    /// A checkpoint with one byte flipped in either model image is refused
+    /// A checkpoint with one byte flipped in its model image is refused
     /// with a typed error: restore neither panics nor loads another model.
     #[test]
-    fn corrupt_checkpoint_images_are_typed_errors() {
+    fn corrupt_checkpoint_model_is_a_typed_error() {
         let mut org = MailOrg::new(base_config(79));
         org.step_week().expect("week 1");
         let ckpt = org.checkpoint();
         drop(org);
-        let len = ckpt.filter_image.len().min(ckpt.checkpoint_image.len());
+        let len = ckpt.filter_image.len();
         // Magic, reserved field, class totals, checksum, counts array,
         // mid-file, arena tail.
-        let positions = [0, 12, 17, 44, 51, len / 2, len - 1];
-        for image in ["filter", "checkpoint"] {
-            for pos in positions {
-                let mut bad = ckpt.clone();
-                let bytes = match image {
-                    "filter" => &mut bad.filter_image,
-                    _ => &mut bad.checkpoint_image,
-                };
-                bytes[pos] ^= 0x10;
-                match MailOrg::restore(base_config(79), &bad) {
-                    Err(OrgConfigError::CorruptCheckpoint { image: got, .. }) => {
-                        assert_eq!(got, image, "byte {pos}")
-                    }
-                    Err(other) => panic!("{image} byte {pos}: unexpected error {other}"),
-                    Ok(_) => panic!("{image} image with byte {pos} flipped was restored"),
-                }
+        for pos in [0, 12, 17, 44, 51, len / 2, len - 1] {
+            let mut bad = ckpt.clone();
+            bad.filter_image[pos] ^= 0x10;
+            match MailOrg::restore(base_config(79), &bad) {
+                Err(OrgConfigError::CorruptCheckpoint { .. }) => {}
+                Err(other) => panic!("byte {pos}: unexpected error {other}"),
+                Ok(_) => panic!("image with byte {pos} flipped was restored"),
             }
         }
     }

@@ -104,15 +104,6 @@ impl LineCodec {
         }
     }
 
-    /// Drain every complete line currently buffered.
-    pub fn drain_lines(&mut self) -> Vec<Result<String, LineError>> {
-        let mut out = Vec::new();
-        while let Some(item) = self.next_line() {
-            out.push(item);
-        }
-        out
-    }
-
     /// Discard all buffered bytes (connection reset).
     pub fn reset(&mut self) {
         self.buf.clear();

@@ -482,31 +482,52 @@ proptest! {
     /// boundary, checkpointing, dropping the org, and resuming a fresh one
     /// from the checkpoint finishes with a report byte-identical to the
     /// uninterrupted run — deferred queue, quarantine buffer, mailboxes,
-    /// and the serving filter all survive the round trip.
+    /// and the serving filter all survive the round trip. Every defense
+    /// runs: week 1's retrain installs the first retrained (under the
+    /// threshold defenses, recalibrated) filter, week 2's model is
+    /// corrupt and week 3's retrain dies, so that filter serves through
+    /// both kinds of fallback, and the checkpoint is taken either before
+    /// them or in the stale week between them.
     #[test]
     fn checkpoint_resume_matches_uninterrupted_run(
         seed in any::<u64>(),
-        roni in any::<bool>(),
+        at in 1u32..3,
         shards in 1usize..4,
     ) {
-        let defense = if roni { DefensePolicy::Roni } else { DefensePolicy::None };
-        let make = || {
-            let mut cfg = tiny_org(seed, false, defense, shards);
-            cfg.faults = FaultConfig::harsh();
-            cfg.fault_plan.events = vec![
-                FaultEvent::RetrainFailure { week: 1 },
-                FaultEvent::ShardCrash { day: 2, user: 0 },
-            ];
-            cfg
-        };
-        let uninterrupted = MailOrg::new(make()).run();
-        let mut org = MailOrg::new(make());
-        org.step_week().expect("week 1 of 2");
-        let ckpt = org.checkpoint();
-        drop(org);
-        let resumed = MailOrg::restore(make(), &ckpt)
-            .expect("checkpoint matches the rebuilt config")
-            .run();
-        prop_assert_eq!(&resumed, &uninterrupted, "resume diverged from straight run");
+        for defense in [
+            DefensePolicy::None,
+            DefensePolicy::Roni,
+            DefensePolicy::DynamicThreshold { strict: false },
+            DefensePolicy::DynamicThreshold { strict: true },
+            DefensePolicy::RoniPlusThreshold,
+        ] {
+            let make = || {
+                let mut cfg = tiny_org(seed, false, defense, shards);
+                cfg.days = 15;
+                cfg.faults = FaultConfig::harsh();
+                cfg.fault_plan.events = vec![
+                    FaultEvent::ShardCrash { day: 2, user: 0 },
+                    FaultEvent::ModelCorruption { week: 2 },
+                    FaultEvent::RetrainFailure { week: 3 },
+                ];
+                cfg
+            };
+            let uninterrupted = MailOrg::new(make()).run();
+            let mut org = MailOrg::new(make());
+            for _ in 0..at {
+                org.step_week().expect("a week before the checkpoint");
+            }
+            let ckpt = org.checkpoint();
+            drop(org);
+            let resumed = MailOrg::restore(make(), &ckpt)
+                .expect("checkpoint matches the rebuilt config")
+                .run();
+            prop_assert_eq!(
+                &resumed,
+                &uninterrupted,
+                "resume diverged from straight run under {:?}",
+                defense
+            );
+        }
     }
 }

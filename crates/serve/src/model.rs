@@ -139,11 +139,6 @@ impl MmapDb {
         self.bytes.is_mapped()
     }
 
-    /// Image size in bytes.
-    pub fn image_len(&self) -> usize {
-        self.bytes.len()
-    }
-
     /// Counts for a token id: an offset read into the image. Ids at or
     /// beyond `n_tokens` (interned after load, or from another source)
     /// are unseen — zero counts, like `TokenDb`.

@@ -133,11 +133,6 @@ impl MultinomialNb {
         ((num + self.opts.alpha) / (den + self.opts.alpha * v.max(1.0))).ln()
     }
 
-    /// `ln P(w | class)` for an interned token.
-    fn ln_likelihood(&self, token: TokenId, label: Label) -> f64 {
-        self.ln_likelihood_occ(self.counts.get(&token).copied().unwrap_or_default(), label)
-    }
-
     /// The spam posterior `P(spam | E)` of a message. Read-only against
     /// the interner: never-trained probe tokens fall back to the
     /// zero-occurrence Laplace term without being interned (classifying
@@ -178,25 +173,6 @@ impl MultinomialNb {
             .iter()
             .map(|t| self.interner.intern(t))
             .collect()
-    }
-
-    /// The spam posterior from pre-interned occurrence ids.
-    pub fn posterior_ids(&self, ids: &[TokenId]) -> f64 {
-        if self.n_spam == 0 || self.n_ham == 0 {
-            return 0.5;
-        }
-        if ids.is_empty() {
-            return 0.5;
-        }
-        let n = f64::from(self.n_spam) + f64::from(self.n_ham);
-        let mut ln_spam = (f64::from(self.n_spam) / n).ln();
-        let mut ln_ham = (f64::from(self.n_ham) / n).ln();
-        for &t in ids {
-            ln_spam += self.ln_likelihood(t, Label::Spam);
-            ln_ham += self.ln_likelihood(t, Label::Ham);
-        }
-        // P(spam | E) = 1 / (1 + exp(ln_ham − ln_spam))
-        1.0 / (1.0 + (ln_ham - ln_spam).exp())
     }
 }
 

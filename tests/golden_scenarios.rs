@@ -218,7 +218,8 @@ fn suite_covers_the_required_scenario_shapes() {
 
 /// The scenario grammar round-trips: parse -> format -> parse is the
 /// identity on every committed file, and the canonical form is a fixed
-/// point of format. (Run in the CI lint lane.)
+/// point of format. (CI runs it in build-test's `cargo test -q` and in
+/// both `SB_THREADS` columns of mailflow-threads.)
 #[test]
 fn scenario_grammar_roundtrips_on_committed_files() {
     for (path, spec) in committed_specs() {
