@@ -126,30 +126,52 @@ pub fn email_ids(
 /// *resolved token string* ascending — never by raw id, which would leak
 /// interning order into classification results — so classification is
 /// reproducible across platforms, hash-map orders and interning orders.
+///
+/// The tie-break takes a fast path through the interner's sorted
+/// watermark `k` (see `sb_intern::intern`): below `k`, id order is string
+/// order. So the candidates sort as primitive `(strength, id)` records,
+/// and only a tie run that holds an id at or above `k` and starts inside
+/// the kept `max_discriminators` is re-sorted by string. Every id of a
+/// served model image is below `k`; when no candidate is at or above it,
+/// the selection takes no interner lock.
 pub fn select_delta_ids<D: ScoreDb + ?Sized>(
     ids: &[TokenId],
     db: &D,
     opts: &FilterOptions,
 ) -> Vec<(TokenId, f64)> {
-    let mut candidates: Vec<(TokenId, f64)> = ids
-        .iter()
-        .map(|&id| (id, db.score_f(id, opts)))
-        .filter(|(_, f)| (f - 0.5).abs() >= opts.minimum_prob_strength)
-        .collect();
     // Strength as one integer key: |f − 0.5| is finite and ≥ 0 (a NaN
-    // fails the filter above), so its bit pattern orders like the value,
+    // fails the filter below), so its bit pattern orders like the value,
     // and inverting the bits sorts strongest first.
-    let key = |f: f64| !(f - 0.5).abs().to_bits();
-    // One lock acquisition for the whole sort: tie-breaks resolve
-    // through a read guard instead of locking per comparison.
-    let reader = db.interner().reader();
-    candidates.sort_unstable_by(|a, b| {
-        key(a.1)
-            .cmp(&key(b.1))
-            .then_with(|| reader.cmp_by_str(a.0, b.0))
-    });
-    candidates.truncate(opts.max_discriminators);
-    candidates
+    let mut candidates: Vec<(u64, TokenId, f64)> = Vec::with_capacity(ids.len());
+    for &id in ids {
+        let f = db.score_f(id, opts);
+        let strength = (f - 0.5).abs();
+        if strength >= opts.minimum_prob_strength {
+            candidates.push((!strength.to_bits(), id, f));
+        }
+    }
+    candidates.sort_unstable_by_key(|&(key, id, _)| (key, id));
+    let keep = opts.max_discriminators.min(candidates.len());
+    let watermark = db.interner().watermark();
+    if candidates.iter().any(|c| c.1.index() >= watermark) {
+        let mut reader = None;
+        let mut start = 0;
+        while start < keep {
+            let key = candidates[start].0;
+            let len = candidates[start..]
+                .iter()
+                .take_while(|c| c.0 == key)
+                .count();
+            let run = &mut candidates[start..start + len];
+            if run.iter().any(|c| c.1.index() >= watermark) {
+                let reader = reader.get_or_insert_with(|| db.interner().reader());
+                run.sort_unstable_by(|a, b| reader.cmp_by_str(a.1, b.1));
+            }
+            start += len;
+        }
+    }
+    candidates.truncate(keep);
+    candidates.into_iter().map(|(_, id, f)| (id, f)).collect()
 }
 
 /// Fisher-combine δ(E)'s `(ln f, ln(1 − f))` pairs into `I(E)`
@@ -360,6 +382,31 @@ mod tests {
         let opts = FilterOptions::default();
         // All three attack tokens tie in score: order must be lexicographic.
         assert_eq!(delta_names(&set, &db, &opts), set);
+    }
+
+    #[test]
+    fn delta_ties_across_the_watermark_follow_string_order() {
+        // Ids 0..3 load as one sorted batch (the watermark is 3); the
+        // later ids sort before, between and after them, and every token
+        // ties in strength.
+        let interner = Interner::new();
+        interner.intern_pieces(&["bbb", "ddd", "fff"]);
+        for t in ["eee", "aaa", "ggg", "ccc"] {
+            interner.intern(t);
+        }
+        assert_eq!(interner.watermark(), 3);
+        let mut db = TokenDb::with_interner(interner);
+        let set = toks(&["aaa", "bbb", "ccc", "ddd", "eee", "fff", "ggg"]);
+        db.train(&set, Label::Spam);
+        db.train(&toks(&["hhh"]), Label::Ham);
+        let opts = FilterOptions::default();
+        assert_eq!(delta_names(&set, &db, &opts), set);
+        // A truncation inside the tie run keeps the string-smallest.
+        let short = FilterOptions {
+            max_discriminators: 2,
+            ..FilterOptions::default()
+        };
+        assert_eq!(delta_names(&set, &db, &short), set[..2]);
     }
 
     #[test]

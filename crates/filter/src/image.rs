@@ -48,6 +48,7 @@
 //! `parse` succeeds, the per-row accessors are infallible.
 
 use crate::db::{TokenCounts, TokenDb};
+use sb_intern::{prefix_key, TokenId};
 
 /// Magic bytes opening every packed model image.
 pub const IMAGE_MAGIC: [u8; 8] = *b"SBMIMG1\n";
@@ -128,12 +129,21 @@ fn u64_at(bytes: &[u8], offset: usize) -> u64 {
 /// The image is canonical: rows are sorted by token string, so equal
 /// counts produce byte-identical images regardless of training order or
 /// interning history.
+///
+/// The rows are sorted as ids, comparing an 8-byte prefix key first and
+/// the strings themselves only on a tie, through one interner read guard:
+/// packing allocates no `String` per row.
 pub fn pack(db: &TokenDb) -> Vec<u8> {
-    let mut entries: Vec<(String, TokenCounts)> = db.iter().collect();
-    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let reader = db.interner().reader();
+    let token = |id: TokenId| reader.resolve(id);
+    let mut entries: Vec<(u64, TokenId, TokenCounts)> = db
+        .ids()
+        .map(|(id, c)| (prefix_key(token(id).as_bytes()), id, c))
+        .collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| reader.cmp_by_str(a.1, b.1)));
 
     let n = entries.len();
-    let arena_len: usize = entries.iter().map(|(t, _)| t.len()).sum();
+    let arena_len: usize = entries.iter().map(|&(_, id, _)| token(id).len()).sum();
     let mut buf = Vec::with_capacity(HEADER_LEN + 16 * n + arena_len);
     buf.extend_from_slice(&IMAGE_MAGIC);
     buf.extend_from_slice(&IMAGE_VERSION.to_le_bytes());
@@ -144,17 +154,17 @@ pub fn pack(db: &TokenDb) -> Vec<u8> {
     buf.extend_from_slice(&(arena_len as u64).to_le_bytes());
     buf.extend_from_slice(&0u64.to_le_bytes()); // checksum, patched below
 
-    for (_, c) in &entries {
+    for (_, _, c) in &entries {
         buf.extend_from_slice(&c.spam.to_le_bytes());
         buf.extend_from_slice(&c.ham.to_le_bytes());
     }
     let mut end: u64 = 0;
-    for (t, _) in &entries {
-        end += t.len() as u64;
+    for &(_, id, _) in &entries {
+        end += token(id).len() as u64;
         buf.extend_from_slice(&end.to_le_bytes());
     }
-    for (t, _) in &entries {
-        buf.extend_from_slice(t.as_bytes());
+    for &(_, id, _) in &entries {
+        buf.extend_from_slice(token(id).as_bytes());
     }
 
     let checksum = image_checksum(&buf);

@@ -51,8 +51,14 @@
 //! through `&mut self` ([`ScoreMemo::ensure_capacity`]). An id past
 //! capacity is computed and never cached, so capacity changes speed,
 //! never a result.
+//!
+//! The slots are allocated on the first lookup, not when capacity is
+//! asked for: a database that is trained and never scored (a model built
+//! only to be packed into an image, or kept only to be cloned) holds no
+//! slots at all.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use crate::db::ln_pair;
 use sb_intern::TokenId;
@@ -71,12 +77,14 @@ struct Slot {
 /// A dense, stamp-keyed, lock-free score memo (see the module docs).
 #[derive(Default)]
 pub struct ScoreMemo {
-    slots: Vec<Slot>,
+    /// `capacity` slots, allocated on the first lookup.
+    slots: OnceLock<Vec<Slot>>,
+    capacity: usize,
 }
 
 impl std::fmt::Debug for ScoreMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ScoreMemo({} slots)", self.slots.len())
+        write!(f, "ScoreMemo({} slots)", self.capacity)
     }
 }
 
@@ -95,15 +103,25 @@ impl ScoreMemo {
 
     /// Number of slots (ids `0..capacity` are cached).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Grow to at least `capacity` slots; never shrinks. Filled slots
     /// keep their stamps and values.
     pub fn ensure_capacity(&mut self, capacity: usize) {
-        if self.slots.len() < capacity {
-            self.slots.resize_with(capacity, Slot::default);
+        if self.capacity < capacity {
+            self.capacity = capacity;
+            if let Some(slots) = self.slots.get_mut() {
+                slots.resize_with(capacity, Slot::default);
+            }
         }
+    }
+
+    /// `id`'s slot, allocating every slot on the first lookup.
+    fn slot(&self, id: TokenId) -> Option<&Slot> {
+        self.slots
+            .get_or_init(|| (0..self.capacity).map(|_| Slot::default()).collect())
+            .get(id.index())
     }
 
     /// `f(w)` for `id` under `stamp`: the memoized value when the slot
@@ -112,7 +130,7 @@ impl ScoreMemo {
     #[inline]
     pub fn f(&self, id: TokenId, stamp: u64, compute: impl FnOnce() -> f64) -> f64 {
         debug_assert!(stamp != 0, "stamp 0 marks an empty slot");
-        let Some(slot) = self.slots.get(id.index()) else {
+        let Some(slot) = self.slot(id) else {
             return compute();
         };
         if slot.stamp_f.load(Ordering::Acquire) == stamp {
@@ -130,7 +148,7 @@ impl ScoreMemo {
     #[inline]
     pub fn lns(&self, id: TokenId, stamp: u64, f: f64) -> (f64, f64) {
         debug_assert!(stamp != 0, "stamp 0 marks an empty slot");
-        let Some(slot) = self.slots.get(id.index()) else {
+        let Some(slot) = self.slot(id) else {
             return ln_pair(f);
         };
         if slot.stamp_ln.load(Ordering::Acquire) == stamp {
@@ -174,6 +192,21 @@ mod tests {
         // A filled ln pair is served for its stamp only.
         assert_eq!(memo.lns(id, 2, 0.25), ln_pair(0.75));
         assert_eq!(memo.lns(id, 3, 0.25), ln_pair(0.25));
+    }
+
+    #[test]
+    fn slots_are_allocated_on_the_first_lookup() {
+        let mut memo = ScoreMemo::with_capacity(4);
+        memo.ensure_capacity(8);
+        assert_eq!(memo.capacity(), 8);
+        assert!(memo.slots.get().is_none());
+        assert_eq!(memo.f(TokenId(7), 1, || 0.25), 0.25);
+        assert_eq!(memo.slots.get().map(Vec::len), Some(8));
+        assert_eq!(memo.f(TokenId(7), 1, || 0.5), 0.25);
+        // Growing after the first lookup keeps the filled slots.
+        memo.ensure_capacity(9);
+        assert_eq!(memo.slots.get().map(Vec::len), Some(9));
+        assert_eq!(memo.f(TokenId(7), 1, || 0.5), 0.25);
     }
 
     #[test]

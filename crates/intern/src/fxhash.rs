@@ -31,6 +31,22 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
+/// The little-endian value of 1 to 7 bytes, zero-padded to 8: two
+/// overlapping loads instead of a variable-length copy.
+#[inline]
+fn le_word(rem: &[u8]) -> u64 {
+    let n = rem.len();
+    match (rem.first_chunk::<4>(), rem.last_chunk::<4>()) {
+        (Some(lo), Some(hi)) => {
+            u64::from(u32::from_le_bytes(*lo)) | u64::from(u32::from_le_bytes(*hi)) << (8 * (n - 4))
+        }
+        _ => rem
+            .iter()
+            .rev()
+            .fold(0, |word, &b| word << 8 | u64::from(b)),
+    }
+}
+
 /// The FxHash streaming hasher.
 #[derive(Debug, Default, Clone)]
 pub struct FxHasher {
@@ -55,9 +71,7 @@ impl Hasher for FxHasher {
         }
         let rem = chunks.remainder();
         if !rem.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
-            self.add_to_hash(u64::from_le_bytes(buf));
+            self.add_to_hash(le_word(rem));
         }
     }
 
@@ -117,6 +131,16 @@ mod tests {
             tokens.len(),
             "collisions on the counter-token shape"
         );
+    }
+
+    #[test]
+    fn partial_words_are_zero_padded_little_endian() {
+        let bytes = [0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77];
+        for n in 1..=7 {
+            let mut buf = [0u8; 8];
+            buf[..n].copy_from_slice(&bytes[..n]);
+            assert_eq!(le_word(&bytes[..n]), u64::from_le_bytes(buf), "{n} bytes");
+        }
     }
 
     #[test]

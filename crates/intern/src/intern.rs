@@ -27,19 +27,38 @@
 //!
 //! Interning is bound by memory latency, not by hashing, so the batch
 //! entry points ([`Interner::intern_pieces`], [`Interner::lookup_pieces`],
-//! their wrapper [`Interner::intern_set`] and the per-piece
-//! [`Interner::intern_each`]) work in four steps: hash
-//! every piece; read every piece's home slot in one pass, so their cache
-//! misses overlap; probe and verify against the arena, all under one read
-//! guard; then sort the misses by string and insert them under one write
-//! guard, re-probing each first in case another thread inserted it.
-//! Sorting the misses makes a batch's new ids follow string order, so a
+//! their wrapper [`Interner::intern_set`], the per-piece
+//! [`Interner::intern_each`] and the pre-tagged
+//! [`Interner::intern_tagged`]/[`Interner::lookup_tagged`]) work in four
+//! steps: hash every piece (unless its [`tag_of`] came with it); read
+//! every piece's home slot in one pass, so their cache misses overlap;
+//! probe and verify against the arena, all under one read guard; then
+//! sort the misses by string and insert them under one write guard,
+//! re-probing each first in case another thread inserted it. The first
+//! three steps run over fixed-size chunks of the batch, so a 200k-row
+//! image load keeps scratch for one chunk, not for every row. Sorting the
+//! misses makes a batch's new ids follow string order, so a
 //! single-threaded caller gets the same ids whatever order the batch
 //! lists its pieces in.
+//!
+//! ## The sorted watermark
+//!
+//! The table records a watermark `k` ([`Interner::watermark`]): ids
+//! `0..k` were interned in strictly increasing string order, and `k` is
+//! the longest such prefix. A model image's rows are sorted and load as
+//! one batch on a fresh interner, so after a load every row id is below
+//! `k`. For two ids below `k`, id order *is* string order, so
+//! [`InternerReader::cmp_by_str`] and the δ(E) tie-break
+//! (`sb_filter::classify::select_delta_ids`) compare them without reading
+//! the arena. Each insert extends `k` when `k` was the table's length and
+//! the new token sorts after the last one; once an insert breaks the run,
+//! `k` stays put. The watermark is published as an atomic after every
+//! write guard, so a reader can take it without the lock.
 
 use crate::fxhash::FxHasher;
 use std::hash::Hasher;
-use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
 
 /// An interned token: a dense index into the owning [`Interner`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -56,9 +75,9 @@ impl TokenId {
 /// What a batch probe returns.
 #[derive(Debug, Clone, Copy)]
 enum Batch {
-    /// The ids of the pieces already interned, in no particular order.
+    /// The distinct ids of the pieces already interned, sorted.
     Lookup,
-    /// Every piece's id, interning the misses, in no particular order.
+    /// The distinct ids of every piece, interning the misses, sorted.
     Intern,
     /// Every piece's id, interning the misses, in input order.
     InternEach,
@@ -73,15 +92,35 @@ const MIN_SLOTS: usize = 16;
 /// Fibonacci multiplier spreading a tag over the slot index bits.
 const SPREAD: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The 32-bit tag of a token: FxHash of its length and bytes, folded so
-/// every input bit reaches the tag.
+/// Pieces the read phase of a batch probe handles at a time (see module
+/// docs).
+const CHUNK: usize = 4096;
+
+/// The 32-bit tag the table files a token under: FxHash of its length
+/// and bytes, folded so every input bit reaches the tag. Callers that
+/// already hashed their pieces pass the tags to
+/// [`Interner::intern_tagged`]/[`Interner::lookup_tagged`].
 #[inline]
-fn tag_of(bytes: &[u8]) -> u32 {
+pub fn tag_of(bytes: &[u8]) -> u32 {
     let mut h = FxHasher::default();
     h.write_usize(bytes.len());
     h.write(bytes);
     let h = h.finish();
     (h ^ (h >> 32)) as u32
+}
+
+/// The first 8 bytes of `s`, zero-padded, as a big-endian integer: for
+/// any two strings, a smaller key means a smaller string, so sorting by
+/// the key first leaves only equal keys to compare byte by byte.
+#[inline]
+pub fn prefix_key(s: &[u8]) -> u64 {
+    match s.first_chunk::<8>() {
+        Some(head) => u64::from_be_bytes(*head),
+        None => s
+            .iter()
+            .enumerate()
+            .fold(0, |key, (i, &b)| key | u64::from(b) << (56 - 8 * i)),
+    }
 }
 
 /// The id a non-empty `slot` holds, when the slot carries `tag`.
@@ -102,6 +141,9 @@ struct Table {
     text: String,
     /// `ends[id]` is the arena offset one past token `id`'s last byte.
     ends: Vec<u32>,
+    /// The sorted watermark: ids `0..sorted` are in strictly increasing
+    /// string order (see module docs).
+    sorted: usize,
 }
 
 impl Default for Table {
@@ -111,6 +153,7 @@ impl Default for Table {
             shift: 64 - MIN_SLOTS.trailing_zeros(),
             text: String::new(),
             ends: Vec::new(),
+            sorted: 0,
         }
     }
 }
@@ -189,6 +232,10 @@ impl Table {
         let end = u32::try_from(self.text.len()).expect("interner arena (4 GiB) exceeded");
         self.ends.push(end);
         self.slots[empty] = u64::from(tag) << 32 | u64::from(id + 1);
+        let n = id as usize;
+        if self.sorted == n && (n == 0 || self.str_of(n - 1) < token) {
+            self.sorted = n + 1;
+        }
         id
     }
 
@@ -207,10 +254,18 @@ impl Table {
     }
 }
 
+/// What the handles of one interner share.
+#[derive(Default)]
+struct Shared {
+    table: RwLock<Table>,
+    /// `Table::sorted` as of the last write guard.
+    sorted: AtomicUsize,
+}
+
 /// A shared, append-only string interner (see module docs).
 #[derive(Clone, Default)]
 pub struct Interner {
-    inner: Arc<RwLock<Table>>,
+    inner: Arc<Shared>,
 }
 
 impl std::fmt::Debug for Interner {
@@ -244,12 +299,23 @@ impl Interner {
 
     fn read(&self) -> RwLockReadGuard<'_, Table> {
         // sb-lint: allow(panic-path, "lock poisoning means another thread already panicked; propagating is fail-fast, not fail-open")
-        self.inner.read().expect("interner lock")
+        self.inner.table.read().expect("interner lock")
     }
 
-    fn write(&self) -> RwLockWriteGuard<'_, Table> {
+    /// Run `f` under the write guard, then publish the watermark.
+    fn insert_with<R>(&self, f: impl FnOnce(&mut Table) -> R) -> R {
         // sb-lint: allow(panic-path, "lock poisoning means another thread already panicked; propagating is fail-fast, not fail-open")
-        self.inner.write().expect("interner lock")
+        let mut table = self.inner.table.write().expect("interner lock");
+        let r = f(&mut table);
+        self.inner.sorted.store(table.sorted, Ordering::Release);
+        r
+    }
+
+    /// The sorted watermark `k`: ids `0..k` were interned in strictly
+    /// increasing string order, so below `k` id order is string order
+    /// (see module docs). Reads no lock; the value only grows.
+    pub fn watermark(&self) -> usize {
+        self.inner.sorted.load(Ordering::Acquire)
     }
 
     /// Number of interned tokens.
@@ -268,7 +334,7 @@ impl Interner {
         if let Ok(id) = self.read().find_fresh(token.as_bytes(), tag) {
             return TokenId(id);
         }
-        TokenId(self.write().find_or_insert(token, tag))
+        TokenId(self.insert_with(|table| table.find_or_insert(token, tag)))
     }
 
     /// Intern a token set: the ids of [`Interner::intern_pieces`], sorted
@@ -281,10 +347,15 @@ impl Interner {
     /// return the batch's distinct ids, sorted by id. New tokens get ids
     /// in string order.
     pub fn intern_pieces<S: AsRef<str>>(&self, pieces: &[S]) -> Vec<TokenId> {
-        let mut ids = self.probe(pieces, Batch::Intern);
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+        self.probe(pieces, None, Batch::Intern)
+    }
+
+    /// [`Interner::intern_pieces`] for pieces whose tags the caller
+    /// already computed: `tags[k]` must be [`tag_of`] piece `k`'s bytes.
+    /// A `tags` of the wrong length is ignored (the tags are recomputed).
+    pub fn intern_tagged(&self, pieces: &[&str], tags: &[u32]) -> Vec<TokenId> {
+        let tags = (tags.len() == pieces.len()).then_some(tags);
+        self.probe(pieces, tags, Batch::Intern)
     }
 
     /// Intern every piece of a batch and return each piece's id, in input
@@ -292,80 +363,116 @@ impl Interner {
     /// that pair row `i` with its id. New tokens get ids in string order,
     /// inserted under one write guard.
     pub fn intern_each<S: AsRef<str>>(&self, pieces: &[S]) -> Vec<TokenId> {
-        self.probe(pieces, Batch::InternEach)
+        self.probe(pieces, None, Batch::InternEach)
     }
 
     /// The read-only twin of [`Interner::intern_pieces`]: the sorted,
     /// distinct ids of the batch's already-interned pieces. Never grows
     /// the table, so it is the entry point for untrusted input.
     pub fn lookup_pieces<S: AsRef<str>>(&self, pieces: &[S]) -> Vec<TokenId> {
-        let mut ids = self.probe(pieces, Batch::Lookup);
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+        self.probe(pieces, None, Batch::Lookup)
+    }
+
+    /// [`Interner::lookup_pieces`] for pre-tagged pieces, as
+    /// [`Interner::intern_tagged`] takes them.
+    pub fn lookup_tagged(&self, pieces: &[&str], tags: &[u32]) -> Vec<TokenId> {
+        let tags = (tags.len() == pieces.len()).then_some(tags);
+        self.probe(pieces, tags, Batch::Lookup)
     }
 
     /// The batch probe behind [`Interner::intern_pieces`],
-    /// [`Interner::intern_each`] and [`Interner::lookup_pieces`] (see
-    /// module docs and [`Batch`]).
-    fn probe<S: AsRef<str>>(&self, pieces: &[S], batch: Batch) -> Vec<TokenId> {
-        let tags: Vec<u32> = pieces
-            .iter()
-            .map(|p| tag_of(p.as_ref().as_bytes()))
-            .collect();
+    /// [`Interner::intern_each`], [`Interner::lookup_pieces`] and their
+    /// pre-tagged forms (see module docs and [`Batch`]).
+    fn probe<S: AsRef<str>>(
+        &self,
+        pieces: &[S],
+        tags: Option<&[u32]>,
+        batch: Batch,
+    ) -> Vec<TokenId> {
+        let bytes_of = |k: usize| pieces[k].as_ref().as_bytes();
+        let tag = |k: usize| tags.map_or_else(|| tag_of(bytes_of(k)), |t| t[k]);
         let mut ids = Vec::with_capacity(pieces.len());
+        // The set batches keep ids at or above the watermark apart: below
+        // it id order is string order, so a batch listed in string order
+        // (a token set) leaves `ids` sorted already.
+        let mut above = Vec::new();
         let mut misses = Vec::new();
         {
             let table = self.read();
-            // Each pass issues one independent load per piece, so the
-            // pieces' cache misses are in flight together: first the home
-            // slots, then the arena spans of the home slots' tokens.
-            let homes: Vec<u64> = tags.iter().map(|&t| table.slots[table.home(t)]).collect();
-            let spans: Vec<(usize, usize)> = tags
-                .iter()
-                .zip(&homes)
-                .map(|(&tag, &slot)| match tagged_id(slot, tag) {
-                    Some(id) => table.span(id),
-                    None => (0, 0),
-                })
-                .collect();
-            for (k, piece) in pieces.iter().enumerate() {
-                let bytes = piece.as_ref().as_bytes();
-                let (tag, slot, (start, end)) = (tags[k], homes[k], spans[k]);
-                let found = match tagged_id(slot, tag) {
-                    Some(id) if &table.text.as_bytes()[start..end] == bytes => Ok(id as u32),
-                    _ => table.find(bytes, tag, slot),
+            let (mut own_tags, mut homes, mut spans) = (Vec::new(), Vec::new(), Vec::new());
+            for first in (0..pieces.len()).step_by(CHUNK) {
+                let chunk = first..pieces.len().min(first + CHUNK);
+                let chunk_tags = match tags {
+                    Some(t) => &t[chunk.clone()],
+                    None => {
+                        own_tags.clear();
+                        own_tags.extend(chunk.clone().map(tag));
+                        &own_tags[..]
+                    }
                 };
-                match (found, batch) {
-                    (Ok(id), _) => ids.push(TokenId(id)),
-                    (Err(_), Batch::Lookup) => {}
-                    (Err(_), Batch::Intern) => misses.push(k),
-                    (Err(_), Batch::InternEach) => {
-                        ids.push(MISSING);
-                        misses.push(k);
+                // Each pass issues one independent load per piece, so the
+                // pieces' cache misses are in flight together: first the
+                // home slots, then the arena spans of the home slots'
+                // tokens.
+                homes.clear();
+                homes.extend(chunk_tags.iter().map(|&t| table.slots[table.home(t)]));
+                spans.clear();
+                spans.extend(chunk_tags.iter().zip(&homes).map(|(&tag, &slot)| {
+                    match tagged_id(slot, tag) {
+                        Some(id) => table.span(id),
+                        None => (0, 0),
+                    }
+                }));
+                for (j, k) in chunk.enumerate() {
+                    let bytes = bytes_of(k);
+                    let (tag, slot, (start, end)) = (chunk_tags[j], homes[j], spans[j]);
+                    let found = match tagged_id(slot, tag) {
+                        Some(id) if &table.text.as_bytes()[start..end] == bytes => Ok(id as u32),
+                        _ => table.find(bytes, tag, slot),
+                    };
+                    match (found, batch) {
+                        (Ok(id), Batch::InternEach) => ids.push(TokenId(id)),
+                        (Ok(id), _) if (id as usize) < table.sorted => ids.push(TokenId(id)),
+                        (Ok(id), _) => above.push(TokenId(id)),
+                        (Err(_), Batch::Lookup) => {}
+                        (Err(_), Batch::Intern) => misses.push(k),
+                        (Err(_), Batch::InternEach) => {
+                            ids.push(MISSING);
+                            misses.push(k);
+                        }
                     }
                 }
             }
         }
         if !misses.is_empty() {
-            misses.sort_unstable_by(|&a, &b| pieces[a].as_ref().cmp(pieces[b].as_ref()));
-            let mut table = self.write();
-            let mut prev: Option<(usize, TokenId)> = None;
-            for k in misses {
-                // A repeated miss takes the id its first copy was given.
-                let repeat = prev.filter(|&(j, _)| pieces[j].as_ref() == pieces[k].as_ref());
-                let id = match repeat {
-                    Some((_, id)) => id,
-                    None => TokenId(table.find_or_insert(pieces[k].as_ref(), tags[k])),
-                };
-                match batch {
-                    Batch::InternEach => ids[k] = id,
-                    _ if repeat.is_none() => ids.push(id),
-                    _ => {}
+            misses.sort_unstable_by(|&a, &b| bytes_of(a).cmp(bytes_of(b)));
+            self.insert_with(|table| {
+                let mut prev: Option<(usize, TokenId)> = None;
+                for k in misses {
+                    // A repeated miss takes the id its first copy was given.
+                    let repeat = prev.filter(|&(j, _)| bytes_of(j) == bytes_of(k));
+                    let id = match repeat {
+                        Some((_, id)) => id,
+                        None => TokenId(table.find_or_insert(pieces[k].as_ref(), tag(k))),
+                    };
+                    match batch {
+                        Batch::InternEach => ids[k] = id,
+                        _ if repeat.is_none() => above.push(id),
+                        _ => {}
+                    }
+                    prev = Some((k, id));
                 }
-                prev = Some((k, id));
-            }
+            });
         }
+        if let Batch::InternEach = batch {
+            return ids;
+        }
+        // Every id in `ids` is below the watermark the read guard saw,
+        // every id in `above` (misses included) at or above it.
+        ids.sort_unstable();
+        above.sort_unstable();
+        ids.append(&mut above);
+        ids.dedup();
         ids
     }
 
@@ -418,10 +525,11 @@ impl InternerReader<'_> {
         self.guard.str_of(id.index())
     }
 
-    /// Compare two ids by their resolved strings.
+    /// Compare two ids by their resolved strings. Two ids below the
+    /// sorted watermark compare by id, without reading the arena.
     pub fn cmp_by_str(&self, a: TokenId, b: TokenId) -> std::cmp::Ordering {
-        if a == b {
-            return std::cmp::Ordering::Equal;
+        if a == b || a.index().max(b.index()) < self.guard.sorted {
+            return a.cmp(&b);
         }
         self.resolve(a).cmp(self.resolve(b))
     }
@@ -555,6 +663,94 @@ mod tests {
         assert_eq!(i.cmp_by_str(a, z), std::cmp::Ordering::Less);
         assert_eq!(i.cmp_by_str(z, a), std::cmp::Ordering::Greater);
         assert_eq!(i.cmp_by_str(a, a), std::cmp::Ordering::Equal);
+    }
+
+    #[test]
+    fn batches_past_one_chunk_get_the_ids_of_one_pass() {
+        // Three chunks and a bit, listed out of string order, with
+        // repeats, and every fifth token interned beforehand.
+        let n = 3 * CHUNK + 17;
+        let tokens: Vec<String> = (0..n).map(|k| format!("t{:05}", k * 7919 % n)).collect();
+        let mut batch: Vec<&str> = tokens.iter().map(String::as_str).collect();
+        batch.extend(tokens[..100].iter().map(String::as_str));
+        let i = Interner::new();
+        for t in tokens.iter().step_by(5) {
+            i.intern(t);
+        }
+        // The misses get the next ids in string order.
+        let mut misses: Vec<&str> = batch
+            .iter()
+            .copied()
+            .filter(|t| i.get(t).is_none())
+            .collect();
+        misses.sort_unstable();
+        misses.dedup();
+        let old = i.len();
+        let want = |t: &str| {
+            i.get(t).unwrap_or_else(|| {
+                let rank = misses.binary_search(&t).expect("a miss");
+                TokenId((old + rank) as u32)
+            })
+        };
+        let want_each: Vec<TokenId> = batch.iter().map(|t| want(t)).collect();
+
+        let each = i.intern_each(&batch);
+        assert_eq!(each, want_each);
+        assert_eq!(i.len(), n);
+        let mut all = each;
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(i.lookup_pieces(&batch), all);
+        let tags: Vec<u32> = batch.iter().map(|t| tag_of(t.as_bytes())).collect();
+        assert_eq!(i.lookup_tagged(&batch, &tags), all);
+
+        // The set form and the pre-tagged form assign the same ids.
+        let fresh = Interner::new();
+        let tagged = Interner::new();
+        for t in tokens.iter().step_by(5) {
+            fresh.intern(t);
+            tagged.intern(t);
+        }
+        assert_eq!(fresh.intern_pieces(&batch), all);
+        assert_eq!(tagged.intern_tagged(&batch, &tags), all);
+    }
+
+    #[test]
+    fn prefix_keys_order_like_strings() {
+        let words: [&[u8]; 7] = [b"", b"a", b"a\0", b"ab", b"abcdefgh", b"abcdefgh!", b"b"];
+        for a in words {
+            for b in words {
+                if prefix_key(a) < prefix_key(b) {
+                    assert!(a < b, "{a:?} {b:?}");
+                }
+            }
+        }
+        assert_eq!(prefix_key(b"ab"), u64::from_be_bytes(*b"ab\0\0\0\0\0\0"));
+    }
+
+    #[test]
+    fn watermark_is_the_longest_sorted_id_prefix() {
+        let i = Interner::new();
+        assert_eq!(i.watermark(), 0);
+        // A sorted batch on a fresh table, like an image load.
+        i.intern_pieces(&["b", "d", "f"]);
+        assert_eq!(i.watermark(), 3);
+        // Appends that sort after the last token extend it.
+        i.intern("g");
+        i.intern_pieces(&["i", "h"]);
+        assert_eq!(i.watermark(), 6);
+        // One that sorts before it stops the run for good.
+        i.intern("a");
+        i.intern("z");
+        assert_eq!(i.watermark(), 6);
+        assert_eq!(i.len(), 8);
+        let r = i.reader();
+        for a in 0..8 {
+            for b in 0..8 {
+                let (a, b) = (TokenId(a), TokenId(b));
+                assert_eq!(r.cmp_by_str(a, b), r.resolve(a).cmp(r.resolve(b)));
+            }
+        }
     }
 
     #[test]

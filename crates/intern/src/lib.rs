@@ -11,7 +11,10 @@
 //!   table plus one string arena, probed a whole token batch at a time
 //!   ([`intern::Interner::intern_pieces`], its per-piece form
 //!   [`intern::Interner::intern_each`], and the read-only
-//!   [`intern::Interner::lookup_pieces`] for untrusted input);
+//!   [`intern::Interner::lookup_pieces`] for untrusted input; callers
+//!   that already hashed their pieces with [`tag_of`] pass the tags in),
+//!   with a sorted watermark ([`intern::Interner::watermark`]) below
+//!   which id order is string order;
 //! * [`fxhash`] — the FxHash function (the rustc hasher) plus
 //!   [`FxHashMap`] / [`FxHashSet`] aliases for the token-keyed maps that
 //!   remain string-keyed (tokenizer-variant filters, attack bookkeeping);
@@ -24,7 +27,8 @@
 //! valid (and optimally dense) token database. Determinism note: id
 //! *values* depend on interning order, so any observable ordering must be
 //! derived from the resolved strings, never from raw id order — see
-//! `sb_filter::classify::select_delta_ids` for the pattern.
+//! `sb_filter::classify::select_delta_ids` for the pattern, which orders
+//! ids below the watermark by id only because there the two orders agree.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,4 +38,4 @@ pub mod intern;
 pub mod par;
 
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use intern::{AsIdSlice, Interner, TokenId};
+pub use intern::{prefix_key, tag_of, AsIdSlice, Interner, TokenId};

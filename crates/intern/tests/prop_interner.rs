@@ -8,7 +8,10 @@
 //! per-token `intern`/`get`, growth from the tiny initial table through
 //! many resizes loses nothing, concurrent interning stays consistent,
 //! and the tokenizer's fused path assigns the ids
-//! `intern_set(token_set(e))` does.
+//! `intern_set(token_set(e))` does. The sorted watermark is the longest
+//! prefix of ids in strictly increasing string order after any mix of
+//! batches, single interns and concurrent batches, and `cmp_by_str` is
+//! string order for every pair of ids.
 
 use proptest::prelude::*;
 use sb_email::Email;
@@ -87,7 +90,80 @@ fn assert_matches_model(interner: &Interner, model: &Model) -> Result<(), TestCa
     Ok(())
 }
 
+/// One step of the watermark suite.
+#[derive(Debug, Clone)]
+enum Grow {
+    /// A batch, interned as listed.
+    Batch(Vec<String>),
+    /// The same batch, sorted first (an image load's shape).
+    SortedBatch(Vec<String>),
+    /// Single `intern` calls, one per token.
+    Singles(Vec<String>),
+    /// Batches raced from several threads at once.
+    Concurrent(Vec<Vec<String>>),
+}
+
+fn grow() -> impl Strategy<Value = Grow> {
+    let batch = || proptest::collection::vec(TOKEN, 0..16);
+    (0u8..4, batch(), proptest::collection::vec(batch(), 2..4)).prop_map(|(kind, b, many)| {
+        match kind {
+            0 => Grow::Batch(b),
+            1 => Grow::SortedBatch(b),
+            2 => Grow::Singles(b),
+            _ => Grow::Concurrent(many),
+        }
+    })
+}
+
+/// The length of the longest prefix of ids whose strings strictly
+/// increase.
+fn sorted_prefix(interner: &Interner) -> usize {
+    let r = interner.reader();
+    let len = interner.len() as u32;
+    (1..len)
+        .find(|&i| r.resolve(TokenId(i - 1)) >= r.resolve(TokenId(i)))
+        .unwrap_or(len) as usize
+}
+
 proptest! {
+    #[test]
+    fn watermark_is_the_longest_sorted_prefix_and_ties_keep_string_order(
+        steps in proptest::collection::vec(grow(), 1..8),
+    ) {
+        let interner = Interner::new();
+        for step in &steps {
+            match step {
+                Grow::Batch(b) => {
+                    interner.intern_pieces(b);
+                }
+                Grow::SortedBatch(b) => {
+                    let mut b = b.clone();
+                    b.sort();
+                    interner.intern_pieces(&b);
+                }
+                Grow::Singles(b) => {
+                    for t in b {
+                        interner.intern(t);
+                    }
+                }
+                Grow::Concurrent(batches) => std::thread::scope(|scope| {
+                    for b in batches {
+                        let interner = interner.clone();
+                        scope.spawn(move || interner.intern_pieces(b));
+                    }
+                }),
+            }
+            prop_assert_eq!(interner.watermark(), sorted_prefix(&interner));
+        }
+        let r = interner.reader();
+        let len = interner.len() as u32;
+        for a in (0..len).map(TokenId) {
+            for b in (0..len).map(TokenId) {
+                prop_assert_eq!(r.cmp_by_str(a, b), r.resolve(a).cmp(r.resolve(b)), "{:?} {:?}", a, b);
+            }
+        }
+    }
+
     #[test]
     fn operations_match_the_hashmap_model(ops in proptest::collection::vec(op(), 1..60)) {
         let interner = Interner::new();

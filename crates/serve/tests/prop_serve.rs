@@ -11,13 +11,16 @@
 //! suite checks that every score reads the counts of the moment: tenants
 //! trained, untrained and classified from two threads at once score like
 //! standalone `TokenDb`s replaying each tenant's operations in order.
+//! δ(E) ties across the interner's sorted watermark (an `MmapDb` base
+//! whose interner grew past its sorted rows) break by string exactly as
+//! a `TokenDb` breaks them.
 
 use proptest::prelude::*;
 use sb_email::{parse_email, render_email, Email, Label};
 use sb_filter::classify::score_token_ids;
 use sb_filter::{image, FilterOptions, Scored, TokenDb};
 use sb_intern::{Interner, TokenId};
-use sb_serve::{MmapDb, OverlayLayer, ServeError, TenantId, TenantRegistry};
+use sb_serve::{ImageBytes, MmapDb, OverlayLayer, ServeError, TenantId, TenantRegistry};
 use sb_tokenizer::Tokenizer;
 use std::sync::{Arc, Barrier};
 
@@ -74,6 +77,16 @@ fn dense_set() -> impl Strategy<Value = Vec<String>> {
 
 fn dense_mail() -> impl Strategy<Value = Vec<(Vec<String>, bool)>> {
     proptest::collection::vec((dense_set(), any::<bool>()), 0..8)
+}
+
+/// The dense vocabulary plus the tokens with a `d`, which sort before,
+/// between and after it (`ad`, `bd`, `d`, `dd`, …).
+fn wider_set() -> impl Strategy<Value = Vec<String>> {
+    proptest::collection::btree_set("[a-d]{1,2}", 0..6).prop_map(|s| s.into_iter().collect())
+}
+
+fn wider_mail() -> impl Strategy<Value = Vec<(Vec<String>, bool)>> {
+    proptest::collection::vec((wider_set(), any::<bool>()), 0..8)
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -352,6 +365,53 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// An `MmapDb` base loads its sorted rows as ids below the interner's
+    /// watermark; the org patch, the tenant mail and the probes then
+    /// intern tokens that sort before, between and after those rows, so
+    /// δ(E) ties span the watermark. Every verdict equals, bit for bit, a
+    /// standalone `TokenDb` that trained the same mail in order.
+    #[test]
+    fn mmap_stack_ties_across_the_watermark_equal_sequential_training(
+        base in dense_mail(),
+        org in proptest::collection::vec(wider_set(), 0..3),
+        tenant in wider_mail(),
+        probes in proptest::collection::vec(
+            proptest::collection::btree_set("[a-d]{1,2}", 4..16),
+            1..5,
+        ),
+    ) {
+        let probes: Vec<Vec<String>> = probes.into_iter().map(|p| p.into_iter().collect()).collect();
+        let opts = FilterOptions::default();
+        let mut source = TokenDb::with_interner(Interner::new());
+        train_all(&mut source, &base);
+        let served = MmapDb::from_bytes(ImageBytes::Owned(image::pack(&source)), opts).unwrap();
+        let interner = served.interner().clone();
+        prop_assert_eq!(interner.watermark(), served.n_tokens());
+        let mut org_patch = OverlayLayer::new();
+        for set in &org {
+            org_patch.train_ids(&intern(&interner, set), Label::Ham);
+        }
+        let registry = TenantRegistry::with_org_patch(Arc::new(served), org_patch, opts);
+        let id = TenantId(0);
+        registry.add_tenant(id).unwrap();
+        for (set, is_spam) in &tenant {
+            registry.train(id, &intern(&interner, set), label(*is_spam)).unwrap();
+        }
+        let mut standalone = TokenDb::new();
+        train_all(&mut standalone, &base);
+        for set in &org {
+            standalone.train(set, Label::Ham);
+        }
+        train_all(&mut standalone, &tenant);
+        for probe in &probes {
+            let want = score_token_ids(&intern(standalone.interner(), probe), &standalone, &opts);
+            let got = registry.classify_ids(id, &intern(&interner, probe)).unwrap();
+            prop_assert_eq!(got.score.to_bits(), want.score.to_bits());
+            prop_assert_eq!(got.verdict, want.verdict);
+        }
+        prop_assert!(interner.watermark() <= interner.len());
     }
 
     /// Tenant untrain is exact: training a message into a delta and

@@ -17,6 +17,18 @@
 //! only *contain* each dictionary word once). [`Tokenizer::token_set`]
 //! implements that reduction; [`Tokenizer::tokenize`] preserves the raw
 //! stream for diagnostics and token-volume accounting (§4.2 of the paper).
+//!
+//! ## The request path
+//!
+//! Every entry point writes a message's tokens ("pieces") into one
+//! reusable arena. Body text is split by one byte-class pass over ASCII
+//! words (see [`word`]), and URLs are found by anchoring on their `:` and
+//! `.` bytes (see [`url`]). The set entry points ([`Tokenizer::token_set`],
+//! [`Tokenizer::intern_ids`], [`Tokenizer::lookup_ids`]) reduce to the set
+//! as the pieces are written: closing a piece records its interner tag
+//! and 8-byte prefix key and drops it if it repeats an earlier piece. So
+//! `token_set` sorts `(key, index)` records of distinct pieces only, and
+//! the id paths probe each distinct piece once, reusing its tag.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,15 +49,6 @@ use std::cell::RefCell;
 thread_local! {
     /// Each thread's reusable piece arena.
     static PIECES: RefCell<Pieces> = RefCell::default();
-}
-
-/// The first 8 bytes of `s`, zero-padded, as a big-endian integer: for
-/// any two strings, a smaller key means a smaller string.
-fn prefix_key(s: &str) -> u64 {
-    let mut key = [0u8; 8];
-    let n = s.len().min(8);
-    key[..n].copy_from_slice(&s.as_bytes()[..n]);
-    u64::from_be_bytes(key)
 }
 
 /// The tokenizer: [`TokenizerOptions`] plus the tokenization entry points.
@@ -72,10 +75,11 @@ impl Tokenizer {
 
     /// The core every entry point wraps: write the tokens of headers +
     /// body, in document order, into this thread's piece arena and hand
-    /// it to `f`.
-    fn with_pieces<R>(&self, email: &Email, f: impl FnOnce(&Pieces) -> R) -> R {
+    /// it to `f`. With `distinct`, the arena keeps each distinct token
+    /// once (see the `pieces` module).
+    fn with_pieces<R>(&self, email: &Email, distinct: bool, f: impl FnOnce(&Pieces) -> R) -> R {
         let run = |out: &mut Pieces| {
-            out.clear();
+            out.clear(distinct);
             header::tokenize_headers(email, &self.opts, out);
             self.text_pieces(email.body(), out);
             f(out)
@@ -88,11 +92,8 @@ impl Tokenizer {
 
     /// Write the tokens of free text (no headers) into `out`.
     fn text_pieces(&self, text: &str, out: &mut Pieces) {
-        let words = |segment: &str, out: &mut Pieces| {
-            for raw in segment.split_whitespace() {
-                word::tokenize_word("", raw, &self.opts, out);
-            }
-        };
+        let words =
+            |segment: &str, out: &mut Pieces| word::tokenize_words(segment, &self.opts, out);
         if self.opts.crack_urls {
             url::crack_urls(text, &self.opts, out, words);
         } else {
@@ -102,7 +103,7 @@ impl Tokenizer {
 
     /// Tokenize headers + body, preserving duplicates and document order.
     pub fn tokenize(&self, email: &Email) -> Vec<String> {
-        self.with_pieces(email, |p| p.iter().map(str::to_owned).collect())
+        self.with_pieces(email, false, |p| p.iter().map(str::to_owned).collect())
     }
 
     /// Tokenize free text (no headers) into `out`.
@@ -115,29 +116,34 @@ impl Tokenizer {
     /// Tokenize with set semantics: sorted, deduplicated. This is what the
     /// learner trains and classifies on.
     pub fn token_set(&self, email: &Email) -> Vec<String> {
-        self.with_pieces(email, |p| {
+        self.with_pieces(email, true, |p| {
             // Sorting by a big-endian 8-byte prefix first settles most
             // comparisons without touching the strings; equal prefixes
             // fall back to the full byte order, so the order is `str`'s.
-            let mut set: Vec<(u64, &str)> = p.iter().map(|s| (prefix_key(s), s)).collect();
-            set.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)));
-            set.dedup_by(|a, b| a.1 == b.1);
-            set.into_iter().map(|(_, s)| s.to_owned()).collect()
+            // The pieces are already distinct.
+            let mut order: Vec<(u64, usize)> = p.keys().iter().copied().zip(0..).collect();
+            order.sort_unstable_by(|a, b| {
+                a.0.cmp(&b.0).then_with(|| p.piece(a.1).cmp(p.piece(b.1)))
+            });
+            order
+                .into_iter()
+                .map(|(_, k)| p.piece(k).to_owned())
+                .collect()
         })
     }
 
     /// Number of raw (non-deduplicated) tokens; used by the §4.2
     /// token-volume accounting.
     pub fn token_count(&self, email: &Email) -> usize {
-        self.with_pieces(email, Pieces::len)
+        self.with_pieces(email, false, Pieces::len)
     }
 
     /// The id set the learner trains on, sorted by id: the ids
     /// `interner.intern_set(&self.token_set(email))` returns, without
     /// building a `String` per token. Interns every token.
     pub fn intern_ids(&self, email: &Email, interner: &Interner) -> Vec<TokenId> {
-        self.with_pieces(email, |p| {
-            interner.intern_pieces(&p.iter().collect::<Vec<_>>())
+        self.with_pieces(email, true, |p| {
+            interner.intern_tagged(&p.iter().collect::<Vec<_>>(), p.tags())
         })
     }
 
@@ -145,8 +151,8 @@ impl Tokenizer {
     /// message's already-interned tokens, sorted by id. Never grows the
     /// interner, so it is the path for classifying untrusted mail.
     pub fn lookup_ids(&self, email: &Email, interner: &Interner) -> Vec<TokenId> {
-        self.with_pieces(email, |p| {
-            interner.lookup_pieces(&p.iter().collect::<Vec<_>>())
+        self.with_pieces(email, true, |p| {
+            interner.lookup_tagged(&p.iter().collect::<Vec<_>>(), p.tags())
         })
     }
 }

@@ -33,32 +33,79 @@ pub(crate) fn crack_urls(
 /// Locate the next URL: `(start, end, scheme)`. Recognizes explicit schemes
 /// (`http://`, `https://`, `ftp://`, any ASCII case) and bare `www.` hosts.
 /// Only the first `www.` of `text` is a bare-host candidate, and only when
-/// it starts a word. One pass over `text`, up to the URL found.
+/// it starts a word.
+///
+/// Every opener holds a `:` or `.` a fixed distance past its start (the
+/// scheme's colon, `www`'s dot), so the scan looks only at those anchor
+/// bytes, eight bytes at a time, and checks the few bytes before each.
 fn find_url(text: &str) -> Option<(usize, usize, &'static str)> {
     let bytes = text.as_bytes();
+    let mut best: Option<(usize, &'static str)> = None;
     let mut www_seen = false;
-    for (i, &b) in bytes.iter().enumerate() {
-        let rest = &bytes[i..];
-        let scheme = match b.to_ascii_lowercase() {
-            b'h' if starts_with_ignore_case(rest, b"http://") => "http",
-            b'h' if starts_with_ignore_case(rest, b"https://") => "https",
-            b'f' if starts_with_ignore_case(rest, b"ftp://") => "ftp",
-            b'w' if !www_seen && starts_with_ignore_case(rest, b"www.") => {
-                www_seen = true;
-                if !at_word_boundary(text, i) {
-                    continue;
-                }
-                "http"
-            }
-            _ => continue,
+    let mut from = 0;
+    while let Some(p) = find_anchor(bytes, from) {
+        // An opener's anchor is at most 5 bytes past its start, so no
+        // anchor from here on can open a URL before `best`.
+        if best.is_some_and(|(start, _)| p >= start + 5) {
+            break;
+        }
+        from = p + 1;
+        let hit = if bytes[p] == b':' {
+            scheme_before(bytes, p)
+        } else if !www_seen && p >= 3 && bytes[p - 3..p].eq_ignore_ascii_case(b"www") {
+            www_seen = true;
+            at_word_boundary(text, p - 3).then_some((p - 3, "http"))
+        } else {
+            None
         };
-        return Some((i, url_end(text, i), scheme));
+        if let Some((start, scheme)) = hit {
+            if best.is_none_or(|(b, _)| start < b) {
+                best = Some((start, scheme));
+            }
+        }
     }
-    None
+    best.map(|(start, scheme)| (start, url_end(text, start), scheme))
 }
 
-fn starts_with_ignore_case(haystack: &[u8], needle: &[u8]) -> bool {
-    haystack.len() >= needle.len() && haystack[..needle.len()].eq_ignore_ascii_case(needle)
+/// The scheme whose `://` has its colon at byte `p`, with its start.
+fn scheme_before(bytes: &[u8], p: usize) -> Option<(usize, &'static str)> {
+    if bytes.get(p + 1..p + 3) != Some(b"//") {
+        return None;
+    }
+    [("https", 5), ("http", 4), ("ftp", 3)]
+        .into_iter()
+        .find(|&(name, n)| p >= n && bytes[p - n..p].eq_ignore_ascii_case(name.as_bytes()))
+        .map(|(name, n)| (p - n, name))
+}
+
+/// The first `:` or `.` at or after byte `from`, testing eight bytes per
+/// step.
+fn find_anchor(bytes: &[u8], from: usize) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    // A high bit in every byte of `word` equal to `b`, and possibly in
+    // bytes after the first such one: the lowest set bit is exact.
+    let matches = |word: u64, b: u8| {
+        let x = word ^ (ONES * u64::from(b));
+        x.wrapping_sub(ONES) & !x & HIGHS
+    };
+    let rest = bytes.get(from..)?;
+    let mut chunks = rest.chunks_exact(8);
+    let mut at = from;
+    for chunk in &mut chunks {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        let word = u64::from_le_bytes(word);
+        let hits = matches(word, b':') | matches(word, b'.');
+        if hits != 0 {
+            return Some(at + (hits.trailing_zeros() / 8) as usize);
+        }
+        at += 8;
+    }
+    let tail = chunks.remainder();
+    tail.iter()
+        .position(|&b| b == b':' || b == b'.')
+        .map(|k| at + k)
 }
 
 /// True when byte `pos` of `text` starts a word: the text's start, or
@@ -130,7 +177,8 @@ mod tests {
     }
 
     /// The finder before it became one pass: one case-insensitive scan of
-    /// the rest of the body per needle.
+    /// the rest of the body per needle (the tokenizer oracle's
+    /// `find_url`).
     fn find_url_oracle(text: &str) -> Option<(usize, usize, &'static str)> {
         const SCHEMES: [(&str, &str); 3] = [
             ("http://", "http"),
@@ -182,7 +230,32 @@ mod tests {
     /// delimiters, punctuation and non-ASCII text between them.
     const URL_SOUP: &str = "((http://|HTTPS://|fTp://|xwww\\.|www\\.|WWW\\.| wWw\\.|<www\\.|ww|htt)|[a-z0-9./:<>()\"' ?&=]{0,6}|\\PC{0,3}|(Σ|İ|ß|é|\u{3000})){0,30}";
 
+    /// Bodies dense in near-misses of an opener: a doubled first
+    /// letter, a short or missing slash, a scheme colon with no slashes,
+    /// a fourth `w`, `www.` inside a word, non-ASCII just before `www.`,
+    /// and anchor bytes (`:`, `.`) with nothing in front.
+    const NEAR_MISSES: &str = "((hhttp://|hTTp:/|HTTPS:/|https:|ftp:|fttp://|ftp:/|wwww\\.|ww\\.|w\\.www|xwww\\.|www|(é|ß|Σ|\u{a0}|\u{3000})www\\.|[:.]{1,3}|http|https|ftp|www\\.)|[a-z ]{0,3}){0,24}";
+
+    /// Every URL of `text` by the anchored finder and by the oracle.
+    fn all_urls(
+        text: &str,
+        find: fn(&str) -> Option<(usize, usize, &'static str)>,
+    ) -> Vec<(usize, usize, &'static str)> {
+        let mut urls = Vec::new();
+        let mut at = 0;
+        while let Some((start, end, scheme)) = find(&text[at..]) {
+            urls.push((at + start, at + end, scheme));
+            at += end;
+        }
+        urls
+    }
+
     proptest! {
+        #[test]
+        fn anchored_finder_matches_the_oracle_on_near_misses(text in NEAR_MISSES) {
+            prop_assert_eq!(all_urls(&text, find_url), all_urls(&text, find_url_oracle));
+        }
+
         #[test]
         fn one_pass_finder_matches_the_oracle(text in URL_SOUP) {
             let mut at = 0;

@@ -1,7 +1,110 @@
 //! Word-level token rules (SpamBayes `tokenize_word` equivalents).
+//!
+//! Free text reaches the rules through one byte-class pass
+//! ([`tokenize_words`]): a single loop over a 256-entry class table splits
+//! on ASCII whitespace and flags `@`, uppercase and non-ASCII bytes, the
+//! edge trim steps over punctuation bytes, and an ASCII word's length in
+//! chars is its length in bytes, so an ASCII word is copied and folded
+//! without decoding a char. A word holding any non-ASCII byte takes the
+//! exact `char` path instead ([`tokenize_word`] on its
+//! `split_whitespace` pieces), because Unicode whitespace (U+0085, U+00A0,
+//! U+2028, …) may hide inside it.
 
 use crate::options::TokenizerOptions;
 use crate::pieces::Pieces;
+
+/// Byte class: whitespace (`char::is_whitespace` of an ASCII byte: tab,
+/// LF, VT, FF, CR and space).
+const SPACE: u8 = 1;
+/// Byte class: trimmed from word edges (ASCII punctuation but `$`).
+const EDGE: u8 = 2;
+/// Byte class: `@`.
+const AT: u8 = 4;
+/// Byte class: `A`–`Z`.
+const UPPER: u8 = 8;
+/// Byte class: not ASCII.
+const HIGH: u8 = 16;
+
+/// Every byte's classes.
+const CLASS: [u8; 256] = {
+    let mut class = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        class[b] = if !c.is_ascii() {
+            HIGH
+        } else if matches!(c, b'\t'..=b'\r' | b' ') {
+            SPACE
+        } else if c == b'@' {
+            EDGE | AT
+        } else if c.is_ascii_punctuation() && c != b'$' {
+            EDGE
+        } else if c.is_ascii_uppercase() {
+            UPPER
+        } else {
+            0
+        };
+        b += 1;
+    }
+    class
+};
+
+/// What the word rules need to know about a trimmed word.
+#[derive(Clone, Copy)]
+struct Shape {
+    /// Every byte is ASCII.
+    ascii: bool,
+    /// It may hold an `@` (false only when it holds none).
+    has_at: bool,
+    /// It may hold an uppercase ASCII letter (false only when it holds
+    /// none).
+    has_upper: bool,
+    /// Its length in chars.
+    len: usize,
+}
+
+/// Write the tokens of every whitespace-separated word of `text` (the
+/// byte-class pass; see module docs).
+pub(crate) fn tokenize_words(text: &str, opts: &TokenizerOptions, out: &mut Pieces) {
+    let bytes = text.as_bytes();
+    let class = |i: usize| CLASS[usize::from(bytes[i])];
+    let mut i = 0;
+    while i < bytes.len() {
+        if class(i) & SPACE != 0 {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        let mut seen = 0;
+        while i < bytes.len() && class(i) & SPACE == 0 {
+            seen |= class(i);
+            i += 1;
+        }
+        if seen & HIGH != 0 {
+            for raw in text[start..i].split_whitespace() {
+                tokenize_word("", raw, opts, out);
+            }
+            continue;
+        }
+        let (mut s, mut e) = (start, i);
+        while s < e && class(s) & EDGE != 0 {
+            s += 1;
+        }
+        while e > s && class(e - 1) & EDGE != 0 {
+            e -= 1;
+        }
+        if s == e {
+            continue;
+        }
+        let shape = Shape {
+            ascii: true,
+            has_at: seen & AT != 0,
+            has_upper: seen & UPPER != 0,
+            len: e - s,
+        };
+        emit_word("", &text[s..e], shape, opts, out);
+    }
+}
 
 /// Push one raw word through the word rules, writing its token (if any)
 /// with `prefix` in front.
@@ -18,8 +121,19 @@ pub(crate) fn tokenize_word(prefix: &str, word: &str, opts: &TokenizerOptions, o
         has_at |= b == b'@';
         len += usize::from((b as i8) >= -0x40);
     }
+    let shape = Shape {
+        ascii,
+        has_at,
+        has_upper: true,
+        len,
+    };
+    emit_word(prefix, trimmed, shape, opts, out);
+}
+
+/// The word rules for a trimmed, non-empty word.
+fn emit_word(prefix: &str, trimmed: &str, shape: Shape, opts: &TokenizerOptions, out: &mut Pieces) {
     // Embedded mail address?
-    if opts.crack_addresses && has_at {
+    if opts.crack_addresses && shape.has_at {
         if let Some((local, domain)) = split_address(trimmed) {
             for (tag, part) in [("email name:", local), ("email addr:", domain)] {
                 out.put(prefix);
@@ -30,6 +144,7 @@ pub(crate) fn tokenize_word(prefix: &str, word: &str, opts: &TokenizerOptions, o
             return;
         }
     }
+    let len = shape.len;
     if len < opts.min_word_size {
         return; // too short: contributes nothing (SpamBayes drops it)
     }
@@ -47,10 +162,12 @@ pub(crate) fn tokenize_word(prefix: &str, word: &str, opts: &TokenizerOptions, o
         return;
     }
     out.put(prefix);
-    if ascii {
+    if !shape.ascii {
+        out.put_folded(trimmed, opts);
+    } else if shape.has_upper {
         out.put_ascii_folded(trimmed, opts);
     } else {
-        out.put_folded(trimmed, opts);
+        out.put(trimmed);
     }
     out.end();
 }
@@ -157,6 +274,67 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(run_with("Hello", &opts), vec!["Hello"]);
+    }
+
+    /// The tokens of `text` through the byte-class pass.
+    fn words_with(text: &str, opts: &TokenizerOptions) -> Vec<String> {
+        let mut out = Pieces::default();
+        tokenize_words(text, opts, &mut out);
+        out.iter().map(str::to_owned).collect()
+    }
+
+    /// The tokens of `text` through `split_whitespace` and the per-word
+    /// rules.
+    fn words_by_char(text: &str, opts: &TokenizerOptions) -> Vec<String> {
+        let mut out = Pieces::default();
+        for raw in text.split_whitespace() {
+            tokenize_word("", raw, opts, &mut out);
+        }
+        out.iter().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn class_table_matches_the_char_predicates() {
+        for b in 0..=255u8 {
+            let class = CLASS[usize::from(b)];
+            let c = char::from(b);
+            assert_eq!(class & HIGH != 0, !b.is_ascii(), "{b:#04x}");
+            if b.is_ascii() {
+                assert_eq!(class & SPACE != 0, c.is_whitespace(), "{b:#04x}");
+                let edge = c.is_ascii_punctuation() && c != '$';
+                assert_eq!(class & EDGE != 0, edge, "{b:#04x}");
+                assert_eq!(class & UPPER != 0, c.is_ascii_uppercase(), "{b:#04x}");
+                assert_eq!(class & AT != 0, c == '@', "{b:#04x}");
+            }
+        }
+    }
+
+    #[test]
+    fn byte_class_pass_matches_the_char_path() {
+        let texts = [
+            "Hello, World! (bid) \"e-mail\" $100k don't",
+            "a\u{0b}bcd\u{0c}efgh\rijkl\tmnop\nqrst",
+            "ab\u{85}cdef\u{a0}ghij\u{2028}klmn\u{3000}opqr",
+            "@start end@ mid@dle Alice.Smith@Example.COM @@ ..@..",
+            "$$$ $word$ ...!!! SUPERCALIFRAGILISTIC Straße ΣΟΦΟΣ pаypal",
+            "\u{1c}x\u{1f}yz \u{7f}abc",
+        ];
+        for opts in [
+            TokenizerOptions::default(),
+            TokenizerOptions::bogofilter_flavor(),
+            TokenizerOptions {
+                crack_addresses: false,
+                ..TokenizerOptions::default()
+            },
+        ] {
+            for text in texts {
+                assert_eq!(
+                    words_with(text, &opts),
+                    words_by_char(text, &opts),
+                    "{text:?}"
+                );
+            }
+        }
     }
 
     #[test]

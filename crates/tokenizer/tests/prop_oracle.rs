@@ -9,7 +9,11 @@
 //! every mined header, and non-ASCII text whose lowercasing depends on
 //! context (a final `Σ`), expands (`İ`) or has no single-char lowercase
 //! (`ß`), plus visual-spoof words mixing Latin with Cyrillic and Greek
-//! confusables.
+//! confusables. Words are separated by every whitespace the byte-class
+//! pass must agree with `char::is_whitespace` on: ASCII space, tab and
+//! line ends, VT, FF and a lone CR (which `u8::is_ascii_whitespace` does
+//! not all count), and U+0085, U+00A0, U+2028 and U+3000; and words carry
+//! `@` and `$` at their edges, where the trim and the address rule meet.
 
 use proptest::prelude::*;
 use sb_email::Email;
@@ -272,10 +276,14 @@ mod oracle {
 /// (`pаypal` with a Cyrillic `а`, `Ρayment` with a Greek `Ρ`), mixed
 /// case ASCII, addresses, URLs (and `www.` inside a word, which is not
 /// one) and over-long words.
-const WORDS: &str = "(ΟΔΟΣ|ΣΟΦΟΣ|Σ|σΣ|İstanbul|İİ|STRASSE|Straße|ß|pаypal|PАYPAL|Ρayment|vіagra|ЖУРНАЛ|Hello|CHEAP|(http://|HTTPS://|ftp://|www\\.|WWW\\.)[A-Za-z0-9.:/?&=]{0,14}|[a-z]{1,3}(www|WwW)\\.[a-z]{1,4}|[A-Za-z]{1,15}|[a-z]{1,4}@[A-Za-zΣ]{1,6}\\.[a-z]{2,3}|\\PC{1,6}|[()<>\"',.!?$-]{1,2})";
+const WORDS: &str = "(ΟΔΟΣ|ΣΟΦΟΣ|Σ|σΣ|İstanbul|İİ|STRASSE|Straße|ß|pаypal|PАYPAL|Ρayment|vіagra|ЖУРНАЛ|Hello|CHEAP|(http://|HTTPS://|ftp://|www\\.|WWW\\.)[A-Za-z0-9.:/?&=]{0,14}|[a-z]{1,3}(www|WwW)\\.[a-z]{1,4}|[A-Za-z]{1,15}|[a-z]{1,4}@[A-Za-zΣ]{1,6}\\.[a-z]{2,3}|[@$]{1,2}[A-Za-z]{1,5}|[A-Za-z]{1,5}[@$]{1,2}|[@$][a-z]{1,4}@[a-z]{1,4}[@$]|\\PC{1,6}|[()<>\"',.!?$-]{1,2})";
+
+/// Word separators: every whitespace in the module docs, plus
+/// punctuation that is not whitespace.
+const SEPARATORS: &str = "([ \n\t,<(\"]|\u{0b}|\u{0c}|\r|\u{85}|\u{a0}|\u{2028}|\u{3000}|\r\n|  )";
 
 fn text(max_words: usize) -> impl Strategy<Value = String> {
-    proptest::collection::vec((WORDS, "([ \n\t,<(\"]|\u{3000}|\r\n|  )"), 0..max_words)
+    proptest::collection::vec((WORDS, SEPARATORS), 0..max_words)
         .prop_map(|parts| parts.into_iter().map(|(w, sep)| w + &sep).collect())
 }
 
