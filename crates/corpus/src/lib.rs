@@ -31,11 +31,13 @@
 pub mod dicts;
 pub mod inbox;
 pub mod model;
+#[cfg(test)]
+mod oracle;
 pub mod trec;
 pub mod vocab;
 
 pub use dicts::{aspell_dictionary, usenet_ranked, usenet_top};
 pub use inbox::{fold_datasets, sample_indices, split_half, KFold};
-pub use model::{LanguageModel, LanguageModelConfig, ModelToken, StrataMix};
+pub use model::{LanguageModel, LanguageModelConfig, StrataMix};
 pub use trec::{CorpusConfig, EmailGenerator, TrecCorpus};
-pub use vocab::{all_words, stratum_of, word_for, Stratum, WordId};
+pub use vocab::{all_words, push_word, stratum_of, word_for, Stratum, WordId};

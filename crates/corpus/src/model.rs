@@ -17,9 +17,10 @@
 //!   strings) and **URLs**.
 //!
 //! Everything is driven by the caller's RNG; the model itself is immutable
-//! and cheap to share.
+//! and cheap to share. Tokens are written straight into the caller's text
+//! ([`LanguageModel::push_token`]): a message costs no allocation per token.
 
-use crate::vocab::{Stratum, WordId};
+use crate::vocab::{push_word, Stratum, WordId};
 use rand::Rng;
 use sb_stats::dist::{AliasSampler, LogNormalLen, Zipf};
 use serde::{Deserialize, Serialize};
@@ -169,16 +170,6 @@ impl LanguageModelConfig {
     }
 }
 
-/// A token emitted by the model.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ModelToken {
-    /// A vocabulary word.
-    Word(WordId),
-    /// A one-off gibberish string (already guaranteed distinct from every
-    /// vocabulary word by length ≥ 8 with ≥ 2 digits).
-    Gibberish(String),
-}
-
 /// A compiled class-conditional language model.
 #[derive(Debug, Clone)]
 pub struct LanguageModel {
@@ -192,17 +183,37 @@ pub struct LanguageModel {
 impl LanguageModel {
     /// Compile a configuration (builds the Zipf tables once).
     pub fn new(cfg: LanguageModelConfig) -> Self {
+        Self::build(cfg, &[])
+    }
+
+    /// Compile two configurations, building each distinct Zipf table once:
+    /// `b` shares every table of `a` with the same rank count and exponent
+    /// (the default ham and spam models share the core and topic tables).
+    pub fn pair(a: LanguageModelConfig, b: LanguageModelConfig) -> (Self, Self) {
+        let a = Self::new(a);
+        let b = Self::build(b, &a.tables());
+        (a, b)
+    }
+
+    fn build(cfg: LanguageModelConfig, donors: &[&Zipf]) -> Self {
         cfg.validate();
+        let zipf_for = |n: usize, s: f64| {
+            donors
+                .iter()
+                .find(|z| z.len() == n && z.exponent().to_bits() == s.to_bits())
+                .map_or_else(|| Zipf::new(n, s), |&z| z.clone())
+        };
         let strata_sampler = AliasSampler::new(&cfg.mixture.weights());
         let zipf = [
-            Zipf::new(Stratum::CoreStandard.len(), cfg.zipf_core),
-            Zipf::new(Stratum::FormalStandard.len(), cfg.zipf_other),
-            Zipf::new(Stratum::Colloquial.len(), cfg.zipf_other),
-            Zipf::new(Stratum::SpamSpecific.len(), cfg.zipf_other),
-            Zipf::new(Stratum::Personal.len(), cfg.zipf_other),
+            zipf_for(Stratum::CoreStandard.len(), cfg.zipf_core),
+            zipf_for(Stratum::FormalStandard.len(), cfg.zipf_other),
+            zipf_for(Stratum::Colloquial.len(), cfg.zipf_other),
+            zipf_for(Stratum::SpamSpecific.len(), cfg.zipf_other),
+            zipf_for(Stratum::Personal.len(), cfg.zipf_other),
         ];
-        let topic_zipf = Zipf::new(cfg.topic_cluster, cfg.zipf_topic);
-        let lengths = LogNormalLen::with_median(cfg.len_median, cfg.len_sigma, cfg.len_min, cfg.len_max);
+        let topic_zipf = zipf_for(cfg.topic_cluster, cfg.zipf_topic);
+        let lengths =
+            LogNormalLen::with_median(cfg.len_median, cfg.len_sigma, cfg.len_min, cfg.len_max);
         Self {
             cfg,
             strata_sampler,
@@ -210,6 +221,12 @@ impl LanguageModel {
             topic_zipf,
             lengths,
         }
+    }
+
+    /// The five strata tables, then the topic table.
+    fn tables(&self) -> [&Zipf; 6] {
+        let [a, b, c, d, e] = &self.zipf;
+        [a, b, c, d, e, &self.topic_zipf]
     }
 
     /// The configuration this model was compiled from.
@@ -227,57 +244,48 @@ impl LanguageModel {
         self.lengths.sample(rng)
     }
 
-    /// Draw one token given the message topic.
-    pub fn sample_token<R: Rng + ?Sized>(&self, topic: usize, rng: &mut R) -> ModelToken {
-        debug_assert!(topic < self.cfg.n_topics);
+    /// Draw one token given the message topic and append it to `out`: a
+    /// gibberish hapax at the configured rate, else a vocabulary word.
+    #[inline]
+    pub fn push_token<R: Rng + ?Sized>(&self, topic: usize, rng: &mut R, out: &mut String) {
         if self.cfg.gibberish_rate > 0.0 && rng.random::<f64>() < self.cfg.gibberish_rate {
-            return ModelToken::Gibberish(gibberish(rng));
+            push_gibberish(rng, out);
+        } else {
+            push_word(self.sample_word(topic, rng), out);
         }
+    }
+
+    /// Draw one vocabulary word given the message topic: from the topic
+    /// cluster at the configured rate, else from a stratum picked by the
+    /// mixture.
+    #[inline]
+    fn sample_word<R: Rng + ?Sized>(&self, topic: usize, rng: &mut R) -> WordId {
+        debug_assert!(topic < self.cfg.n_topics);
         if rng.random::<f64>() < self.cfg.topic_frac {
             let local = self.cfg.topic_region_start
                 + topic * self.cfg.topic_cluster
                 + self.topic_zipf.sample(rng);
-            return ModelToken::Word(Stratum::CoreStandard.word(local));
+            return Stratum::CoreStandard.word(local);
         }
-        let stratum = Stratum::ALL[self.strata_sampler.sample(rng)];
-        let idx = Stratum::ALL.iter().position(|&s| s == stratum).unwrap();
-        let local = self.zipf[idx].sample(rng);
-        ModelToken::Word(stratum.word(local))
-    }
-
-    /// Sample a whole body's worth of tokens (topic + length + tokens).
-    pub fn sample_body<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<ModelToken> {
-        let topic = self.sample_topic(rng);
-        let len = self.sample_len(rng);
-        (0..len).map(|_| self.sample_token(topic, rng)).collect()
-    }
-
-    /// Sample `n` tokens for a subject line, given the message topic.
-    pub fn sample_subject<R: Rng + ?Sized>(
-        &self,
-        topic: usize,
-        n: usize,
-        rng: &mut R,
-    ) -> Vec<ModelToken> {
-        (0..n).map(|_| self.sample_token(topic, rng)).collect()
+        let idx = self.strata_sampler.sample(rng);
+        Stratum::ALL[idx].word(self.zipf[idx].sample(rng))
     }
 }
 
-/// A gibberish hash-buster string: 10–14 chars, lowercase+digits, always at
-/// least two digits — impossible to collide with any vocabulary word (those
-/// are ≤ 7 chars with ≤ 1 digit).
-pub fn gibberish<R: Rng + ?Sized>(rng: &mut R) -> String {
+/// Append a gibberish hash-buster string to `out`: 10–14 chars,
+/// lowercase+digits, always at least two digits — impossible to collide
+/// with any vocabulary word (those are ≤ 7 chars with ≤ 1 digit).
+pub fn push_gibberish<R: Rng + ?Sized>(rng: &mut R, out: &mut String) {
     const CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789";
     let len = rng.random_range(10..=14);
-    let mut s: String = (0..len)
-        .map(|_| CHARS[rng.random_range(0..CHARS.len())] as char)
-        .collect();
+    let mut chars = [0u8; 14];
+    for c in &mut chars[..len] {
+        *c = CHARS[rng.random_range(0..CHARS.len())];
+    }
     // Force two digits at fixed interior positions.
-    let d1 = char::from(b'0' + rng.random_range(0..10) as u8);
-    let d2 = char::from(b'0' + rng.random_range(0..10) as u8);
-    s.replace_range(2..3, &d1.to_string());
-    s.replace_range(5..6, &d2.to_string());
-    s
+    chars[2] = b'0' + rng.random_range(0..10) as u8;
+    chars[5] = b'0' + rng.random_range(0..10) as u8;
+    out.extend(chars[..len].iter().map(|&c| char::from(c)));
 }
 
 #[cfg(test)]
@@ -286,6 +294,29 @@ mod tests {
     use crate::vocab::{stratum_of, word_for};
     use sb_stats::rng::Xoshiro256pp;
     use std::collections::HashMap;
+
+    /// A whole body's worth of tokens (topic + length + tokens), one
+    /// string per token.
+    fn body_tokens(m: &LanguageModel, rng: &mut Xoshiro256pp) -> Vec<String> {
+        let topic = m.sample_topic(rng);
+        let len = m.sample_len(rng);
+        let mut body = String::new();
+        for _ in 0..len {
+            m.push_token(topic, rng, &mut body);
+            body.push(' ');
+        }
+        body.split_whitespace().map(str::to_owned).collect()
+    }
+
+    /// Gibberish is the only token of ten or more characters.
+    fn is_gibberish(tok: &str) -> bool {
+        tok.len() >= 10
+    }
+
+    /// Stratum D's words are the only vocabulary words with a digit.
+    fn is_spam_specific(tok: &str) -> bool {
+        !is_gibberish(tok) && tok.bytes().any(|b| b.is_ascii_digit())
+    }
 
     #[test]
     fn ham_model_never_emits_spam_specific_words() {
@@ -297,13 +328,11 @@ mod tests {
         let mut gib = 0usize;
         let mut total = 0usize;
         for _ in 0..50 {
-            for tok in m.sample_body(&mut rng) {
+            for tok in body_tokens(&m, &mut rng) {
                 total += 1;
-                match tok {
-                    ModelToken::Word(id) => {
-                        assert_ne!(stratum_of(id), Stratum::SpamSpecific);
-                    }
-                    ModelToken::Gibberish(_) => gib += 1,
+                assert!(!is_spam_specific(&tok), "{tok}");
+                if is_gibberish(&tok) {
+                    gib += 1;
                 }
             }
         }
@@ -322,18 +351,11 @@ mod tests {
         let mut saw_d = false;
         let mut saw_gib = false;
         for _ in 0..50 {
-            for tok in m.sample_body(&mut rng) {
-                match tok {
-                    ModelToken::Word(id) => {
-                        if stratum_of(id) == Stratum::SpamSpecific {
-                            saw_d = true;
-                        }
-                    }
-                    ModelToken::Gibberish(g) => {
-                        saw_gib = true;
-                        assert!(g.len() >= 10);
-                        assert!(g.chars().filter(|c| c.is_ascii_digit()).count() >= 2);
-                    }
+            for tok in body_tokens(&m, &mut rng) {
+                saw_d |= is_spam_specific(&tok);
+                if is_gibberish(&tok) {
+                    saw_gib = true;
+                    assert!(tok.chars().filter(|c| c.is_ascii_digit()).count() >= 2);
                 }
             }
         }
@@ -349,9 +371,8 @@ mod tests {
         let mut counts: HashMap<Stratum, usize> = HashMap::new();
         let n = 60_000;
         for _ in 0..n {
-            if let ModelToken::Word(id) = m.sample_token(0, &mut rng) {
-                *counts.entry(stratum_of(id)).or_default() += 1;
-            }
+            let stratum = stratum_of(m.sample_word(0, &mut rng));
+            *counts.entry(stratum).or_default() += 1;
         }
         // Topic draws add to core; everything else follows the mixture.
         let personal = *counts.get(&Stratum::Personal).unwrap_or(&0) as f64 / n as f64;
@@ -389,14 +410,12 @@ mod tests {
         let mut in_t7 = 0;
         let n = 20_000;
         for _ in 0..n {
-            if let ModelToken::Word(id) = m.sample_token(3, &mut rng) {
-                let id = id as usize;
-                if (t3..t3 + cfg.topic_cluster).contains(&id) {
-                    in_t3 += 1;
-                }
-                if (t7..t7 + cfg.topic_cluster).contains(&id) {
-                    in_t7 += 1;
-                }
+            let id = m.sample_word(3, &mut rng) as usize;
+            if (t3..t3 + cfg.topic_cluster).contains(&id) {
+                in_t3 += 1;
+            }
+            if (t7..t7 + cfg.topic_cluster).contains(&id) {
+                in_t7 += 1;
             }
         }
         assert!(in_t3 > n / 8, "topic cluster underused: {in_t3}/{n}");
@@ -411,7 +430,7 @@ mod tests {
         let m = LanguageModel::new(LanguageModelConfig::ham_default());
         let mut rng = Xoshiro256pp::new(5);
         for _ in 0..200 {
-            let body = m.sample_body(&mut rng);
+            let body = body_tokens(&m, &mut rng);
             let cfg = m.config();
             assert!(body.len() >= cfg.len_min && body.len() <= cfg.len_max);
         }
@@ -421,7 +440,8 @@ mod tests {
     fn gibberish_never_collides_with_vocabulary() {
         let mut rng = Xoshiro256pp::new(6);
         for _ in 0..100 {
-            let g = gibberish(&mut rng);
+            let mut g = String::new();
+            push_gibberish(&mut rng, &mut g);
             assert!(g.len() >= 10, "{g}");
             // Vocabulary words are at most 7 chars.
             assert!(g.len() > 7);
@@ -435,7 +455,7 @@ mod tests {
         let m = LanguageModel::new(LanguageModelConfig::spam_default());
         let mut r1 = Xoshiro256pp::new(7);
         let mut r2 = Xoshiro256pp::new(7);
-        assert_eq!(m.sample_body(&mut r1), m.sample_body(&mut r2));
+        assert_eq!(body_tokens(&m, &mut r1), body_tokens(&m, &mut r2));
     }
 
     #[test]
@@ -445,5 +465,51 @@ mod tests {
         cfg.topic_region_start = 60_000;
         cfg.n_topics = 50;
         let _ = LanguageModel::new(cfg);
+    }
+
+    #[test]
+    fn paired_models_share_equal_tables_only() {
+        let (ham, spam) = LanguageModel::pair(
+            LanguageModelConfig::ham_default(),
+            LanguageModelConfig::spam_default(),
+        );
+        let shared: Vec<bool> = ham
+            .tables()
+            .iter()
+            .zip(spam.tables())
+            .map(|(h, s)| std::ptr::eq(h.cdf(), s.cdf()))
+            .collect();
+        // Core (61,000 ranks, s = 1.05) and topic (1,500 ranks, s = 0.9)
+        // match; the other strata differ in exponent (1.08 vs 1.05).
+        assert_eq!(shared, [true, false, false, false, false, true]);
+        // Sharing never changes a table: each equals a fresh build.
+        for z in spam.tables() {
+            assert_eq!(z.cdf(), Zipf::new(z.len(), z.exponent()).cdf());
+        }
+    }
+
+    /// The guide lookup returns the binary search's index for every
+    /// probe: each CDF value, its two neighbours, 0, the largest f64
+    /// below 1 and random draws, over all five strata tables and the
+    /// topic table of both default models.
+    #[test]
+    fn zipf_guide_equals_binary_search_on_model_tables() {
+        let (ham, spam) = LanguageModel::pair(
+            LanguageModelConfig::ham_default(),
+            LanguageModelConfig::spam_default(),
+        );
+        let mut rng = Xoshiro256pp::new(8);
+        for z in ham.tables().into_iter().chain(spam.tables()) {
+            let cdf = z.cdf();
+            let want = |u: f64| cdf.partition_point(|&c| c < u).min(cdf.len() - 1);
+            let mut probes = vec![0.0, 1.0f64.next_down()];
+            for &c in cdf {
+                probes.extend([c, c.next_up(), c.next_down()]);
+            }
+            probes.extend((0..20_000).map(|_| rng.random::<f64>()));
+            for u in probes {
+                assert_eq!(z.rank_of(u), want(u), "u = {u:e}, n = {}", cdf.len());
+            }
+        }
     }
 }

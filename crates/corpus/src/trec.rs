@@ -13,12 +13,13 @@
 //! extensible (fresh target emails for the focused attack come from indices
 //! beyond the training pool, guaranteeing disjointness).
 
-use crate::model::{LanguageModel, LanguageModelConfig, ModelToken};
-use crate::vocab::{word_for, Stratum};
+use crate::model::{push_gibberish, LanguageModel, LanguageModelConfig};
+use crate::vocab::{push_word, Stratum};
 use rand::Rng;
 use sb_email::{Dataset, Email, LabeledEmail};
 use sb_stats::rng::SeedTree;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Corpus-level configuration (the per-class models plus assembly knobs).
@@ -53,16 +54,6 @@ impl CorpusConfig {
     /// Paper Table 1, dictionary-attack column: 10,000 messages, 50% spam.
     pub fn paper_dictionary() -> Self {
         Self::with_size(10_000, 0.5)
-    }
-
-    /// Paper Table 1 also evaluates the 2,000-message training set.
-    pub fn paper_dictionary_small() -> Self {
-        Self::with_size(2_000, 0.5)
-    }
-
-    /// Paper Table 1, focused-attack column: 5,000 messages, 50% spam.
-    pub fn paper_focused() -> Self {
-        Self::with_size(5_000, 0.5)
     }
 
     /// A small corpus for unit tests and quick examples.
@@ -111,12 +102,11 @@ pub struct EmailGenerator {
 impl EmailGenerator {
     /// Build a generator rooted at `seed`.
     pub fn new(cfg: CorpusConfig, seed: u64) -> Self {
-        let ham_model = Arc::new(LanguageModel::new(cfg.ham.clone()));
-        let spam_model = Arc::new(LanguageModel::new(cfg.spam.clone()));
+        let (ham_model, spam_model) = LanguageModel::pair(cfg.ham.clone(), cfg.spam.clone());
         Self {
             cfg: Arc::new(cfg),
-            ham_model,
-            spam_model,
+            ham_model: Arc::new(ham_model),
+            spam_model: Arc::new(spam_model),
             seeds: SeedTree::new(seed).child("trec-corpus"),
         }
     }
@@ -138,21 +128,22 @@ impl EmailGenerator {
         self.make_spam(&mut rng)
     }
 
-    fn render_tokens(&self, tokens: &[ModelToken]) -> String {
-        let mut body = String::with_capacity(tokens.len() * 7);
-        for (i, tok) in tokens.iter().enumerate() {
+    /// A body of `len` tokens, written as they are drawn: a space between
+    /// words and a line break every 12 words, ending in a newline.
+    fn body<R: Rng + ?Sized>(
+        &self,
+        model: &LanguageModel,
+        topic: usize,
+        len: usize,
+        rng: &mut R,
+    ) -> String {
+        let mut body = String::with_capacity(len * 7 + 1);
+        for i in 0..len {
             if i > 0 {
                 // Break into lines every ~12 words for realism.
-                if i % 12 == 0 {
-                    body.push('\n');
-                } else {
-                    body.push(' ');
-                }
+                body.push(if i % 12 == 0 { '\n' } else { ' ' });
             }
-            match tok {
-                ModelToken::Word(id) => body.push_str(&word_for(*id)),
-                ModelToken::Gibberish(s) => body.push_str(s),
-            }
+            model.push_token(topic, rng, &mut body);
         }
         body.push('\n');
         body
@@ -166,51 +157,61 @@ impl EmailGenerator {
     ) -> String {
         let (lo, hi) = self.cfg.subject_len;
         let n = rng.random_range(lo..=hi);
-        let toks = model.sample_subject(topic, n, rng);
-        toks.iter()
-            .map(|t| match t {
-                ModelToken::Word(id) => word_for(*id),
-                ModelToken::Gibberish(s) => s.clone(),
-            })
-            .collect::<Vec<_>>()
-            .join(" ")
+        let mut subject = String::with_capacity(n * 8);
+        for i in 0..n {
+            if i > 0 {
+                subject.push(' ');
+            }
+            model.push_token(topic, rng, &mut subject);
+        }
+        subject
     }
 
-    /// A ham sender: deterministic pool of colleagues/partners built from
-    /// the personal stratum (so sender names correlate with the victim
-    /// organization's vocabulary).
-    fn ham_sender(&self, k: usize) -> (String, String) {
+    /// A ham sender's `From` value, `"first last" <first.last@domain>`:
+    /// a deterministic pool of colleagues/partners built from the personal
+    /// stratum (so sender names correlate with the victim organization's
+    /// vocabulary).
+    fn ham_sender(&self, k: usize) -> String {
         const DOMAINS: [&str; 3] = ["corp.example", "partner.example", "client.example"];
-        let first = word_for(Stratum::Personal.word(2 * k % Stratum::Personal.len()));
-        let last = word_for(Stratum::Personal.word((2 * k + 1) % Stratum::Personal.len()));
-        let domain = DOMAINS[k % DOMAINS.len()];
-        (
-            format!("{first} {last}"),
-            format!("{first}.{last}@{domain}"),
-        )
+        let first = Stratum::Personal.word(2 * k % Stratum::Personal.len());
+        let last = Stratum::Personal.word((2 * k + 1) % Stratum::Personal.len());
+        let mut from = String::with_capacity(48);
+        from.push('"');
+        push_word(first, &mut from);
+        from.push(' ');
+        push_word(last, &mut from);
+        from.push_str("\" <");
+        push_word(first, &mut from);
+        from.push('.');
+        push_word(last, &mut from);
+        from.push('@');
+        from.push_str(DOMAINS[k % DOMAINS.len()]);
+        from.push('>');
+        from
     }
 
-    fn spam_domain<R: Rng + ?Sized>(&self, rng: &mut R) -> String {
+    /// Append a spam sender domain, `<stratum-D word>.example`.
+    fn push_spam_domain<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut String) {
         let k = rng.random_range(0..self.cfg.n_spam_domains);
-        let w = word_for(Stratum::SpamSpecific.word(37 * k % Stratum::SpamSpecific.len()));
-        format!("{w}.example")
+        let id = Stratum::SpamSpecific.word(37 * k % Stratum::SpamSpecific.len());
+        push_word(id, out);
+        out.push_str(".example");
     }
 
     fn make_ham<R: Rng + ?Sized>(&self, rng: &mut R) -> Email {
         let model = &self.ham_model;
         let topic = model.sample_topic(rng);
         let len = model.sample_len(rng);
-        let tokens: Vec<ModelToken> = (0..len).map(|_| model.sample_token(topic, rng)).collect();
-        let (sender_name, sender_addr) =
-            self.ham_sender(rng.random_range(0..self.cfg.n_ham_senders));
+        let body = self.body(model, topic, len, rng);
+        let from = self.ham_sender(rng.random_range(0..self.cfg.n_ham_senders));
         let subject = self.subject_line(model, topic, rng);
         let msgid: u64 = rng.random();
         Email::builder()
-            .from_addr(format!("\"{sender_name}\" <{sender_addr}>"))
+            .from_addr(from)
             .to_addr("victim@corp.example")
             .subject(subject)
             .header("Message-Id", format!("<{msgid:016x}@corp.example>"))
-            .body(self.render_tokens(&tokens))
+            .body(body)
             .build()
     }
 
@@ -218,30 +219,28 @@ impl EmailGenerator {
         let model = &self.spam_model;
         let topic = model.sample_topic(rng);
         let len = model.sample_len(rng);
-        let mut tokens: Vec<ModelToken> =
-            (0..len).map(|_| model.sample_token(topic, rng)).collect();
+        let mut body = self.body(model, topic, len, rng);
         // Spam URLs: inserted as raw text so the tokenizer cracks them.
-        let mut body = self.render_tokens(&tokens);
         if rng.random::<f64>() < self.cfg.spam_url_prob {
             let n_urls = rng.random_range(1..=3);
             for _ in 0..n_urls {
-                let host = if rng.random::<f64>() < self.cfg.spam_raw_ip_prob {
+                body.push_str("http://");
+                if rng.random::<f64>() < self.cfg.spam_raw_ip_prob {
                     // Botnet-hosted landing page: a raw IP host.
-                    format!(
+                    let _ = write!(
+                        body,
                         "{}.{}.{}.{}",
                         rng.random_range(11u8..=223),
                         rng.random_range(0u8..=255),
                         rng.random_range(0u8..=255),
                         rng.random_range(1u8..=254)
-                    )
+                    );
                 } else {
-                    self.spam_domain(rng)
-                };
-                let page = match model.sample_token(topic, rng) {
-                    ModelToken::Word(id) => word_for(id),
-                    ModelToken::Gibberish(s) => s,
-                };
-                body.push_str(&format!("http://{host}/{page}\n"));
+                    self.push_spam_domain(rng, &mut body);
+                }
+                body.push('/');
+                model.push_token(topic, rng, &mut body);
+                body.push('\n');
             }
         }
         if rng.random::<f64>() < self.cfg.spam_exclaim_prob {
@@ -253,26 +252,32 @@ impl EmailGenerator {
         // Real spammers spoof the victim organization's domain in a share
         // of their mail; without this, domain tokens would be unattackable
         // perfect ham anchors no real corpus has.
-        let domain = if rng.random::<f64>() < 0.05 {
-            "corp.example".to_owned()
+        let mut domain = String::with_capacity(16);
+        if rng.random::<f64>() < 0.05 {
+            domain.push_str("corp.example");
         } else {
-            self.spam_domain(rng)
-        };
-        let local: String = crate::model::gibberish(rng).chars().take(8).collect();
+            self.push_spam_domain(rng, &mut domain);
+        }
+        // The local part is a gibberish string's first eight characters.
+        let mut from = String::with_capacity(24 + domain.len());
+        push_gibberish(rng, &mut from);
+        from.truncate(8);
+        from.push('@');
+        from.push_str(&domain);
         let mut subject = self.subject_line(model, topic, rng);
         if rng.random::<f64>() < self.cfg.spam_caps_subject_prob {
-            subject = subject.to_uppercase();
+            // Words and gibberish are ASCII.
+            subject.make_ascii_uppercase();
         }
         let msgid: u64 = rng.random();
         let mut builder = Email::builder()
-            .from_addr(format!("{local}@{domain}"))
+            .from_addr(from)
             .to_addr("victim@corp.example")
             .subject(subject)
             .header("Message-Id", format!("<{msgid:016x}@{domain}>"));
         if rng.random::<f64>() < 0.4 {
             builder = builder.header("X-Mailer", "BulkMailPro 2.1");
         }
-        tokens.clear();
         builder.body(body).build()
     }
 }
@@ -452,8 +457,6 @@ mod tests {
     #[test]
     fn paper_presets_match_table1() {
         assert_eq!(CorpusConfig::paper_dictionary().n_emails, 10_000);
-        assert_eq!(CorpusConfig::paper_dictionary_small().n_emails, 2_000);
-        assert_eq!(CorpusConfig::paper_focused().n_emails, 5_000);
         assert_eq!(CorpusConfig::paper_dictionary().spam_fraction, 0.5);
     }
 }

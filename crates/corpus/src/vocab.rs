@@ -20,8 +20,8 @@
 //!
 //! Word strings are generated injectively from the global id via bijective
 //! base-60 numeration over consonant-vowel syllables plus an id-derived coda
-//! consonant, giving pronounceable 3–7 character words — comfortably inside
-//! the tokenizer's `[3, 12]` length window. Spam-specific words additionally
+//! consonant ([`push_word`]), giving pronounceable 3–7 character words —
+//! comfortably inside the tokenizer's `[3, 12]` length window. Spam-specific words additionally
 //! get a leetspeak vowel substitution (`v1agra`-style), which no other
 //! stratum can produce, preserving global uniqueness.
 
@@ -125,21 +125,23 @@ const CONSONANTS: [char; 20] = [
     'x', 'z',
 ];
 const VOWELS: [char; 3] = ['a', 'e', 'o'];
+/// Stratum D's leetspeak vowels (`a→4, e→3, o→0`), index-aligned with
+/// [`VOWELS`].
+const LEET_VOWELS: [char; 3] = ['4', '3', '0'];
 const CODAS: [char; 7] = ['n', 's', 'r', 'l', 't', 'm', 'k'];
 
-/// The 60-syllable alphabet: consonant × {a,e,o}.
-fn syllable(digit: usize, out: &mut String) {
-    debug_assert!(digit < 60);
-    out.push(CONSONANTS[digit % 20]);
-    out.push(VOWELS[digit / 20]);
-}
-
-/// The word string for a global id. Injective over the universe.
-pub fn word_for(id: WordId) -> String {
+/// Append the word string for a global id to `out`. Injective over the
+/// universe.
+///
+/// The word is bijective base-60 over the 60-syllable alphabet consonant ×
+/// {a,e,o} (id 0 → one syllable, …, so variable-length digit strings carry
+/// no leading-zero ambiguity), then an id-derived coda consonant. A
+/// stratum-D word has its first vowel replaced by a digit: the hallmark of
+/// spam vocabulary. No other stratum produces digits, so uniqueness is
+/// preserved.
+pub fn push_word(id: WordId, out: &mut String) {
     let id_us = id as usize;
     assert!(id_us < UNIVERSE, "word id {id} outside universe");
-    // Bijective base-60: id 0 → one syllable, … guarantees unique variable-
-    // length digit strings without leading-zero ambiguity.
     let mut n = id_us + 1;
     let mut digits = [0usize; 4];
     let mut len = 0;
@@ -149,44 +151,26 @@ pub fn word_for(id: WordId) -> String {
         n /= 60;
         len += 1;
     }
-    let mut word = String::with_capacity(2 * len + 1);
-    for i in (0..len).rev() {
-        syllable(digits[i], &mut word);
+    // Consonants and codas hold no vowel, so the first syllable's vowel is
+    // the word's first.
+    let mut vowels = if Stratum::SpamSpecific.range().contains(&id_us) {
+        &LEET_VOWELS
+    } else {
+        &VOWELS
+    };
+    for &digit in digits[..len].iter().rev() {
+        out.push(CONSONANTS[digit % 20]);
+        out.push(vowels[digit / 20]);
+        vowels = &VOWELS;
     }
-    word.push(CODAS[id_us % CODAS.len()]);
-    if stratum_of(id) == Stratum::SpamSpecific {
-        leetify(&mut word);
-    }
-    word
+    out.push(CODAS[id_us % CODAS.len()]);
 }
 
-/// Replace the first vowel with a digit (`a→4, e→3, o→0`): the hallmark of
-/// stratum D. No other stratum produces digits, so uniqueness is preserved.
-fn leetify(word: &mut String) {
-    let replaced: String = {
-        let mut done = false;
-        word.chars()
-            .map(|c| {
-                if done {
-                    return c;
-                }
-                let sub = match c {
-                    'a' => Some('4'),
-                    'e' => Some('3'),
-                    'o' => Some('0'),
-                    _ => None,
-                };
-                match sub {
-                    Some(d) => {
-                        done = true;
-                        d
-                    }
-                    None => c,
-                }
-            })
-            .collect()
-    };
-    *word = replaced;
+/// The word string for a global id: [`push_word`] into a fresh `String`.
+pub fn word_for(id: WordId) -> String {
+    let mut word = String::with_capacity(9);
+    push_word(id, &mut word);
+    word
 }
 
 /// The optimal attack lexicon of §3.4: every word in the universe.

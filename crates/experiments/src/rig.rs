@@ -1,22 +1,22 @@
 //! Tiered reproduction rig: one registry of every reproduction target,
-//! runnable at a CI-sized `lite` tier on every push and a paper-scale
-//! `full` tier nightly (`repro run --tier lite|full`).
+//! runnable at a CI-sized `lite` tier and a paper-scale `full` tier, both
+//! on every push (`repro run --tier lite|full`).
 //!
 //! Each target produces a canonical CSV *digest* (full-precision `{:?}`
 //! floats, sealed with an FNV-1a line like the golden scenario suite) and
 //! is compared against the committed digest under `tests/golden/<tier>/`.
-//! The two tiers differ in how strictly digests are held:
+//! Digests are deterministic by construction at both tiers, so at both
+//! they are byte-exact regression anchors: any drift, or a missing golden,
+//! fails the run. The tiers differ in scale and in what else gates:
 //!
-//! - **lite** — digests are byte-exact regression anchors. Any drift fails
-//!   the run, scenario targets are additionally executed across the shard
-//!   matrix `{1, 2, 4}` and must be bit-identical, and in-file `expect`
-//!   assertions are enforced.
+//! - **lite** — CI-sized parameters. Scenario targets are additionally
+//!   executed across the shard matrix `{1, 2, 4}` and must be
+//!   bit-identical, and in-file `expect` assertions are enforced.
 //! - **full** — paper-scale parameters (≥ 1k-user organization, full
-//!   corpus/vocabulary). Floats here are perf-tuned and may legitimately
-//!   drift, so digest mismatches are *warnings*; what gates the run are
-//!   typed **paper-claim invariants** ([`ClaimResult`]) re-asserting the
-//!   NSDI'08 headline numbers (dictionary-attack knee, focused-attack
-//!   flip rates, RONI separability, organization-level detonation).
+//!   corpus/vocabulary). Typed **paper-claim invariants**
+//!   ([`ClaimResult`]) re-assert the NSDI'08 headline numbers
+//!   (dictionary-attack knee, focused-attack flip rates, RONI
+//!   separability, organization-level detonation).
 //!
 //! Each target also renders its human-readable table(s) from the same
 //! result value it digests. Artifacts land under `reports/<tier>/`: per
@@ -170,8 +170,8 @@ pub struct ClaimResult {
     pub description: String,
     /// Comparison applied as `observed op required`.
     pub op: ExpectOp,
-    /// Threshold (calibrated with slack below the measured full-scale value
-    /// so legitimate float drift passes but a broken attack/defense fails).
+    /// Threshold: a semantic bound set with slack below the measured
+    /// full-scale value, so a broken attack or defense fails it.
     pub required: f64,
     /// Value measured by this run.
     pub observed: f64,
@@ -401,10 +401,8 @@ pub enum TargetStatus {
     Ok,
     /// Golden rewritten (`--update-golden`).
     Updated,
-    /// Full tier only: digest drifted or golden missing (non-fatal).
-    Drifted,
-    /// Something gating failed: lite digest mismatch, shard divergence,
-    /// expect/claim failure, or the target errored.
+    /// Something gating failed: digest drift or a missing golden (at either
+    /// tier), shard divergence, expect/claim failure, or the target errored.
     Failed,
 }
 
@@ -414,7 +412,6 @@ impl TargetStatus {
         match self {
             TargetStatus::Ok => "ok",
             TargetStatus::Updated => "updated",
-            TargetStatus::Drifted => "drifted",
             TargetStatus::Failed => "FAILED",
         }
     }
@@ -434,8 +431,6 @@ pub struct TargetReport {
     pub claims: Vec<ClaimResult>,
     /// Gating errors (empty unless `status == Failed`).
     pub errors: Vec<String>,
-    /// Non-gating notes (full-tier drift details and the like).
-    pub warnings: Vec<String>,
     /// The target's tables (see [`TargetOutput::tables`]).
     pub tables: Vec<(String, Table)>,
 }
@@ -1577,63 +1572,33 @@ fn compare_golden(
     fresh: &str,
     tier: Tier,
     update: bool,
-) -> (TargetStatus, Vec<String>, Vec<String>) {
-    let mut errors = Vec::new();
-    let mut warnings = Vec::new();
+) -> (TargetStatus, Vec<String>) {
+    let failed = |msg: String| (TargetStatus::Failed, vec![msg]);
     if update {
         if let Some(dir) = golden_path.parent() {
             if let Err(e) = fs::create_dir_all(dir) {
-                errors.push(format!("creating {}: {e}", dir.display()));
-                return (TargetStatus::Failed, errors, warnings);
+                return failed(format!("creating {}: {e}", dir.display()));
             }
         }
         return match fs::write(golden_path, fresh) {
-            Ok(()) => (TargetStatus::Updated, errors, warnings),
-            Err(e) => {
-                errors.push(format!("writing {}: {e}", golden_path.display()));
-                (TargetStatus::Failed, errors, warnings)
-            }
+            Ok(()) => (TargetStatus::Updated, Vec::new()),
+            Err(e) => failed(format!("writing {}: {e}", golden_path.display())),
         };
     }
     match fs::read_to_string(golden_path) {
-        Err(_) => {
-            let msg = format!(
-                "no committed golden at {} — run `repro run --tier {} --update-golden` and commit the result",
-                golden_path.display(),
-                tier.name()
-            );
-            match tier {
-                Tier::Lite => {
-                    errors.push(msg);
-                    (TargetStatus::Failed, errors, warnings)
-                }
-                Tier::Full => {
-                    warnings.push(msg);
-                    (TargetStatus::Drifted, errors, warnings)
-                }
-            }
-        }
+        Err(_) => failed(format!(
+            "no committed golden at {} — run `repro run --tier {} --update-golden` and commit the result",
+            golden_path.display(),
+            tier.name()
+        )),
+        Ok(golden) if golden == fresh => (TargetStatus::Ok, Vec::new()),
         Ok(golden) => {
-            if golden == fresh {
-                (TargetStatus::Ok, errors, warnings)
-            } else {
-                let (line, want, got) = first_divergence(&golden, fresh)
-                    .unwrap_or((0, String::new(), String::new()));
-                let msg = format!(
-                    "digest drift vs {} at line {line}: committed `{want}` vs fresh `{got}`",
-                    golden_path.display()
-                );
-                match tier {
-                    Tier::Lite => {
-                        errors.push(msg);
-                        (TargetStatus::Failed, errors, warnings)
-                    }
-                    Tier::Full => {
-                        warnings.push(msg);
-                        (TargetStatus::Drifted, errors, warnings)
-                    }
-                }
-            }
+            let (line, want, got) =
+                first_divergence(&golden, fresh).unwrap_or((0, String::new(), String::new()));
+            failed(format!(
+                "digest drift vs {} at line {line}: committed `{want}` vs fresh `{got}`",
+                golden_path.display()
+            ))
         }
     }
 }
@@ -1707,7 +1672,7 @@ pub fn run_rig(opts: &RigOptions) -> Result<RigSummary, String> {
     };
 
     for target in selected {
-        let mut record = match run_target(target, opts) {
+        let record = match run_target(target, opts) {
             Err(e) => TargetReport {
                 stem: target.stem.clone(),
                 status: TargetStatus::Failed,
@@ -1715,7 +1680,6 @@ pub fn run_rig(opts: &RigOptions) -> Result<RigSummary, String> {
                 seal: String::new(),
                 claims: Vec::new(),
                 errors: vec![e],
-                warnings: Vec::new(),
                 tables: Vec::new(),
             },
             Ok(out) => {
@@ -1730,7 +1694,7 @@ pub fn run_rig(opts: &RigOptions) -> Result<RigSummary, String> {
                     }
                 }
                 let golden_path = golden_dir.join(format!("{}.golden.csv", target.stem));
-                let (mut status, mut golden_errors, warnings) =
+                let (mut status, mut golden_errors) =
                     compare_golden(&golden_path, &out.digest, opts.tier, opts.update_golden);
                 errors.append(&mut golden_errors);
                 for c in out.claims.iter().filter(|c| !c.passed()) {
@@ -1746,7 +1710,6 @@ pub fn run_rig(opts: &RigOptions) -> Result<RigSummary, String> {
                     seal: last_line(&out.digest),
                     claims: out.claims,
                     errors,
-                    warnings,
                     tables: out.tables,
                 }
             }
@@ -1764,13 +1727,9 @@ pub fn run_rig(opts: &RigOptions) -> Result<RigSummary, String> {
             record.stem,
             record.status.name()
         );
-        for w in &record.warnings {
-            eprintln!("  warning: {w}");
-        }
         for e in &record.errors {
             eprintln!("  error: {e}");
         }
-        record.warnings.shrink_to_fit();
         summary.targets.push(record);
     }
 

@@ -21,10 +21,11 @@
 use crate::smtp::{Command, Reply, ReplyCode};
 use crate::transport::{End, FaultyPipe};
 use crate::server::SmtpServer;
-use crate::wire::{dot_stuff, LineCodec};
+use crate::wire::{stuff_line, LineCodec, DATA_END};
 use sb_email::Email;
 use sb_email::render::render_email;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// An envelope: what SMTP actually routes (independent of header fields).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -161,20 +162,6 @@ impl SmtpClient {
         }
     }
 
-    /// Override the retry budgets (attempts ≥ 1, retries ≥ 1).
-    pub fn with_budgets(mut self, max_attempts: u32, per_command_retries: u32) -> Self {
-        assert!(max_attempts >= 1 && per_command_retries >= 1);
-        self.max_attempts = max_attempts;
-        self.per_command_retries = per_command_retries;
-        self
-    }
-
-    /// Override the backoff schedule.
-    pub fn with_backoff(mut self, backoff: BackoffSchedule) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
     /// Deliver a batch of envelopes over one SMTP session, pumping `server`
     /// through `pipe`. Returns per-batch accounting; individual failures do
     /// not abort the batch.
@@ -189,6 +176,8 @@ impl SmtpClient {
             pipe,
             server,
             client_codec: LineCodec::new(),
+            server_codec: LineCodec::new(),
+            scratch: String::new(),
             retransmissions: 0,
             recoveries: 0,
             waited_ms: 0,
@@ -246,12 +235,9 @@ impl SmtpClient {
         session.exchange_strict(&Command::Data.render(), &[354], "DATA")?;
         // Body lines draw no replies; send them in one burst per line so the
         // fault injector sees realistic chunk granularity.
-        let wire = dot_stuff(&render_email(&env.email));
-        for line in wire.split_inclusive("\r\n") {
-            session.send_raw(line.as_bytes());
-        }
+        session.send_data(&render_email(&env.email));
         session.pump_server();
-        // The terminating dot was part of `wire`; wait for the final 250.
+        // The terminating dot was part of the data; wait for the final 250.
         match session.await_reply() {
             Some(r) if r.code == ReplyCode::Ok => Ok(()),
             Some(r) if r.code == ReplyCode::TooMuchData => Err(ClientError::Rejected {
@@ -266,7 +252,7 @@ impl SmtpClient {
                 // The dot (or its reply) was lost: retransmit just the dot.
                 for retry in 1..=self.per_command_retries {
                     session.waited_ms += session.backoff.delay_ms(retry);
-                    session.send_raw(b".\r\n");
+                    session.send_raw(DATA_END.as_bytes());
                     session.pump_server();
                     if let Some(r) = session.await_reply() {
                         return if r.code == ReplyCode::Ok {
@@ -287,11 +273,29 @@ impl SmtpClient {
     }
 }
 
+/// Call `send` with each transport chunk of `message`'s `DATA` phase, in
+/// wire order: one dot-stuffed line per chunk, built in `scratch`
+/// ([`stuff_line`]), then the lone dot. The chunks are exactly
+/// `dot_stuff(message).split_inclusive("\r\n")`.
+fn data_chunks(message: &str, scratch: &mut String, mut send: impl FnMut(&[u8])) {
+    for line in message.split('\n') {
+        scratch.clear();
+        stuff_line(line, scratch);
+        send(scratch.as_bytes());
+    }
+    send(DATA_END.as_bytes());
+}
+
 /// One live client↔server pumping context.
 struct Session<'a> {
     pipe: &'a mut FaultyPipe,
     server: &'a mut SmtpServer,
     client_codec: LineCodec,
+    /// The server's framing buffer, reused across pumps.
+    server_codec: LineCodec,
+    /// The line being written: a command or reply with its CRLF, or one
+    /// dot-stuffed data line.
+    scratch: String,
     retransmissions: u64,
     recoveries: u64,
     /// Virtual milliseconds spent in backoff waits.
@@ -306,34 +310,55 @@ impl Session<'_> {
         self.pipe.write(End::Client, bytes);
     }
 
+    /// Send one command line with its CRLF as one chunk.
+    fn send_line(&mut self, line: &str) {
+        self.scratch.clear();
+        self.scratch.push_str(line);
+        self.scratch.push_str("\r\n");
+        self.pipe.write(End::Client, self.scratch.as_bytes());
+    }
+
+    /// Send a rendered message as the body of a `DATA` phase, terminator
+    /// included: one chunk per line ([`data_chunks`]).
+    fn send_data(&mut self, message: &str) {
+        let pipe = &mut *self.pipe;
+        data_chunks(message, &mut self.scratch, |chunk| {
+            pipe.write(End::Client, chunk)
+        });
+    }
+
+    /// Answer the client with `reply` and its CRLF as one chunk.
+    fn send_reply(&mut self, reply: &Reply) {
+        self.scratch.clear();
+        let _ = write!(self.scratch, "{reply}\r\n");
+        self.pipe.write(End::Server, self.scratch.as_bytes());
+    }
+
     /// Let the server consume everything in flight and emit replies.
     fn pump_server(&mut self) {
         let bytes = self.pipe.read(End::Server);
         if bytes.is_empty() {
             return;
         }
-        // The server frames with its own codec; a persistent one per session
-        // would be marginally more realistic, but command lines never split
-        // across our chunk boundary (one write = one line), so a local codec
-        // that drains fully is equivalent — except for byte-corruption runs,
-        // where a corrupted terminator could leave a partial line stranded.
-        // We accept losing that tail: it models a broken line on a real
-        // wire, and the client's retransmission path covers it.
-        let mut codec = LineCodec::new();
-        codec.feed(&bytes);
-        while let Some(item) = codec.next_line() {
-            match item {
-                Ok(line) => {
-                    if let Some(reply) = self.server.handle_line(&line) {
-                        self.pipe.write(End::Server, format!("{}\r\n", reply.render()).as_bytes());
-                    }
-                }
-                Err(_) => {
-                    // Oversized garbage: a real server would answer 500; ours
-                    // does too, so the client can resync.
-                    let reply = Reply::new(ReplyCode::SyntaxError, "line too long");
-                    self.pipe.write(End::Server, format!("{}\r\n", reply.render()).as_bytes());
-                }
+        // The server frames with its own codec, reset on every pump; one
+        // carrying state across pumps would be marginally more realistic,
+        // but command lines never split across our chunk boundary (one
+        // write = one line), so a codec that drains fully is equivalent —
+        // except for byte-corruption runs, where a corrupted terminator
+        // could leave a partial line stranded. We accept losing that tail:
+        // it models a broken line on a real wire, and the client's
+        // retransmission path covers it.
+        self.server_codec.reset();
+        self.server_codec.feed(&bytes);
+        while let Some(item) = self.server_codec.next_line_bytes() {
+            let reply = match item {
+                Ok(line) => self.server.handle_line(&String::from_utf8_lossy(line)),
+                // Oversized garbage: a real server would answer 500; ours
+                // does too, so the client can resync.
+                Err(_) => Some(Reply::new(ReplyCode::SyntaxError, "line too long")),
+            };
+            if let Some(reply) = reply {
+                self.send_reply(&reply);
             }
         }
     }
@@ -342,9 +367,9 @@ impl Session<'_> {
     fn await_reply(&mut self) -> Option<Reply> {
         let bytes = self.pipe.read(End::Client);
         self.client_codec.feed(&bytes);
-        while let Some(item) = self.client_codec.next_line() {
+        while let Some(item) = self.client_codec.next_line_bytes() {
             if let Ok(line) = item {
-                if let Some(r) = Reply::parse(&line) {
+                if let Some(r) = Reply::parse(&String::from_utf8_lossy(line)) {
                     return Some(r);
                 }
                 // Corrupted reply: ignore; caller will retransmit.
@@ -373,7 +398,7 @@ impl Session<'_> {
                 self.retransmissions += 1;
                 self.waited_ms += self.backoff.delay_ms(attempt);
             }
-            self.send_raw(format!("{line}\r\n").as_bytes());
+            self.send_line(line);
             self.pump_server();
             if let Some(r) = self.await_reply() {
                 let code = r.code.code();
@@ -412,7 +437,7 @@ impl Session<'_> {
     /// stuck in, then RSET. Ignores outcomes — this is a best-effort dance.
     fn resync(&mut self) {
         self.recoveries += 1;
-        self.send_raw(b".\r\n");
+        self.send_raw(DATA_END.as_bytes());
         self.pump_server();
         self.drain_client_replies();
         let _ = self.exchange(&Command::Rset.render(), &[250]);
@@ -424,6 +449,69 @@ impl Session<'_> {
 mod tests {
     use super::*;
     use crate::transport::FaultConfig;
+    use crate::wire::dot_stuff;
+    use proptest::prelude::*;
+
+    /// The client's transport writes for one message's `DATA` phase.
+    fn client_chunks(email: &Email) -> Vec<Vec<u8>> {
+        let mut chunks = Vec::new();
+        data_chunks(&render_email(email), &mut String::new(), |c| {
+            chunks.push(c.to_vec())
+        });
+        chunks
+    }
+
+    /// The chunks of the whole dot-stuffed rendering, one per CRLF line:
+    /// the write sequence the fault injector's RNG stream is keyed to.
+    fn stuffed_chunks(email: &Email) -> Vec<Vec<u8>> {
+        dot_stuff(&render_email(email))
+            .split_inclusive("\r\n")
+            .map(|c| c.as_bytes().to_vec())
+            .collect()
+    }
+
+    #[test]
+    fn data_chunks_are_the_dot_stuffed_lines() {
+        let with_headers = |body: &str| Email::builder().subject("s").body(body).build();
+        let headerless = |body: &str| Email::from_parts(Vec::new(), body.to_owned());
+        let bodies = [
+            "",
+            "\n",
+            ".",
+            "..",
+            ".x\n..y\n",
+            "a\r\nb\r\n",
+            "a\r\r\n.\r\n",
+            "\r",
+            "x\ry",
+        ];
+        for body in bodies {
+            for email in [with_headers(body), headerless(body)] {
+                assert_eq!(client_chunks(&email), stuffed_chunks(&email), "{email:?}");
+            }
+        }
+        // The last chunk is the lone dot, and no earlier chunk is.
+        let chunks = client_chunks(&with_headers(".\n"));
+        assert_eq!(chunks.last().map(Vec::as_slice), Some(DATA_END.as_bytes()));
+        let dots = chunks.iter().filter(|c| c.as_slice() == DATA_END.as_bytes());
+        assert_eq!(dots.count(), 1);
+    }
+
+    proptest! {
+        /// For arbitrary messages (leading dots, CRLF and bare CR bodies,
+        /// empty bodies, no headers) the client writes exactly the chunks
+        /// of the whole dot-stuffed rendering, in order.
+        #[test]
+        fn data_chunks_equal_split_dot_stuffed_rendering(
+            headers in proptest::collection::vec(("[A-Za-z-]{1,10}", "[ -~]{0,30}"), 0..4),
+            pieces in proptest::collection::vec(0usize..8, 0..80),
+        ) {
+            const PIECES: [&str; 8] = ["word", ".", "..", "\r\n", "\n", "\r", " ", "Subject: x"];
+            let body: String = pieces.iter().map(|&k| PIECES[k]).collect();
+            let email = Email::from_parts(headers, body);
+            prop_assert_eq!(client_chunks(&email), stuffed_chunks(&email));
+        }
+    }
 
     fn envelope(i: usize) -> Envelope {
         Envelope::to_one(
@@ -491,7 +579,11 @@ mod tests {
                 seed,
             );
             let mut server = SmtpServer::new("mx");
-            let client = SmtpClient::new("out").with_budgets(4, 6);
+            let client = SmtpClient {
+                max_attempts: 4,
+                per_command_retries: 6,
+                ..SmtpClient::new("out")
+            };
             let envs: Vec<Envelope> = (0..10).map(envelope).collect();
             let report = client.deliver_all(&mut pipe, &mut server, &envs);
             total_delivered += report.delivered;
@@ -551,7 +643,10 @@ mod tests {
         let run = |backoff: BackoffSchedule| {
             let mut pipe = FaultyPipe::seeded(FaultConfig::harsh(), 17);
             let mut server = SmtpServer::new("mx");
-            let client = SmtpClient::new("out").with_backoff(backoff);
+            let client = SmtpClient {
+                backoff,
+                ..SmtpClient::new("out")
+            };
             let envs: Vec<Envelope> = (0..10).map(envelope).collect();
             client.deliver_all(&mut pipe, &mut server, &envs)
         };

@@ -15,7 +15,7 @@
 //! eventually-successful without hiding wire failures.
 
 use crate::smtp::{Command, CommandError, Reply, ReplyCode};
-use crate::wire::dot_unstuff;
+use crate::wire::unstuff_line;
 use sb_email::{parse_email, Email};
 use serde::{Deserialize, Serialize};
 
@@ -43,7 +43,8 @@ pub struct ReceivedMessage {
     pub rcpt_to: Vec<String>,
     /// The parsed message.
     pub email: Email,
-    /// Raw size in bytes as transferred (post-unstuffing).
+    /// Size in bytes as transferred: every data line as framed (still
+    /// dot-stuffed, lossy-decoded) plus its CRLF.
     pub wire_bytes: usize,
 }
 
@@ -84,7 +85,9 @@ pub struct SmtpServer {
     state: State,
     mail_from: Option<String>,
     rcpt_to: Vec<String>,
-    data_lines: Vec<String>,
+    /// The message body so far: each received line unstuffed and followed
+    /// by `\n` ([`unstuff_line`]).
+    body: String,
     data_bytes: usize,
     /// Set while receiving a message that has already blown the size limit:
     /// keep consuming lines until the terminator, then reject once.
@@ -106,7 +109,7 @@ impl SmtpServer {
             state: State::Connected,
             mail_from: None,
             rcpt_to: Vec::new(),
-            data_lines: Vec::new(),
+            body: String::new(),
             data_bytes: 0,
             oversized: false,
             events: Vec::new(),
@@ -185,7 +188,7 @@ impl SmtpServer {
                     Reply::new(ReplyCode::BadSequence, "need RCPT before DATA")
                 } else {
                     self.state = State::ReceivingData;
-                    self.data_lines.clear();
+                    self.body.clear();
                     self.data_bytes = 0;
                     self.oversized = false;
                     Reply::new(ReplyCode::StartMailInput, "end data with <CRLF>.<CRLF>")
@@ -222,8 +225,10 @@ impl SmtpServer {
                 self.reset_transaction();
                 return Some(Reply::new(ReplyCode::TooMuchData, "message too large"));
             }
-            let body = dot_unstuff(&std::mem::take(&mut self.data_lines));
-            let email = parse_email(&body);
+            // The body is the lines joined by `\n`: drop the last one's.
+            self.body.pop();
+            let email = parse_email(&self.body);
+            self.body.clear();
             let msg = ReceivedMessage {
                 mail_from: self.mail_from.take().unwrap_or_default(),
                 rcpt_to: std::mem::take(&mut self.rcpt_to),
@@ -237,9 +242,9 @@ impl SmtpServer {
         self.data_bytes += line.len() + 2;
         if self.data_bytes > self.cfg.max_message_bytes {
             self.oversized = true;
-            self.data_lines.clear();
+            self.body.clear();
         } else if !self.oversized {
-            self.data_lines.push(line.to_owned());
+            unstuff_line(line, &mut self.body);
         }
         None
     }
@@ -247,7 +252,7 @@ impl SmtpServer {
     fn reset_transaction(&mut self) {
         self.mail_from = None;
         self.rcpt_to.clear();
-        self.data_lines.clear();
+        self.body.clear();
         self.data_bytes = 0;
         self.oversized = false;
     }
@@ -256,6 +261,76 @@ impl SmtpServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::LineCodec;
+    use proptest::prelude::*;
+
+    /// The line-vector receive path: every data line kept as its own
+    /// `String`, then joined with leading double dots collapsed.
+    fn joined_lines_body(lines: &[String]) -> String {
+        let mut out = String::new();
+        for (i, line) in lines.iter().enumerate() {
+            if i > 0 {
+                out.push('\n');
+            }
+            if let Some(rest) = line.strip_prefix('.') {
+                out.push('.');
+                out.push_str(rest.strip_prefix('.').unwrap_or(rest));
+            } else {
+                out.push_str(line);
+            }
+        }
+        out
+    }
+
+    /// Frame `wire` as the delivery pump does and feed every line to a
+    /// fresh server; returns the accepted message, if any.
+    fn receive(wire: &[u8]) -> Option<ReceivedMessage> {
+        let mut s = SmtpServer::new("mx");
+        let mut codec = LineCodec::new();
+        codec.feed(wire);
+        while let Some(Ok(line)) = codec.next_line_bytes() {
+            s.handle_line(&String::from_utf8_lossy(line));
+        }
+        s.take_events().into_iter().find_map(|e| match e {
+            ServerEvent::MessageAccepted(m) => Some(m),
+            ServerEvent::SessionClosed => None,
+        })
+    }
+
+    proptest! {
+        /// The one-buffer body and `wire_bytes` equal the line-vector
+        /// path's for arbitrary data lines: dots, bare CRs, bytes flipped
+        /// by the fault injector's XOR and invalid UTF-8.
+        #[test]
+        fn one_buffer_body_equals_joined_lines(
+            raw in proptest::collection::vec(
+                (proptest::collection::vec(0usize..10, 0..50), any::<u64>()), 0..30),
+        ) {
+            const BYTES: [u8; 10] = [b'a', b'Z', b'.', b' ', b':', 0xFF, 0xC3, 0xA9, b'\r', b'-'];
+            let mut wire = b"HELO x\r\nMAIL FROM:<a@b>\r\nRCPT TO:<c@d>\r\nDATA\r\n".to_vec();
+            let mut lines = Vec::new();
+            for (picks, flip) in &raw {
+                let mut line: Vec<u8> = picks.iter().map(|&k| BYTES[k]).collect();
+                if flip & 1 == 1 && !line.is_empty() {
+                    let at = (flip >> 1) as usize % line.len();
+                    if line[at] != b'\r' {
+                        line[at] ^= 0x02;
+                    }
+                }
+                if line == b"." {
+                    line.push(b'.');
+                }
+                wire.extend_from_slice(&line);
+                wire.extend_from_slice(b"\r\n");
+                lines.push(String::from_utf8_lossy(&line).into_owned());
+            }
+            wire.extend_from_slice(b".\r\n");
+            let got = receive(&wire).expect("the message is accepted");
+            prop_assert_eq!(got.email, parse_email(&joined_lines_body(&lines)));
+            let wire_bytes: usize = lines.iter().map(|l| l.len() + 2).sum();
+            prop_assert_eq!(got.wire_bytes, wire_bytes);
+        }
+    }
 
     /// Drive a scripted session; returns replies (None entries for silent
     /// data lines are skipped).

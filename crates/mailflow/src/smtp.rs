@@ -198,9 +198,11 @@ impl Reply {
         }
     }
 
-    /// Render to a wire line (no terminator).
+    /// Render to a wire line (no terminator): the [`Display`] form.
+    ///
+    /// [`Display`]: std::fmt::Display
     pub fn render(&self) -> String {
-        format!("{} {}", self.code.code(), self.text)
+        self.to_string()
     }
 
     /// Parse a reply line coming back from the server; unknown codes map to
@@ -227,6 +229,13 @@ impl Reply {
             _ => return None,
         };
         Some(Reply { code, text })
+    }
+}
+
+/// The wire line: `<code> <text>`.
+impl std::fmt::Display for Reply {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} {}", self.code.code(), self.text)
     }
 }
 

@@ -1,6 +1,12 @@
 //! Offline shim for `bytes`: `Bytes` / `BytesMut` / `BufMut` backed by a
 //! plain `Vec<u8>`. API-compatible with the subset this workspace uses
 //! (append, split, freeze); no refcounted zero-copy slicing.
+//!
+//! Cost model: every method here costs what the real crate's does —
+//! `split` and `freeze` move the vector (O(1)), appends are amortized O(1)
+//! per byte. The shim offers no prefix split (`split_to`, `advance`): on a
+//! plain vector those copy the rest of the buffer, O(n) where the real
+//! crate is O(1), so a decoder that takes lines with them is quadratic.
 
 use std::ops::{Deref, DerefMut};
 
@@ -121,13 +127,6 @@ impl BytesMut {
         self.data.extend_from_slice(src);
     }
 
-    /// Split off and return the first `at` bytes, keeping the rest.
-    pub fn split_to(&mut self, at: usize) -> BytesMut {
-        let rest = self.data.split_off(at);
-        let head = std::mem::replace(&mut self.data, rest);
-        BytesMut { data: head }
-    }
-
     /// Split off and return the whole contents, leaving this empty.
     pub fn split(&mut self) -> BytesMut {
         BytesMut {
@@ -187,15 +186,6 @@ impl BufMut for Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn split_to_takes_prefix() {
-        let mut b = BytesMut::new();
-        b.extend_from_slice(b"hello world");
-        let head = b.split_to(5);
-        assert_eq!(&head[..], b"hello");
-        assert_eq!(&b[..], b" world");
-    }
 
     #[test]
     fn split_takes_everything() {

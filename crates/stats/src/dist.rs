@@ -10,23 +10,40 @@
 //!   attack's per-token guessing process, §3.3 of the paper).
 
 use rand::Rng;
+use std::sync::Arc;
 
 /// Exact Zipf sampler over ranks `0..n` with exponent `s`:
 /// `P(rank = k) ∝ 1 / (k+1)^s`.
 ///
-/// Implemented with a precomputed cumulative table and binary search, so
-/// sampling is O(log n) with no rejection; construction is O(n). For the
-/// vocabulary sizes used here (≤ ~150k) the table costs ~1 MB and is shared
-/// per language model.
+/// Implemented with a precomputed cumulative table and a guide table
+/// (Chen & Asau's cut-point method): `m`, a power of two below `n`, equal
+/// slices of `[0, 1)`, each remembering the first rank whose cumulative
+/// mass reaches the slice's lower edge. A draw `u` picks its slice by one
+/// exact multiply (`u · m` is exact for a power-of-two `m`) and finishes
+/// with a binary search over only that slice's ranks, about `n / m + 1`
+/// of them on average. The result is the same index a binary search over
+/// the whole table returns, for every `u`. Construction is one O(n)
+/// sweep; the guide costs at most one `u32` per rank. The tables live
+/// behind an `Arc`, so a clone shares them.
 #[derive(Debug, Clone)]
 pub struct Zipf {
+    table: Arc<ZipfTable>,
+}
+
+#[derive(Debug)]
+struct ZipfTable {
+    s: f64,
     cdf: Vec<f64>,
+    /// `guide[j]` is the first rank with `cdf >= j / m` for `j < m`, and
+    /// `guide[m] = n`: slice `j`'s ranks are `guide[j]..=guide[j + 1]`.
+    guide: Vec<u32>,
 }
 
 impl Zipf {
     /// Build a sampler over `n` ranks with exponent `s` (`s ≥ 0`, `n ≥ 1`).
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n >= 1, "Zipf needs at least one rank");
+        assert!(u32::try_from(n).is_ok(), "Zipf ranks must fit a u32");
         assert!(s >= 0.0 && s.is_finite(), "Zipf exponent must be finite and >= 0");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0f64;
@@ -42,34 +59,76 @@ impl Zipf {
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        Self { cdf }
+        // The largest power of two below n (1 for n ≤ 2), so the guide's
+        // m + 1 entries never outnumber the ranks by more than one.
+        let m = if n > 2 { 1usize << (n - 1).ilog2() } else { 1 };
+        let mut guide = Vec::with_capacity(m + 1);
+        let mut rank = 0usize;
+        for j in 0..m {
+            let edge = j as f64 / m as f64;
+            while rank < n && cdf[rank] < edge {
+                rank += 1;
+            }
+            guide.push(rank as u32);
+        }
+        guide.push(n as u32);
+        Self {
+            table: Arc::new(ZipfTable { s, cdf, guide }),
+        }
     }
 
     /// Number of ranks.
     pub fn len(&self) -> usize {
-        self.cdf.len()
+        self.table.cdf.len()
     }
 
     /// True if the rank space is a single element.
     pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
+        self.table.cdf.is_empty()
+    }
+
+    /// The exponent `s` this sampler was built with.
+    pub fn exponent(&self) -> f64 {
+        self.table.s
+    }
+
+    /// The cumulative table: entry `k` is `P(rank ≤ k)`, the last is 1.
+    pub fn cdf(&self) -> &[f64] {
+        &self.table.cdf
     }
 
     /// Probability mass of rank `k`.
     pub fn pmf(&self, k: usize) -> f64 {
-        assert!(k < self.cdf.len());
+        let cdf = &self.table.cdf;
+        assert!(k < cdf.len());
         if k == 0 {
-            self.cdf[0]
+            cdf[0]
         } else {
-            self.cdf[k] - self.cdf[k - 1]
+            cdf[k] - cdf[k - 1]
         }
     }
 
+    /// The rank a uniform draw `u` maps to: the first `k` with
+    /// `cdf[k] >= u`, clamped to the last rank. Equal to
+    /// `cdf.partition_point(|&c| c < u).min(n - 1)` for every `u`.
+    #[inline]
+    pub fn rank_of(&self, u: f64) -> usize {
+        let ZipfTable { cdf, guide, .. } = &*self.table;
+        let m = guide.len() - 1;
+        // Exact: scaling by a power of two only moves the exponent. The
+        // saturating cast sends negative and NaN draws to slice 0.
+        let j = ((u * m as f64) as usize).min(m - 1);
+        let lo = guide[j] as usize;
+        let hi = guide[j + 1] as usize;
+        // Ranks below `lo` are below slice j's lower edge ≤ u, and ranks
+        // from `hi` on reach the next edge > u (or `hi` is n).
+        (lo + cdf[lo..hi].partition_point(|&c| c < u)).min(cdf.len() - 1)
+    }
+
     /// Draw a rank in `0..n` (rank 0 is the most frequent).
+    #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.random();
-        // partition_point returns the first index with cdf[i] >= u.
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        self.rank_of(rng.random())
     }
 }
 
@@ -253,6 +312,41 @@ mod tests {
         let z = Zipf::new(10, 0.0);
         for k in 0..10 {
             assert!((z.pmf(k) - 0.1).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn zipf_guide_equals_binary_search() {
+        let mut rng = Xoshiro256pp::new(9);
+        let tables = [
+            (1, 1.0),
+            (2, 0.5),
+            (3, 1.2),
+            (10, 0.0),
+            (1000, 1.1),
+            (4097, 2.5),
+        ];
+        for (n, s) in tables {
+            let z = Zipf::new(n, s);
+            let cdf = z.cdf();
+            let want = |u: f64| cdf.partition_point(|&c| c < u).min(n - 1);
+            let mut probes = vec![0.0, -0.0, -1.0, 1.0, 2.0, f64::NAN, 1.0f64.next_down()];
+            for &c in cdf {
+                probes.extend([c, c.next_up(), c.next_down()]);
+            }
+            probes.extend((0..5_000).map(|_| rng.random::<f64>()));
+            for u in probes {
+                assert_eq!(z.rank_of(u), want(u), "n = {n}, s = {s}, u = {u:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_guide_is_at_most_one_word_per_rank() {
+        for n in [3usize, 4, 5, 1_500, 8_000, 61_000] {
+            let m = Zipf::new(n, 1.0).table.guide.len();
+            assert!(m <= n, "{m} guide entries for {n} ranks");
+            assert!((m - 1).is_power_of_two());
         }
     }
 
