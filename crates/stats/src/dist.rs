@@ -16,15 +16,15 @@ use std::sync::Arc;
 /// `P(rank = k) ∝ 1 / (k+1)^s`.
 ///
 /// Implemented with a precomputed cumulative table and a guide table
-/// (Chen & Asau's cut-point method): `m`, a power of two below `n`, equal
-/// slices of `[0, 1)`, each remembering the first rank whose cumulative
-/// mass reaches the slice's lower edge. A draw `u` picks its slice by one
-/// exact multiply (`u · m` is exact for a power-of-two `m`) and finishes
-/// with a binary search over only that slice's ranks, about `n / m + 1`
-/// of them on average. The result is the same index a binary search over
-/// the whole table returns, for every `u`. Construction is one O(n)
-/// sweep; the guide costs at most one `u32` per rank. The tables live
-/// behind an `Arc`, so a clone shares them.
+/// (Chen & Asau's cut-point method): `m`, a power of two up to `n / 2`,
+/// equal slices of `[0, 1)`, each remembering the first rank whose
+/// cumulative mass reaches the slice's lower edge. A draw `u` picks its
+/// slice by one exact multiply (`u · m` is exact for a power-of-two `m`)
+/// and finishes with a binary search over only that slice's ranks, about
+/// `n / m + 1` of them on average. The result is the same index a binary
+/// search over the whole table returns, for every `u`. Construction is
+/// one O(n) sweep; the guide costs at most half a `u32` per rank. The
+/// tables live behind an `Arc`, so a clone shares them.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     table: Arc<ZipfTable>,
@@ -59,9 +59,10 @@ impl Zipf {
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        // The largest power of two below n (1 for n ≤ 2), so the guide's
-        // m + 1 entries never outnumber the ranks by more than one.
-        let m = if n > 2 { 1usize << (n - 1).ilog2() } else { 1 };
+        // The largest power of two up to n / 2 (1 for n ≤ 4): two to four
+        // ranks per slice, and the guide's m + 1 entries cost at most half
+        // a u32 per rank, plus one.
+        let m = if n > 4 { 1usize << (n / 2).ilog2() } else { 1 };
         let mut guide = Vec::with_capacity(m + 1);
         let mut rank = 0usize;
         for j in 0..m {
@@ -342,10 +343,10 @@ mod tests {
     }
 
     #[test]
-    fn zipf_guide_is_at_most_one_word_per_rank() {
-        for n in [3usize, 4, 5, 1_500, 8_000, 61_000] {
+    fn zipf_guide_is_at_most_half_a_word_per_rank() {
+        for n in [2usize, 3, 4, 5, 1_500, 8_000, 61_000] {
             let m = Zipf::new(n, 1.0).table.guide.len();
-            assert!(m <= n, "{m} guide entries for {n} ranks");
+            assert!(m <= n / 2 + 1, "{m} guide entries for {n} ranks");
             assert!((m - 1).is_power_of_two());
         }
     }
