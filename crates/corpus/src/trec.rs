@@ -14,7 +14,7 @@
 //! beyond the training pool, guaranteeing disjointness).
 
 use crate::model::{push_gibberish, LanguageModel, LanguageModelConfig};
-use crate::vocab::{push_word, Stratum};
+use crate::vocab::{push_word, word_for, Stratum};
 use rand::Rng;
 use sb_email::{Dataset, Email, LabeledEmail};
 use sb_stats::rng::SeedTree;
@@ -173,21 +173,10 @@ impl EmailGenerator {
     /// vocabulary).
     fn ham_sender(&self, k: usize) -> String {
         const DOMAINS: [&str; 3] = ["corp.example", "partner.example", "client.example"];
-        let first = Stratum::Personal.word(2 * k % Stratum::Personal.len());
-        let last = Stratum::Personal.word((2 * k + 1) % Stratum::Personal.len());
-        let mut from = String::with_capacity(48);
-        from.push('"');
-        push_word(first, &mut from);
-        from.push(' ');
-        push_word(last, &mut from);
-        from.push_str("\" <");
-        push_word(first, &mut from);
-        from.push('.');
-        push_word(last, &mut from);
-        from.push('@');
-        from.push_str(DOMAINS[k % DOMAINS.len()]);
-        from.push('>');
-        from
+        let first = word_for(Stratum::Personal.word(2 * k % Stratum::Personal.len()));
+        let last = word_for(Stratum::Personal.word((2 * k + 1) % Stratum::Personal.len()));
+        let domain = DOMAINS[k % DOMAINS.len()];
+        format!("\"{first} {last}\" <{first}.{last}@{domain}>")
     }
 
     /// Append a spam sender domain, `<stratum-D word>.example`.
