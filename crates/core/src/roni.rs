@@ -14,23 +14,28 @@
 //!
 //! ## Rank-keyed measurement
 //!
-//! Every candidate costs `trials × |val|` classifications, and a screened
-//! pipeline pays that per *arriving message* per retrain. Skipping
-//! validation messages the candidate does not touch saves almost nothing:
-//! on the org-scale scenario (seed 2009, week 1) 98.2% of validation
-//! sweeps shared a δ-relevant token with the candidate. What a candidate
-//! changes is narrow, though. Training it as spam moves the totals to
-//! `NS + 1`, which is the same for every candidate, and moves the counts
-//! of its own tokens only, each by one spam count. A token's score
-//! depends on nothing but its counts, so each trial precomputes once, in
-//! flat CSR arrays (a values array plus an ends array):
+//! The statistic reads ham only, so each trial draws its `train_size +
+//! val_size` split as the paper does and then keeps just the ham of its
+//! validation set: "validation message" below means a ham one. Every
+//! candidate costs `trials × |ham validation|` classifications, and a
+//! screened pipeline pays that per *arriving message* per retrain; a batch
+//! measures each distinct id slice once and hands every equal slice that
+//! result. Skipping validation messages the candidate does not touch saves
+//! almost nothing: on the org-scale scenario (seed 2009, one whole run)
+//! 98.3% of the messages a candidate was measured on shared a δ-relevant
+//! token with it. What a candidate changes is narrow, though. Training it
+//! as spam moves the totals to `NS + 1`, which is the same for every
+//! candidate, and moves the counts of its own tokens only, each by one
+//! spam count. A token's score depends on nothing but its counts, so each
+//! trial precomputes once, in flat CSR arrays (a values array plus an ends
+//! array):
 //!
 //! * a **rank** for every id of its validation vocabulary, numbering the
 //!   vocabulary in token-string order, and one flat open-addressed
 //!   id → rank table to look candidates up in;
 //! * a **count class** for every distinct pair of trial-set counts in the
 //!   vocabulary (at most `(train_size + 1)²`; on the org-scale scenario
-//!   5,800–7,000 ranks share 54–64 classes), each rank pointing at its
+//!   2,200–3,300 ranks share 47–59 classes), each rank pointing at its
 //!   class. A class holds its tokens' clue without the candidate (the
 //!   *shift-only* score, at `NS + 1`) and with it (`c_s + 1`), each with
 //!   its `ln` pair when δ-eligible, and the change `(Δn, Δa, Δb)` that
@@ -47,18 +52,16 @@
 //! its ids, and each member whose class changes some δ(E) walks its
 //! postings once, adding the class's `(Δn, Δa, Δb)` to each message it
 //! is in. A message holding no such member keeps its shift-only verdict.
-//! For the rest, RONI needs only a verdict count — (ham, Ham) and
-//! (spam, Spam) per trial — so each message only has to learn which side
-//! of *one* cutoff its score `I(E)` falls on: `ham_cutoff` for ham
-//! (correct iff `I ≤ ham_cutoff`), the spam cutoff for spam (correct iff
-//! `I > spam_cutoff`). A **certificate** settles that side from the
-//! accumulated sums; when it cannot, the message takes the exact path:
-//! merge its members' candidate clues, sorted by the same key, into its
-//! shift-only δ(E) with the members removed, take the first
-//! `max_discriminators`, Fisher-combine and threshold. On the org-scale
-//! scenario (seed 2009, one whole run) the tail bounds below settled
-//! 87.6% of touched messages, `chi2q_even` 10.9%, and 1.5% took the
-//! exact path, nearly all of them for truncation.
+//! For the rest, RONI needs only the count of (ham, Ham) per trial, so
+//! each message only has to learn which side of `ham_cutoff` its score
+//! `I(E)` falls on (correct iff `I ≤ ham_cutoff`). A **certificate**
+//! settles that side from the accumulated sums; when it cannot, the
+//! message takes the exact path: merge its members' candidate clues,
+//! sorted by the same key, into its shift-only δ(E) with the members
+//! removed, take the first `max_discriminators`, Fisher-combine and
+//! threshold. On the org-scale scenario (seed 2009, one whole run) the
+//! tail bounds below settled 77.3% of touched messages, `chi2q_even`
+//! 22.6%, and 0.02% took the exact path, all but 2 of 116 for truncation.
 //!
 //! ## Exactness
 //!
@@ -76,7 +79,8 @@
 //!   δ(E);
 //! * Fisher sees the same `ln_pair` values in the same order.
 //!
-//! A certificate gives the same verdict as that score, because:
+//! A certificate gives the same verdict as that score (so `c`, the margin
+//! and the branch mix below never change a count), because:
 //!
 //! * **No truncation.** It applies only when `n₀ ≤ K` and
 //!   `n₀ + Δn ≤ K` (`K = max_discriminators`). Then the reference's δ(E)
@@ -120,7 +124,7 @@
 use sb_email::{Dataset, Label};
 use sb_filter::score::token_score_from_counts;
 use sb_filter::{fisher_combine, ln_pair, FilterOptions, ScoreDb, SpamBayes, TokenCounts, Verdict};
-use sb_intern::{par, AsIdSlice, TokenId};
+use sb_intern::{par, AsIdSlice, FxHashMap, TokenId};
 use sb_stats::chi2::chi2q_even;
 use sb_stats::rng::Xoshiro256pp;
 use sb_tokenizer::Tokenizer;
@@ -161,8 +165,6 @@ impl Default for RoniConfig {
 pub struct RoniMeasurement {
     /// Per-trial decrease in ham classified as ham (positive = harmful).
     pub ham_correct_deltas: Vec<f64>,
-    /// Per-trial decrease in spam classified as spam (positive = harmful).
-    pub spam_correct_deltas: Vec<f64>,
     /// Mean of `ham_correct_deltas` — the paper's rejection statistic.
     pub mean_ham_impact: f64,
     /// Whether the configured threshold rejects this message.
@@ -207,6 +209,9 @@ pub struct RoniDefense {
     cfg: RoniConfig,
     opts: FilterOptions,
     trials: Vec<Trial>,
+    /// Candidates measured so far (one per distinct slice of a batch).
+    #[cfg(test)]
+    measured: std::sync::atomic::AtomicUsize,
 }
 
 /// An interned message and its label.
@@ -368,10 +373,9 @@ impl CountClass {
     }
 }
 
-/// A validation message's label and shift-only δ(E) summary.
+/// A ham validation message's shift-only δ(E) summary.
 #[derive(Debug, Clone, Copy)]
 struct ValMessage {
-    label: Label,
     /// `I(E)` of the shift-only δ(E), truncated to `max_discriminators`.
     score: f64,
     /// The full (untruncated) shift-only clue count.
@@ -480,7 +484,8 @@ impl Certifier {
 }
 
 /// One trial's screening tables (see the module docs). Ranks index
-/// `class_of` and `postings`; validation messages index `rows` and `val`.
+/// `class_of` and `postings`; ham validation messages index `rows` and
+/// `val`.
 struct Trial {
     /// The validation vocabulary's id → rank table.
     index: RankTable,
@@ -490,18 +495,17 @@ struct Trial {
     classes: Vec<CountClass>,
     /// Rank → the validation messages holding it.
     postings: Csr<u32>,
-    /// Per validation message: its ranks, the `n` of its shift-only δ(E)
-    /// first, in δ(E) order.
+    /// Per message: its ranks, the `n` of its shift-only δ(E) first, in
+    /// δ(E) order.
     rows: Csr<u32>,
-    /// Per validation message: its label and shift-only summary.
+    /// Per message: its shift-only summary.
     val: Vec<ValMessage>,
     certifier: Certifier,
     baseline_ham_correct: usize,
-    baseline_spam_correct: usize,
-    /// The trained filter and validation set the tables came from: the
+    /// The trained filter and ham validation set the tables came from: the
     /// reference measurement's input.
     #[cfg(test)]
-    reference: (SpamBayes, Vec<IdMessage>),
+    reference: (SpamBayes, Vec<Arc<Vec<TokenId>>>),
 }
 
 /// How often each way of settling a touched message's verdict ran.
@@ -536,22 +540,23 @@ struct Scratch {
 
 impl Trial {
     /// Train the trial filter on `train` and build the screening tables
-    /// for `val`.
-    fn new(train: &[&IdMessage], val: Vec<IdMessage>, opts: FilterOptions) -> Self {
+    /// for the ham of `val`.
+    fn new(train: &[&IdMessage], val: &[&IdMessage], opts: FilterOptions) -> Self {
         let mut filter = SpamBayes::new();
         filter.set_options(opts);
         for (ids, label) in train {
             filter.train_ids(ids, *label, 1);
         }
         let db = filter.db();
-        let (baseline_ham_correct, baseline_spam_correct) =
-            correct_counts(db, filter.options(), &val);
+        let ham: Vec<Arc<Vec<TokenId>>> = val
+            .iter()
+            .filter(|(_, label)| *label == Label::Ham)
+            .map(|(ids, _)| Arc::clone(ids))
+            .collect();
+        let baseline_ham_correct = ham_correct(db, filter.options(), &ham);
 
         // Rank the validation vocabulary in token-string order.
-        let mut by_str: Vec<TokenId> = val
-            .iter()
-            .flat_map(|(ids, _)| ids.iter().copied())
-            .collect();
+        let mut by_str: Vec<TokenId> = ham.iter().flat_map(|ids| ids.iter().copied()).collect();
         by_str.sort_unstable();
         by_str.dedup();
         {
@@ -590,9 +595,9 @@ impl Trial {
         let shift_of = |r: u32| classes[class_of[r as usize] as usize].shift;
 
         // Each message's ranks, its shift-only δ(E) first, and its summary.
-        let mut rows = Vec::with_capacity(val.len());
-        let mut val_msgs = Vec::with_capacity(val.len());
-        for (ids, label) in &val {
+        let mut rows = Vec::with_capacity(ham.len());
+        let mut val = Vec::with_capacity(ham.len());
+        for ids in &ham {
             let mut delta = Vec::new();
             let mut rest = Vec::new();
             for r in ids.iter().filter_map(|&id| index.get(id)) {
@@ -603,8 +608,7 @@ impl Trial {
             }
             delta.sort_unstable_by(RankedClue::cmp);
             let lns = delta.iter().take(opts.max_discriminators).map(|c| c.ln);
-            val_msgs.push(ValMessage {
-                label: *label,
+            val.push(ValMessage {
                 score: fisher_combine(lns),
                 n: u32::try_from(delta.len()).unwrap_or(u32::MAX),
                 sums: delta
@@ -633,12 +637,11 @@ impl Trial {
             classes,
             postings: Csr::from_rows(postings),
             rows: Csr::from_rows(rows),
-            val: val_msgs,
+            val,
             certifier: Certifier::new(opts.max_discriminators.min(longest)),
             baseline_ham_correct,
-            baseline_spam_correct,
             #[cfg(test)]
-            reference: (filter, val),
+            reference: (filter, ham),
         }
     }
 
@@ -649,47 +652,30 @@ impl Trial {
     }
 
     /// Measure one candidate (a sorted, deduplicated id set) against this
-    /// trial: the `(ham, spam)` decrease in correctly classified
-    /// validation messages.
-    fn measure(&self, candidate: &[TokenId], opts: &FilterOptions, s: &mut Scratch) -> (f64, f64) {
+    /// trial: the decrease in ham classified as ham.
+    fn measure(&self, candidate: &[TokenId], opts: &FilterOptions, s: &mut Scratch) -> f64 {
         self.accumulate(candidate, s);
-        // Ham counts iff `I ≤ ham_cutoff`, spam iff `I > spam_cutoff`
-        // (and not `≤ ham_cutoff`, which `verdict_for` checks first).
-        let spam_cutoff = opts.spam_cutoff.max(opts.ham_cutoff);
-        let mut ham_ok = 0usize;
-        let mut spam_ok = 0usize;
-        for v in 0..self.val.len() {
-            let label = self.val[v].label;
-            let cutoff = match label {
-                Label::Ham => opts.ham_cutoff,
-                Label::Spam => spam_cutoff,
-            };
-            let above = match self.settle(v, opts.max_discriminators, cutoff, s) {
-                Some(above) => above,
-                None => self.exact_score(v, opts, s) > cutoff,
-            };
-            match (label, above) {
-                (Label::Ham, false) => ham_ok += 1,
-                (Label::Spam, true) => spam_ok += 1,
-                _ => {}
-            }
-        }
+        // Ham counts iff `I ≤ ham_cutoff`.
+        let cutoff = opts.ham_cutoff;
+        let ham_ok = (0..self.val.len())
+            .filter(|&v| {
+                let above = self.settle(v, opts.max_discriminators, cutoff, s);
+                !above.unwrap_or_else(|| self.exact_score(v, opts, s) > cutoff)
+            })
+            .count();
         self.clear(s);
-        (
-            self.baseline_ham_correct as f64 - ham_ok as f64,
-            self.baseline_spam_correct as f64 - spam_ok as f64,
-        )
+        self.baseline_ham_correct as f64 - ham_ok as f64
     }
 
-    /// Each validation message's label and exact score `I(E)` with the
-    /// candidate (a sorted, deduplicated id set) trained, in order.
+    /// Each validation message's exact score `I(E)` with the candidate (a
+    /// sorted, deduplicated id set) trained, in order.
     #[cfg(test)]
     fn scores(
         &self,
         candidate: &[TokenId],
         opts: &FilterOptions,
         s: &mut Scratch,
-        mut each: impl FnMut(Label, f64),
+        mut each: impl FnMut(f64),
     ) {
         self.accumulate(candidate, s);
         for (v, m) in self.val.iter().enumerate() {
@@ -698,7 +684,7 @@ impl Trial {
             } else {
                 m.score
             };
-            each(m.label, score);
+            each(score);
         }
         self.clear(s);
     }
@@ -869,15 +855,19 @@ impl RoniDefense {
             .map(|_| {
                 let picks =
                     sb_corpus::sample_indices(pool.len(), cfg.train_size + cfg.val_size, rng);
-                let (train_idx, val_idx) = picks.split_at(cfg.train_size);
                 // sb-lint: allow(panic-path, "sample_indices draws from 0..pool.len()")
-                let train: Vec<_> = train_idx.iter().map(|&i| &pool[i]).collect();
-                // sb-lint: allow(panic-path, "sample_indices draws from 0..pool.len()")
-                let val = val_idx.iter().map(|&i| pool[i].clone()).collect();
-                Trial::new(&train, val, opts)
+                let picked: Vec<_> = picks.iter().map(|&i| &pool[i]).collect();
+                let (train, val) = picked.split_at(cfg.train_size);
+                Trial::new(train, val, opts)
             })
             .collect();
-        Self { cfg, opts, trials }
+        Self {
+            cfg,
+            opts,
+            trials,
+            #[cfg(test)]
+            measured: Default::default(),
+        }
     }
 
     /// The active configuration.
@@ -902,24 +892,41 @@ impl RoniDefense {
 
     /// Measure a candidate given as an email.
     pub fn measure_email(&self, email: &sb_email::Email) -> RoniMeasurement {
-        let set = Tokenizer::new().token_set(email);
-        self.measure(&set)
+        self.measure_ids(&Tokenizer::new().intern_ids(email, &sb_intern::Interner::global()))
     }
 
-    /// Measure a batch of pre-interned candidates in parallel. Every
+    /// Measure a batch of pre-interned candidates in parallel, in input
+    /// order. Each distinct id slice is measured once (a dictionary attack
+    /// repeats one message) and every equal slice gets that result. Every
     /// worker reads the same trial tables and reuses one set of scratch
     /// buffers across its chunk of the batch.
     pub fn measure_ids_batch(&self, candidates: &[impl AsIdSlice + Sync]) -> Vec<RoniMeasurement> {
-        par::parallel_chunks(candidates, par::default_threads(), |_, chunk| {
+        let mut distinct: Vec<&[TokenId]> = Vec::new();
+        let mut first = FxHashMap::default();
+        let slots: Vec<usize> = candidates
+            .iter()
+            .map(|c| {
+                *first.entry(c.ids()).or_insert_with(|| {
+                    distinct.push(c.ids());
+                    distinct.len() - 1
+                })
+            })
+            .collect();
+        let measured = par::parallel_chunks(&distinct, par::default_threads(), |_, chunk| {
             let mut scratch = Scratch::default();
             chunk
                 .iter()
-                .map(|c| self.measure_one(c.ids(), &mut scratch))
+                .map(|c| self.measure_one(c, &mut scratch))
                 .collect()
-        })
+        });
+        // sb-lint: allow(panic-path, "each slot < distinct.len(), and parallel_chunks keeps one result per item")
+        slots.into_iter().map(|i| measured[i].clone()).collect()
     }
 
     fn measure_one(&self, candidate: &[TokenId], scratch: &mut Scratch) -> RoniMeasurement {
+        #[cfg(test)]
+        self.measured
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let normalized;
         let candidate = if candidate.windows(2).all(|w| w[0] < w[1]) {
             candidate
@@ -978,32 +985,22 @@ fn split_verdicts(measurements: &[RoniMeasurement]) -> (Vec<usize>, Vec<usize>) 
     (kept, rejected)
 }
 
-fn measurement_from_deltas(deltas: Vec<(f64, f64)>, threshold: f64) -> RoniMeasurement {
-    let (ham_deltas, spam_deltas): (Vec<f64>, Vec<f64>) = deltas.into_iter().unzip();
-    let mean_ham_impact = ham_deltas.iter().sum::<f64>() / ham_deltas.len().max(1) as f64;
+fn measurement_from_deltas(ham_correct_deltas: Vec<f64>, threshold: f64) -> RoniMeasurement {
+    let mean_ham_impact =
+        ham_correct_deltas.iter().sum::<f64>() / ham_correct_deltas.len().max(1) as f64;
     RoniMeasurement {
         rejected: mean_ham_impact >= threshold,
         mean_ham_impact,
-        ham_correct_deltas: ham_deltas,
-        spam_correct_deltas: spam_deltas,
+        ham_correct_deltas,
     }
 }
 
-/// Count validation messages classified correctly, per class, by a
-/// trained database. `Unsure` counts as incorrect for both classes (§2.1:
-/// unsure ham is nearly as bad as misfiled ham).
-fn correct_counts<D: ScoreDb>(db: &D, opts: &FilterOptions, val: &[IdMessage]) -> (usize, usize) {
-    let mut ham_ok = 0;
-    let mut spam_ok = 0;
-    for (ids, label) in val {
-        let v = sb_filter::score_token_ids(ids, db, opts).verdict;
-        match (label, v) {
-            (Label::Ham, Verdict::Ham) => ham_ok += 1,
-            (Label::Spam, Verdict::Spam) => spam_ok += 1,
-            _ => {}
-        }
-    }
-    (ham_ok, spam_ok)
+/// Count ham messages a trained database classifies as ham. `Unsure`
+/// counts as incorrect (§2.1: unsure ham is nearly as bad as misfiled ham).
+fn ham_correct<D: ScoreDb>(db: &D, opts: &FilterOptions, ham: &[Arc<Vec<TokenId>>]) -> usize {
+    ham.iter()
+        .filter(|ids| sb_filter::score_token_ids(ids, db, opts).verdict == Verdict::Ham)
+        .count()
 }
 
 #[cfg(test)]
@@ -1020,20 +1017,17 @@ mod tests {
 
     /// The reference measurement the rank-keyed path must equal bit for
     /// bit: per trial, clone the trained filter, train the candidate as
-    /// spam and sweep the validation set.
+    /// spam and classify every ham validation message.
     fn reference_measure(roni: &RoniDefense, candidate: &[TokenId]) -> RoniMeasurement {
         let deltas = roni
             .trials
             .iter()
             .map(|t| {
-                let (filter, val) = &t.reference;
+                let (filter, ham) = &t.reference;
                 let mut filter = filter.clone();
                 filter.train_ids(candidate, Label::Spam, 1);
-                let (ham_ok, spam_ok) = correct_counts(filter.db(), filter.options(), val);
-                (
-                    t.baseline_ham_correct as f64 - ham_ok as f64,
-                    t.baseline_spam_correct as f64 - spam_ok as f64,
-                )
+                let ham_ok = ham_correct(filter.db(), filter.options(), ham);
+                t.baseline_ham_correct as f64 - ham_ok as f64
             })
             .collect();
         measurement_from_deltas(deltas, roni.cfg.reject_threshold)
@@ -1047,15 +1041,15 @@ mod tests {
         opts: &FilterOptions,
     ) -> (Vec<u64>, Vec<u64>) {
         let mut got = Vec::new();
-        trial.scores(candidate, opts, &mut Scratch::default(), |_, score| {
+        trial.scores(candidate, opts, &mut Scratch::default(), |score| {
             got.push(score.to_bits())
         });
-        let (filter, val) = &trial.reference;
+        let (filter, ham) = &trial.reference;
         let mut filter = filter.clone();
         filter.train_ids(candidate, Label::Spam, 1);
-        let want = val
+        let want = ham
             .iter()
-            .map(|(ids, _)| filter.classify_ids(ids).score.to_bits())
+            .map(|ids| filter.classify_ids(ids).score.to_bits())
             .collect();
         (got, want)
     }
@@ -1229,6 +1223,29 @@ mod tests {
         assert_eq!(sequential, batched, "batch screening must be bit-identical");
     }
 
+    /// `measure_email` interns through `Tokenizer::intern_ids`; it measures
+    /// exactly as the token-string form, `measure(token_set)`.
+    #[test]
+    fn measure_email_matches_token_set_measure() {
+        let corpus = TrecCorpus::generate(&CorpusConfig::with_size(200, 0.5), 77);
+        let roni = RoniDefense::new(
+            RoniConfig::default(),
+            corpus.dataset(),
+            FilterOptions::default(),
+            &mut Xoshiro256pp::new(13),
+        );
+        let attack = crate::dictionary::DictionaryAttack::new(
+            crate::dictionary::DictionaryKind::UsenetTop(2_000),
+        );
+        let mut emails: Vec<sb_email::Email> = (0..4).map(|k| corpus.fresh_spam(k)).collect();
+        emails.push(attack.prototype().clone());
+        let tokenizer = Tokenizer::new();
+        for email in &emails {
+            let want = roni.measure(&tokenizer.token_set(email));
+            assert_eq!(roni.measure_email(email), want);
+        }
+    }
+
     #[test]
     fn train_untrain_path_matches_overlay_on_attack_email() {
         let pool = pool();
@@ -1290,10 +1307,10 @@ mod tests {
             messages.push((interned(&spam), Label::Spam));
             messages.push((interned(&ham), Label::Ham));
         }
-        let (train, val) = messages.split_at(6);
-        let train: Vec<_> = train.iter().collect();
+        let refs: Vec<_> = messages.iter().collect();
+        let (train, val) = refs.split_at(6);
         let opts = FilterOptions::default();
-        let trial = Trial::new(&train, val.to_vec(), opts);
+        let trial = Trial::new(train, val, opts);
 
         // Both tokens sit in all 3 + 3 training messages: at NS + 1 they
         // score about 0.43 without the candidate and 0.5 with it. The
@@ -1305,7 +1322,7 @@ mod tests {
         ]));
         let mut s = Scratch::default();
         let mut scores = Vec::new();
-        trial.scores(&candidate, &opts, &mut s, |_, score| {
+        trial.scores(&candidate, &opts, &mut s, |score| {
             scores.push(score.to_bits())
         });
         assert_eq!(s.ranks.len(), 2, "both pool tokens are members");
@@ -1405,10 +1422,54 @@ mod tests {
             for (a, b) in got.ham_correct_deltas.iter().zip(&want.ham_correct_deltas) {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "ham delta diverged");
             }
-            for (a, b) in got.spam_correct_deltas.iter().zip(&want.spam_correct_deltas) {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "spam delta diverged");
-            }
             prop_assert_eq!(got.rejected, want.rejected);
+        }
+
+        /// A batch measures each distinct id slice once and hands every
+        /// candidate its own slice's measurement, in input order. The batch
+        /// mixes shared `Arc`s, equal copies and reversed copies (a
+        /// distinct slice of the same set) of four id sets, in a random
+        /// order.
+        #[test]
+        fn batch_measures_each_distinct_slice_once(
+            batch in proptest::collection::vec((0usize..4, 0usize..3), 1..24),
+            seed in 1u64..500,
+        ) {
+            let cfg = RoniConfig {
+                train_size: 10,
+                val_size: 20,
+                trials: 3,
+                reject_threshold: 5.1,
+            };
+            let corpus = TrecCorpus::generate(&CorpusConfig::with_size(60, 0.5), 31);
+            let pool = corpus.dataset().clone();
+            let mut rng = Xoshiro256pp::new(seed);
+            let roni = RoniDefense::new(cfg, &pool, FilterOptions::default(), &mut rng);
+            let tokenizer = Tokenizer::new();
+            let mut sets: Vec<Arc<Vec<TokenId>>> = (0..3)
+                .map(|k| {
+                    let email = &pool.emails()[(seed as usize + k) % pool.len()].email;
+                    interned(&tokenizer.token_set(email))
+                })
+                .collect();
+            sets.push(interned(&(0..30).map(|i| format!("dup{i}")).collect::<Vec<_>>()));
+            let candidates: Vec<Arc<Vec<TokenId>>> = batch
+                .iter()
+                .map(|&(set, form)| match form {
+                    0 => Arc::clone(&sets[set]),
+                    1 => Arc::new(sets[set].to_vec()),
+                    _ => Arc::new(sets[set].iter().rev().copied().collect()),
+                })
+                .collect();
+            let distinct: std::collections::BTreeSet<&[TokenId]> =
+                candidates.iter().map(|c| c.as_slice()).collect();
+
+            let got = roni.measure_ids_batch(&candidates);
+            let measured = roni.measured.load(std::sync::atomic::Ordering::Relaxed);
+            prop_assert_eq!(measured, distinct.len());
+            let want: Vec<RoniMeasurement> =
+                candidates.iter().map(|c| roni.measure_ids(c)).collect();
+            prop_assert_eq!(got, want);
         }
 
         /// The merge where it can break: a few-word vocabulary makes many
@@ -1454,11 +1515,9 @@ mod tests {
             for i in 0..n_spam + ham_extra {
                 train.push((subset(&format!("mrg-h{i}")), Label::Ham));
             }
+            // All ham: the trial keeps only ham validation messages.
             let val: Vec<IdMessage> = (0..8)
-                .map(|i| {
-                    let label = if i % 2 == 0 { Label::Spam } else { Label::Ham };
-                    (subset(&format!("mrg-v{i}")), label)
-                })
+                .map(|i| (subset(&format!("mrg-v{i}")), Label::Ham))
                 .collect();
             let candidate = subset("mrg-fresh");
 
@@ -1468,22 +1527,25 @@ mod tests {
                 ..FilterOptions::default()
             };
             let train_refs: Vec<_> = train.iter().collect();
+            let val_refs: Vec<_> = val.iter().collect();
             let roni = RoniDefense {
                 cfg: RoniConfig::default(),
                 opts,
-                trials: vec![Trial::new(&train_refs, val, opts)],
+                trials: vec![Trial::new(&train_refs, &val_refs, opts)],
+                measured: Default::default(),
             };
             let (got, want) = message_scores(&roni.trials[0], &candidate, &opts);
+            prop_assert_eq!(got.len(), 8);
             prop_assert_eq!(got, want);
             prop_assert_eq!(roni.measure_ids(&candidate), reference_measure(&roni, &candidate));
         }
 
         /// Both exact-path fallbacks of the verdict certificate, forced.
         /// `max_discriminators` in 1..=8 makes `n₀ + Δn > K` common
-        /// (truncation). Cutoffs set to validation messages' own exact
-        /// scores with the candidate put those messages inside the margin
-        /// band (near-cutoff). Each branch must run, and the measurement
-        /// must equal the reference's.
+        /// (truncation). `ham_cutoff` set to a validation message's own
+        /// exact score with the candidate puts that message inside the
+        /// margin band (near-cutoff). Each branch must run, and the
+        /// measurement must equal the reference's.
         #[test]
         fn certificate_fallbacks_match_reference(
             seed in 1u64..500,
@@ -1517,30 +1579,23 @@ mod tests {
             );
             prop_assert!(s.branches.truncated > 0, "{:?}", s.branches);
 
-            // A certifiable message of each label in trial 0, and its exact
-            // score with the candidate.
+            // A certifiable message in trial 0, and its exact score with the
+            // candidate.
             let roni = build(FilterOptions::default());
             let (trial, k) = (&roni.trials[0], roni.opts.max_discriminators);
             let mut s = Scratch::default();
             let mut exact = Vec::new();
-            trial.scores(&candidate, &roni.opts, &mut s, |label, score| {
-                exact.push((label, score))
+            trial.scores(&candidate, &roni.opts, &mut s, |score| exact.push(score));
+            let certifiable = (0..exact.len()).find(|&v| {
+                let (m, d) = (&trial.val[v], s.deltas[v]);
+                let n = i64::from(m.n) + i64::from(d.n);
+                d.touched && m.n as usize <= k && (1..=k as i64).contains(&n)
             });
-            let pick = |label: Label| {
-                (0..exact.len())
-                    .find(|&v| {
-                        let (m, d) = (&trial.val[v], s.deltas[v]);
-                        let n = i64::from(m.n) + i64::from(d.n);
-                        exact[v].0 == label && d.touched && m.n as usize <= k && (1..=k as i64).contains(&n)
-                    })
-                    .map(|v| exact[v].1)
-            };
-            let (Some(ham_cutoff), Some(spam_cutoff)) = (pick(Label::Ham), pick(Label::Spam)) else {
+            let Some(v) = certifiable else {
                 return Ok(());
             };
             let roni = build(FilterOptions {
-                ham_cutoff,
-                spam_cutoff,
+                ham_cutoff: exact[v],
                 ..FilterOptions::default()
             });
             let mut s = Scratch::default();

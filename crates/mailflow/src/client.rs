@@ -336,10 +336,6 @@ impl Session<'_> {
 
     /// Let the server consume everything in flight and emit replies.
     fn pump_server(&mut self) {
-        let bytes = self.pipe.read(End::Server);
-        if bytes.is_empty() {
-            return;
-        }
         // The server frames with its own codec, reset on every pump; one
         // carrying state across pumps would be marginally more realistic,
         // but command lines never split across our chunk boundary (one
@@ -348,8 +344,11 @@ impl Session<'_> {
         // could leave a partial line stranded. We accept losing that tail:
         // it models a broken line on a real wire, and the client's
         // retransmission path covers it.
-        self.server_codec.reset();
-        self.server_codec.feed(&bytes);
+        let codec = &mut self.server_codec;
+        self.pipe.read(End::Server, |bytes| {
+            codec.reset();
+            codec.feed(bytes);
+        });
         while let Some(item) = self.server_codec.next_line_bytes() {
             let reply = match item {
                 Ok(line) => self.server.handle_line(&String::from_utf8_lossy(line)),
@@ -365,8 +364,8 @@ impl Session<'_> {
 
     /// Read one parsed reply from the client side, if any arrived.
     fn await_reply(&mut self) -> Option<Reply> {
-        let bytes = self.pipe.read(End::Client);
-        self.client_codec.feed(&bytes);
+        let codec = &mut self.client_codec;
+        self.pipe.read(End::Client, |bytes| codec.feed(bytes));
         while let Some(item) = self.client_codec.next_line_bytes() {
             if let Ok(line) = item {
                 if let Some(r) = Reply::parse(&String::from_utf8_lossy(line)) {

@@ -12,7 +12,7 @@
 //! retry logic and the server's 5xx handling are exercised by exactly these
 //! two shapes.
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use sb_stats::rng::Xoshiro256pp;
 
 /// Which side of the pipe an endpoint holds.
@@ -55,12 +55,17 @@ impl Pipe {
         }
     }
 
-    /// Drain everything queued toward `end`.
-    pub fn read(&mut self, end: End) -> Bytes {
-        match end {
-            End::Client => self.to_client.split().freeze(),
-            End::Server => self.to_server.split().freeze(),
-        }
+    /// Drain everything queued toward `end`: `reader` sees the queued
+    /// bytes in place, then the queue is cleared and keeps its capacity
+    /// for the next write.
+    pub fn read<R>(&mut self, end: End, reader: impl FnOnce(&[u8]) -> R) -> R {
+        let queue = match end {
+            End::Client => &mut self.to_client,
+            End::Server => &mut self.to_server,
+        };
+        let out = reader(queue);
+        queue.clear();
+        out
     }
 
     /// True when nothing is in flight in either direction.
@@ -242,10 +247,10 @@ impl FaultyPipe {
         self.pipe.write(end, bytes);
     }
 
-    /// Read everything queued toward `end` (reads are reliable; SMTP's
-    /// error handling lives at the line/reply layer).
-    pub fn read(&mut self, end: End) -> Bytes {
-        self.pipe.read(end)
+    /// Drain everything queued toward `end` through `reader` (reads are
+    /// reliable; SMTP's error handling lives at the line/reply layer).
+    pub fn read<R>(&mut self, end: End, reader: impl FnOnce(&[u8]) -> R) -> R {
+        self.pipe.read(end, reader)
     }
 
     /// True when nothing is in flight.
@@ -263,8 +268,8 @@ mod tests {
         let mut p = Pipe::new();
         p.write(End::Client, b"hello server");
         p.write(End::Server, b"hello client");
-        assert_eq!(&p.read(End::Server)[..], b"hello server");
-        assert_eq!(&p.read(End::Client)[..], b"hello client");
+        assert_eq!(p.read(End::Server, <[u8]>::to_vec), b"hello server");
+        assert_eq!(p.read(End::Client, <[u8]>::to_vec), b"hello client");
         assert!(p.is_idle());
         assert_eq!(p.bytes_to_server, 12);
         assert_eq!(p.bytes_to_client, 12);
@@ -274,8 +279,23 @@ mod tests {
     fn reads_drain() {
         let mut p = Pipe::new();
         p.write(End::Client, b"once");
-        assert_eq!(&p.read(End::Server)[..], b"once");
-        assert!(p.read(End::Server).is_empty());
+        assert_eq!(p.read(End::Server, <[u8]>::to_vec), b"once");
+        assert!(p.read(End::Server, <[u8]>::is_empty));
+    }
+
+    /// A drained direction keeps its capacity: the next write of the same
+    /// size reuses the queue instead of growing a fresh one.
+    #[test]
+    fn reads_keep_capacity() {
+        let mut p = Pipe::new();
+        p.write(End::Client, &[b'x'; 4096]);
+        let cap = p.to_server.capacity();
+        assert_eq!(p.read(End::Server, <[u8]>::len), 4096);
+        assert!(p.is_idle());
+        assert_eq!(p.to_server.capacity(), cap);
+        p.write(End::Client, &[b'y'; 4096]);
+        assert_eq!(p.to_server.capacity(), cap);
+        assert_eq!(p.bytes_to_server, 8192);
     }
 
     #[test]
@@ -284,7 +304,7 @@ mod tests {
         for i in 0..100u32 {
             p.write(End::Client, format!("line {i}\r\n").as_bytes());
         }
-        let got = p.read(End::Server);
+        let got = p.read(End::Server, <[u8]>::to_vec);
         assert_eq!(got.iter().filter(|&&b| b == b'\n').count(), 100);
         assert_eq!(p.stats().dropped + p.stats().corrupted, 0);
         assert_eq!(p.stats().passed, 100);
@@ -302,7 +322,7 @@ mod tests {
         .unwrap();
         p.write(End::Client, b"doomed\r\n");
         p.write(End::Client, b"also doomed\r\n");
-        assert!(p.read(End::Server).is_empty());
+        assert!(p.read(End::Server, <[u8]>::is_empty));
         assert_eq!(p.stats().dropped, 2);
     }
 
@@ -321,7 +341,7 @@ mod tests {
         // original in at most one byte and framing bytes stay intact.
         for _ in 0..20 {
             p.write(End::Client, original);
-            let got = p.read(End::Server);
+            let got = p.read(End::Server, <[u8]>::to_vec);
             assert_eq!(got.len(), original.len());
             let diffs: Vec<usize> = (0..got.len()).filter(|&i| got[i] != original[i]).collect();
             assert!(diffs.len() <= 1, "more than one byte corrupted: {diffs:?}");
@@ -339,7 +359,7 @@ mod tests {
             for i in 0..50u32 {
                 p.write(End::Client, format!("chunk {i}\r\n").as_bytes());
             }
-            (p.stats(), p.read(End::Server).to_vec())
+            (p.stats(), p.read(End::Server, <[u8]>::to_vec))
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42).1, run(43).1);

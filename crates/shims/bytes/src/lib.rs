@@ -1,12 +1,13 @@
 //! Offline shim for `bytes`: `Bytes` / `BytesMut` / `BufMut` backed by a
 //! plain `Vec<u8>`. API-compatible with the subset this workspace uses
-//! (append, split, freeze); no refcounted zero-copy slicing.
+//! (append, clear, freeze); no refcounted zero-copy slicing.
 //!
 //! Cost model: every method here costs what the real crate's does —
-//! `split` and `freeze` move the vector (O(1)), appends are amortized O(1)
-//! per byte. The shim offers no prefix split (`split_to`, `advance`): on a
-//! plain vector those copy the rest of the buffer, O(n) where the real
-//! crate is O(1), so a decoder that takes lines with them is quadratic.
+//! `freeze` moves the vector (O(1)), appends are amortized O(1) per byte
+//! and `clear` keeps the capacity. The shim offers no prefix split
+//! (`split_to`, `advance`): on a plain vector those copy the rest of the
+//! buffer, O(n) where the real crate is O(1), so a decoder that takes
+//! lines with them is quadratic.
 
 use std::ops::{Deref, DerefMut};
 
@@ -107,6 +108,11 @@ impl BytesMut {
         self.data.is_empty()
     }
 
+    /// Bytes the buffer holds without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Drop all contents.
     pub fn clear(&mut self) {
         self.data.clear();
@@ -125,13 +131,6 @@ impl BytesMut {
     /// Append a slice.
     pub fn extend_from_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
-    }
-
-    /// Split off and return the whole contents, leaving this empty.
-    pub fn split(&mut self) -> BytesMut {
-        BytesMut {
-            data: std::mem::take(&mut self.data),
-        }
     }
 
     /// Freeze into an immutable buffer.
@@ -186,15 +185,6 @@ impl BufMut for Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn split_takes_everything() {
-        let mut b = BytesMut::new();
-        b.extend_from_slice(b"abc");
-        let all = b.split();
-        assert_eq!(&all[..], b"abc");
-        assert!(b.is_empty());
-    }
 
     #[test]
     fn freeze_roundtrip() {
