@@ -77,8 +77,9 @@ impl AttackBatch {
             .collect()
     }
 
-    /// Materialize every individual email (for mbox export / inspection;
-    /// beware memory at paper scale).
+    /// Materialize every individual email (for mbox export / inspection):
+    /// each group's `n` entries are `n` handles to its one prototype, so
+    /// the batch costs one message per group, not per email.
     pub fn materialize(&self) -> Vec<Email> {
         let mut out = Vec::with_capacity(self.len());
         for (e, n) in &self.groups {
@@ -127,14 +128,11 @@ pub fn build_attack_email(words: &[String], header: &HeaderMode) -> Email {
         body.push_str(w);
     }
     body.push('\n');
-    match header {
-        HeaderMode::Empty => {
-            let mut e = Email::new();
-            e.set_body(body);
-            e
-        }
-        HeaderMode::Donor(donor) => Email::from_parts(donor.headers().to_vec(), body),
-    }
+    let headers = match header {
+        HeaderMode::Empty => Vec::new(),
+        HeaderMode::Donor(donor) => donor.headers().to_vec(),
+    };
+    Email::from_parts(headers, body)
 }
 
 #[cfg(test)]

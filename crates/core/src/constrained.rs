@@ -203,7 +203,7 @@ impl AttackContext {
 #[derive(Debug, Clone)]
 pub struct ConstrainedAttack {
     words: Arc<Vec<String>>,
-    prototype: Arc<Email>,
+    prototype: Email,
     budget: usize,
     label: String,
 }
@@ -225,7 +225,7 @@ impl ConstrainedAttack {
     }
 
     fn from_words(words: Vec<String>, budget: usize, label: String) -> Self {
-        let prototype = Arc::new(build_attack_email(&words, &HeaderMode::Empty));
+        let prototype = build_attack_email(&words, &HeaderMode::Empty);
         Self {
             words: Arc::new(words),
             prototype,
@@ -263,7 +263,7 @@ impl AttackGenerator for ConstrainedAttack {
     }
 
     fn generate(&self, n: u32, _rng: &mut Xoshiro256pp) -> AttackBatch {
-        AttackBatch::new(vec![((*self.prototype).clone(), n)])
+        AttackBatch::new(vec![(self.prototype.clone(), n)])
     }
 }
 

@@ -17,7 +17,6 @@ use crate::attack::{build_attack_email, AttackBatch, AttackGenerator, HeaderMode
 use crate::taxonomy::AttackClass;
 use sb_email::Email;
 use sb_stats::rng::Xoshiro256pp;
-use std::sync::Arc;
 
 /// Which lexicon the attack floods with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,7 +76,7 @@ impl DictionaryKind {
 #[derive(Debug, Clone)]
 pub struct DictionaryAttack {
     kind: DictionaryKind,
-    prototype: Arc<Email>,
+    prototype: Email,
     lexicon_len: usize,
 }
 
@@ -86,7 +85,7 @@ impl DictionaryAttack {
     /// once; batches of any size reuse them).
     pub fn new(kind: DictionaryKind) -> Self {
         let lexicon = kind.lexicon();
-        let prototype = Arc::new(build_attack_email(&lexicon, &HeaderMode::Empty));
+        let prototype = build_attack_email(&lexicon, &HeaderMode::Empty);
         Self {
             kind,
             prototype,
@@ -120,7 +119,7 @@ impl AttackGenerator for DictionaryAttack {
     }
 
     fn generate(&self, n: u32, _rng: &mut Xoshiro256pp) -> AttackBatch {
-        AttackBatch::new(vec![((*self.prototype).clone(), n)])
+        AttackBatch::new(vec![(self.prototype.clone(), n)])
     }
 }
 

@@ -107,13 +107,6 @@ impl Dataset {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Append all messages of another dataset.
-    pub fn extend_from(&mut self, other: &Dataset) {
-        for m in other.emails() {
-            self.push(m.clone());
-        }
-    }
 }
 
 impl FromIterator<LabeledEmail> for Dataset {
@@ -189,15 +182,6 @@ mod tests {
         let got: Vec<&LabeledEmail> = d.select(&[1]).collect();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].label, Label::Spam);
-    }
-
-    #[test]
-    fn extend_from_merges_counts() {
-        let mut a = Dataset::from_vec(vec![mk(Label::Ham, "a")]);
-        let b = Dataset::from_vec(vec![mk(Label::Spam, "b"), mk(Label::Spam, "c")]);
-        a.extend_from(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.n_spam(), 2);
     }
 
     #[test]

@@ -1,7 +1,18 @@
 //! The in-memory email model.
+//!
+//! An [`Email`] is a refcounted, immutable value: its header list and body
+//! sit behind one `Arc`, so `clone()` shares the message instead of
+//! copying it (a mailbox, a training pool, a replay record and an attack
+//! batch can all hold one message for the price of one). The two
+//! mutators, [`Email::set_body`] and [`Email::push_header`], copy on
+//! write: on a shared message they first give this handle its own copy,
+//! so no other handle sees the change. Equality compares content, never
+//! identity: two messages built apart with equal headers and body are
+//! equal.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Ground-truth label of a training or test message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -35,11 +46,27 @@ impl fmt::Display for Label {
 ///
 /// Headers preserve order and duplicates (real mail has several `Received:`
 /// lines); lookup is case-insensitive on the field name, returning the first
-/// match, like typical MUA behaviour.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// match, like typical MUA behaviour. Clones share one allocation (module
+/// docs).
+#[derive(Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Email {
+    parts: Arc<Parts>,
+}
+
+/// What the handles of one message share.
+#[derive(Clone, Default, PartialEq, Eq)]
+struct Parts {
     headers: Vec<(String, String)>,
     body: String,
+}
+
+impl fmt::Debug for Email {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Email")
+            .field("headers", &self.parts.headers)
+            .field("body", &self.parts.body)
+            .finish()
+    }
 }
 
 impl Email {
@@ -55,27 +82,29 @@ impl Email {
 
     /// Construct directly from parts.
     pub fn from_parts(headers: Vec<(String, String)>, body: String) -> Self {
-        Self { headers, body }
+        Self {
+            parts: Arc::new(Parts { headers, body }),
+        }
     }
 
     /// All header fields in order.
     pub fn headers(&self) -> &[(String, String)] {
-        &self.headers
+        &self.parts.headers
     }
 
     /// The message body.
     pub fn body(&self) -> &str {
-        &self.body
+        &self.parts.body
     }
 
-    /// Replace the body.
+    /// Replace the body (copy on write: other handles keep the old one).
     pub fn set_body(&mut self, body: impl Into<String>) {
-        self.body = body.into();
+        Arc::make_mut(&mut self.parts).body = body.into();
     }
 
     /// First header value whose name matches case-insensitively.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
+        self.headers()
             .iter()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
@@ -83,29 +112,19 @@ impl Email {
 
     /// All values for a header name (case-insensitive), in order.
     pub fn header_all(&self, name: &str) -> Vec<&str> {
-        self.headers
+        self.headers()
             .iter()
             .filter(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
             .collect()
     }
 
-    /// Append a header field.
+    /// Append a header field (copy on write: other handles keep the old
+    /// list).
     pub fn push_header(&mut self, name: impl Into<String>, value: impl Into<String>) {
-        self.headers.push((name.into(), value.into()));
-    }
-
-    /// Remove all headers with the given name; returns how many were removed.
-    pub fn remove_header(&mut self, name: &str) -> usize {
-        let before = self.headers.len();
-        self.headers.retain(|(n, _)| !n.eq_ignore_ascii_case(name));
-        before - self.headers.len()
-    }
-
-    /// Replace all occurrences of a header with a single value.
-    pub fn set_header(&mut self, name: &str, value: impl Into<String>) {
-        self.remove_header(name);
-        self.push_header(name.to_owned(), value);
+        Arc::make_mut(&mut self.parts)
+            .headers
+            .push((name.into(), value.into()));
     }
 
     /// Convenience accessor for `Subject:`.
@@ -121,17 +140,17 @@ impl Email {
     /// True when the message has no headers at all (the paper's dictionary
     /// attack emails are sent with empty headers, §4.1).
     pub fn has_empty_headers(&self) -> bool {
-        self.headers.is_empty()
+        self.headers().is_empty()
     }
 
     /// Approximate wire size in bytes (headers + separators + body).
     pub fn wire_len(&self) -> usize {
-        self.headers
+        self.headers()
             .iter()
             .map(|(n, v)| n.len() + 2 + v.len() + 1)
             .sum::<usize>()
             + 1
-            + self.body.len()
+            + self.body().len()
     }
 }
 
@@ -172,10 +191,7 @@ impl EmailBuilder {
 
     /// Finish building.
     pub fn build(self) -> Email {
-        Email {
-            headers: self.headers,
-            body: self.body,
-        }
+        Email::from_parts(self.headers, self.body)
     }
 }
 
@@ -233,23 +249,45 @@ mod tests {
     }
 
     #[test]
-    fn set_header_replaces_all() {
-        let mut e = Email::new();
-        e.push_header("X-Flag", "a");
-        e.push_header("X-Flag", "b");
-        e.set_header("x-flag", "c");
-        assert_eq!(e.header_all("X-Flag"), vec!["c"]);
+    fn clones_share_one_allocation_until_written() {
+        let a = Email::builder().subject("s").body("shared").build();
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.parts, &b.parts));
+        b.push_header("X-Flag", "1");
+        assert!(!Arc::ptr_eq(&a.parts, &b.parts));
+        assert_eq!(a.headers().len(), 1);
+        assert_eq!(b.headers().len(), 2);
+        let mut c = a.clone();
+        c.set_body("own");
+        assert_eq!((a.body(), c.body()), ("shared", "own"));
+        // A handle holding the only reference writes in place.
+        let before = Arc::as_ptr(&c.parts);
+        c.set_body("again");
+        assert_eq!(Arc::as_ptr(&c.parts), before);
     }
 
     #[test]
-    fn remove_header_counts() {
-        let mut e = Email::new();
-        e.push_header("A", "1");
-        e.push_header("B", "2");
-        e.push_header("a", "3");
-        assert_eq!(e.remove_header("A"), 2);
-        assert_eq!(e.headers().len(), 1);
-        assert_eq!(e.remove_header("missing"), 0);
+    fn equality_is_by_content() {
+        let a = Email::builder().subject("s").body("b").build();
+        let b = Email::builder().subject("s").body("b").build();
+        assert!(!Arc::ptr_eq(&a.parts, &b.parts));
+        assert_eq!(a, b);
+        assert_ne!(a, Email::builder().subject("s").body("c").build());
+    }
+
+    #[test]
+    fn debug_shows_headers_and_body() {
+        let e = Email::builder().subject("s").body("b").build();
+        assert_eq!(
+            format!("{e:?}"),
+            r#"Email { headers: [("Subject", "s")], body: "b" }"#
+        );
+    }
+
+    #[test]
+    fn email_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Email>();
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property tests: parsing is total, rendering round-trips canonical
-//! messages, and mbox I/O is lossless for arbitrary message sets.
+//! messages, mbox I/O is lossless for arbitrary message sets, and a clone
+//! shares its message until one side writes.
 
 use proptest::prelude::*;
 use sb_email::{mbox, parse_email, render_email, Email};
@@ -71,6 +72,36 @@ proptest! {
         let bytes = mbox::write_mbox(&canon).unwrap();
         let back = mbox::read_mbox(Cursor::new(bytes)).unwrap();
         prop_assert_eq!(back, canon);
+    }
+
+    /// A clone shares the original's text; a write on either side copies
+    /// first, so the other side renders byte-identically to before, and
+    /// the two differ exactly when the write changed something.
+    #[test]
+    fn clone_shares_until_written(
+        email in canonical_email(),
+        new_body in body_text(),
+        header in (header_name(), header_value()),
+        write_header in any::<bool>(),
+        write_original in any::<bool>(),
+    ) {
+        let copy = email.clone();
+        // `canonical_email` has at least one header, so both pointers name
+        // heap buffers and equal pointers mean one shared allocation.
+        prop_assert_eq!(copy.headers().as_ptr(), email.headers().as_ptr());
+        prop_assert_eq!(copy.body().as_ptr(), email.body().as_ptr());
+        let before = render_email(&email);
+        let (mut written, kept) = if write_original { (email, copy) } else { (copy, email) };
+        let changed = if write_header {
+            written.push_header(header.0, header.1);
+            true
+        } else {
+            let changed = written.body() != new_body;
+            written.set_body(new_body);
+            changed
+        };
+        prop_assert_eq!(render_email(&kept), before);
+        prop_assert_eq!(written != kept, changed);
     }
 
     #[test]

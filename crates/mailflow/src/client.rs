@@ -21,7 +21,7 @@
 use crate::smtp::{Command, Reply, ReplyCode};
 use crate::transport::{End, FaultyPipe};
 use crate::server::SmtpServer;
-use crate::wire::{stuff_line, LineCodec, DATA_END};
+use crate::wire::{stuff_line, stuffed_len_bound, LineCodec, DATA_END};
 use sb_email::Email;
 use sb_email::render::render_email;
 use serde::{Deserialize, Serialize};
@@ -319,9 +319,12 @@ impl Session<'_> {
     }
 
     /// Send a rendered message as the body of a `DATA` phase, terminator
-    /// included: one chunk per line ([`data_chunks`]).
+    /// included: one chunk per line ([`data_chunks`]). The pipe reserves
+    /// the whole phase first, so its queue grows once per message instead
+    /// of doubling its way up to the message's size.
     fn send_data(&mut self, message: &str) {
         let pipe = &mut *self.pipe;
+        pipe.reserve(End::Client, stuffed_len_bound(message));
         data_chunks(message, &mut self.scratch, |chunk| {
             pipe.write(End::Client, chunk)
         });
@@ -508,7 +511,10 @@ mod tests {
             const PIECES: [&str; 8] = ["word", ".", "..", "\r\n", "\n", "\r", " ", "Subject: x"];
             let body: String = pieces.iter().map(|&k| PIECES[k]).collect();
             let email = Email::from_parts(headers, body);
-            prop_assert_eq!(client_chunks(&email), stuffed_chunks(&email));
+            let chunks = client_chunks(&email);
+            let sent: usize = chunks.iter().map(Vec::len).sum();
+            prop_assert!(sent <= stuffed_len_bound(&render_email(&email)));
+            prop_assert_eq!(chunks, stuffed_chunks(&email));
         }
     }
 

@@ -2112,6 +2112,36 @@ mod tests {
         }
     }
 
+    /// A delivered message is kept once: the mailbox and the fresh pool
+    /// hold two handles to one copy of its text.
+    #[test]
+    fn mailbox_and_pool_share_each_message() {
+        let mut cfg = base_config(17);
+        cfg.shards = 2;
+        let mut org = MailOrg::new(cfg);
+        let tally = run_one_day(&mut org, 1);
+        assert!(tally.delivered > 0);
+        let mut stored = Vec::new();
+        for (u, name) in org.cfg.users.iter().enumerate() {
+            let mbox = org.mailbox(name).expect("mailbox");
+            for folder in [Folder::Inbox, Folder::Unsure, Folder::Spam] {
+                for m in mbox.folder(folder) {
+                    stored.push((u, m.email.body().as_ptr()));
+                }
+            }
+        }
+        let mut pooled: Vec<_> = org
+            .shards
+            .iter()
+            .flat_map(|s| &s.fresh)
+            .map(|f| (f.user, f.mail.email.body().as_ptr()))
+            .collect();
+        assert_eq!(stored.len(), tally.delivered);
+        stored.sort_unstable();
+        pooled.sort_unstable();
+        assert_eq!(stored, pooled);
+    }
+
     /// Heterogeneous per-user rates are honored exactly: a user with zero
     /// configured traffic and no campaign aimed at them receives nothing,
     /// and the day's offered total is the sum of the per-user rates.

@@ -55,6 +55,15 @@ impl Pipe {
         }
     }
 
+    /// Make room for `additional` more bytes written from `end` without
+    /// regrowing its queue. Carries nothing and counts nothing.
+    pub fn reserve(&mut self, end: End, additional: usize) {
+        match end {
+            End::Client => self.to_server.reserve(additional),
+            End::Server => self.to_client.reserve(additional),
+        }
+    }
+
     /// Drain everything queued toward `end`: `reader` sees the queued
     /// bytes in place, then the queue is cleared and keeps its capacity
     /// for the next write.
@@ -247,6 +256,13 @@ impl FaultyPipe {
         self.pipe.write(end, bytes);
     }
 
+    /// Make room for `additional` more bytes written from `end`
+    /// ([`Pipe::reserve`]). Draws no random number, so the fault stream
+    /// is the same with or without it.
+    pub fn reserve(&mut self, end: End, additional: usize) {
+        self.pipe.reserve(end, additional);
+    }
+
     /// Drain everything queued toward `end` through `reader` (reads are
     /// reliable; SMTP's error handling lives at the line/reply layer).
     pub fn read<R>(&mut self, end: End, reader: impl FnOnce(&[u8]) -> R) -> R {
@@ -409,6 +425,40 @@ mod tests {
         assert_eq!(
             forward,
             FaultStats { dropped: 10, corrupted: 10, passed: 153 }
+        );
+    }
+
+    /// One reservation of the stuffed-length bound holds a whole `DATA`
+    /// phase: writing its chunks never regrows the queue. Reserving draws
+    /// no random number, so a faulty pipe drops and corrupts the same
+    /// chunks with or without it.
+    #[test]
+    fn one_reservation_covers_a_data_phase() {
+        use crate::wire::{dot_stuff, stuffed_len_bound};
+        let body = "Subject: dots\n\n.leading\n..two\nplain line\r\n\n.";
+        let stuffed = dot_stuff(body);
+        let mut p = FaultyPipe::reliable();
+        p.write(End::Client, b"DATA\r\n");
+        assert_eq!(p.read(End::Server, <[u8]>::len), 6);
+        p.reserve(End::Client, stuffed_len_bound(body));
+        let cap = p.pipe.to_server.capacity();
+        for chunk in stuffed.split_inclusive("\r\n") {
+            p.write(End::Client, chunk.as_bytes());
+            assert_eq!(p.pipe.to_server.capacity(), cap);
+        }
+        assert_eq!(p.read(End::Server, <[u8]>::to_vec), stuffed.as_bytes());
+
+        let mut reserved = FaultyPipe::seeded(FaultConfig::harsh(), 11);
+        let mut plain = FaultyPipe::seeded(FaultConfig::harsh(), 11);
+        reserved.reserve(End::Client, stuffed_len_bound(body));
+        for chunk in stuffed.split_inclusive("\r\n").cycle().take(60) {
+            reserved.write(End::Client, chunk.as_bytes());
+            plain.write(End::Client, chunk.as_bytes());
+        }
+        assert_eq!(reserved.stats(), plain.stats());
+        assert_eq!(
+            reserved.read(End::Server, <[u8]>::to_vec),
+            plain.read(End::Server, <[u8]>::to_vec)
         );
     }
 

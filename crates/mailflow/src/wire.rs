@@ -222,6 +222,15 @@ pub fn stuff_line(line: &str, out: &mut String) {
     out.push_str("\r\n");
 }
 
+/// An upper bound on `dot_stuff(body).len()`, found without stuffing:
+/// each `\n` becomes CRLF (+1), each of the `newlines + 1` lines may gain
+/// a leading dot (+1), the last line gains its CRLF (+2), then the
+/// terminator. Equal when every line starts with a dot and holds no `\r`.
+pub(crate) fn stuffed_len_bound(body: &str) -> usize {
+    let newlines = body.bytes().filter(|&b| b == b'\n').count();
+    body.len() + 2 * newlines + 3 + DATA_END.len()
+}
+
 /// Encode a message body for transmission inside `DATA`: normalize line
 /// endings to CRLF, double leading dots, and append the lone-dot
 /// terminator.
@@ -409,6 +418,16 @@ mod tests {
         assert_eq!(wire, "..hidden\r\n...double\r\ntail\r\n.\r\n");
         let lines: Vec<String> = vec!["..hidden".into(), "...double".into(), "tail".into()];
         assert_eq!(dot_unstuff(&lines), body);
+    }
+
+    #[test]
+    fn stuffed_len_bound_holds_and_is_tight() {
+        for body in ["", ".", "\n", ".a\n.b", "a\r\nb", "..\n\n.", "plain text"] {
+            assert!(dot_stuff(body).len() <= stuffed_len_bound(body), "{body:?}");
+        }
+        for body in [".", ".\n.", ".a\n..b\n."] {
+            assert_eq!(dot_stuff(body).len(), stuffed_len_bound(body), "{body:?}");
+        }
     }
 
     #[test]
